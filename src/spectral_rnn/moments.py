@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .score import centered_scores, precision_matrix
-from .sequence_models import BrnnParams, MarkovChainSpec, RnnParams, SequenceData
+from .sequence_models import (BrnnParams, MarkovChainSpec, RnnParams, SequenceData,
+                              _unroll)
 
 DEFAULT_BURN_IN = 10
 
@@ -278,11 +279,8 @@ def measured_activation_scale(params: RnnParams, data: SequenceData, order: int 
     l = params.l
     if order > l:
         return np.zeros(params.d_h)
-    pre = np.empty((params.d_h, data.n))
-    h_prev = np.zeros(params.d_h)
-    for t in range(data.n):
-        pre[:, t] = params.A1 @ data.x[:, t] + params.U @ h_prev
-        h_prev = pre[:, t] ** l if l > 1 else pre[:, t]
+    h = _unroll(params.A1, params.U, l, data.x).T
+    pre = params.A1 @ data.x + params.U @ np.hstack([np.zeros((params.d_h, 1)), h[:, :-1]])
     coeff = 1.0
     for j in range(order):
         coeff *= (l - j)

@@ -9,7 +9,7 @@ from spectral_rnn.moments import (cross_moment_s1, cross_moment_s2,
                                   measured_activation_scale, MomentTensor,
                                   population_moment_oracle, save_moment,
                                   toeplitz_blocks)
-from spectral_rnn.sequence_models import (BrnnParams, RnnParams,
+from spectral_rnn.sequence_models import (BrnnParams, RnnParams, SequenceData,
                                           bounded_input_spec, brnn_forward,
                                           rnn_forward, sample_markov_chain,
                                           scalar_output_forward)
@@ -215,6 +215,23 @@ def test_measured_activation_scale():
     scale = measured_activation_scale(params, data, order=2)
     # second derivative of z^2 is the constant 2 regardless of the trajectory
     assert np.allclose(scale, 2.0)
+
+
+@pytest.mark.parametrize("l", [2, 3])
+@pytest.mark.parametrize("order", [1, 2])
+def test_measured_activation_scale_matches_loop(l, order):
+    p = _quad_params(seed=29, u_scale=0.3)
+    params = RnnParams(A1=0.8 * p.A1, U=p.U, A2=p.A2, l=l)
+    x = sample_markov_chain(bounded_input_spec(4, 0.5, seed=30), 3000, seed=31)
+    pre = np.empty((params.d_h, x.shape[1]))
+    h_prev = np.zeros(params.d_h)
+    for t in range(x.shape[1]):
+        pre[:, t] = params.A1 @ x[:, t] + params.U @ h_prev
+        h_prev = pre[:, t] ** l
+    coeff = l if order == 1 else l * (l - 1)
+    want = coeff * np.mean(pre ** (l - order), axis=1)
+    got = measured_activation_scale(params, SequenceData(x=x, y=x[:1]), order=order)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_moment_save_load_round_trip(tmp_path):

@@ -1,10 +1,20 @@
 """Input chain simulation and forward maps of the sequence models."""
 
+import os
+import subprocess
+import sys
+import time
+import warnings
+
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.linalg import solve_discrete_lyapunov
 
-from spectral_rnn.sequence_models import (AssumptionError, BrnnParams,
+import spectral_rnn
+from spectral_rnn.sequence_models import (_FINITE_CHECK_STEPS, _SCAN_BLOCK,
+                                          _SCAN_CHUNK, AssumptionError,
+                                          BrnnParams,
                                           MarkovChainSpec, RnnParams,
                                           SequenceData, bounded_input_spec,
                                           brnn_forward, rnn_forward,
@@ -37,6 +47,74 @@ def test_stationary_covariance_solves_lyapunov():
     assert np.allclose(S, want, atol=1e-10)
 
 
+def test_stationary_covariance_near_unit_norm():
+    rng = np.random.default_rng(1)
+    W = 0.9999 * np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    spec = MarkovChainSpec(W=W, sigma=0.5)
+    start = time.perf_counter()
+    S = stationary_covariance(spec)
+    elapsed = time.perf_counter() - start
+    residual = S - W @ S @ W.T - spec.sigma ** 2 * np.eye(3)
+    assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(S)
+    assert np.array_equal(S, S.T)
+    assert elapsed < 0.5
+
+
+def _loop_chain(spec, n, seed):
+    """The chain drawn and stepped one time step at a time."""
+    rng = np.random.default_rng(seed)
+    d = spec.d_x
+    x = np.empty((d, n))
+    if spec.init == "stationary":
+        x[:, 0] = rng.multivariate_normal(np.zeros(d), stationary_covariance(spec),
+                                          method="cholesky")
+    else:
+        x[:, 0] = 0.0
+    eps = rng.standard_normal((d, n - 1)) * spec.sigma
+    for t in range(1, n):
+        x[:, t] = spec.W @ x[:, t - 1] + eps[:, t - 1]
+    return x
+
+
+def _chain_spec(kind, init):
+    rng = np.random.default_rng(11)
+    if kind == "rotation":
+        W = 0.5 * np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    elif kind == "zero_W":
+        W = np.zeros((3, 3))
+    elif kind == "scalar":
+        W = np.array([[0.7]])
+    else:  # near_unit
+        W = 0.99 * np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    return MarkovChainSpec(W=W, sigma=0.3, init=init)
+
+
+def _assert_same_chain(x, ref):
+    # identical generator use: the first column is drawn before any stepping
+    assert x.shape == ref.shape
+    assert np.array_equal(x[:, 0], ref[:, 0])
+    np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("kind", ["rotation", "zero_W", "scalar", "near_unit"])
+@pytest.mark.parametrize("init", ["stationary", "zero"])
+@pytest.mark.parametrize("n", [1, 2, 3, _SCAN_BLOCK - 1, _SCAN_BLOCK,
+                               _SCAN_BLOCK + 1, 3 * _SCAN_BLOCK + 5])
+def test_blocked_scan_matches_loop(kind, init, n):
+    spec = _chain_spec(kind, init)
+    _assert_same_chain(sample_markov_chain(spec, n, seed=5), _loop_chain(spec, n, seed=5))
+
+
+@pytest.mark.parametrize("d_x", [3, 12])
+def test_blocked_scan_matches_loop_across_chunks(d_x):
+    # d_x = 12 caps the block below _SCAN_BLOCK steps
+    rng = np.random.default_rng(d_x)
+    spec = MarkovChainSpec(W=0.9 * np.linalg.qr(rng.standard_normal((d_x, d_x)))[0],
+                           sigma=0.2)
+    n = 2 * _SCAN_BLOCK * _SCAN_CHUNK + 7
+    _assert_same_chain(sample_markov_chain(spec, n, seed=3), _loop_chain(spec, n, seed=3))
+
+
 def test_sample_markov_chain_deterministic_and_stationary():
     spec = MarkovChainSpec(W=np.array([[0.5]]), sigma=np.sqrt(0.75))
     x1 = sample_markov_chain(spec, 5000, seed=7)
@@ -48,6 +126,24 @@ def test_sample_markov_chain_deterministic_and_stationary():
     # lag-1 autocorrelation is W
     r = np.corrcoef(x1[0, :-1], x1[0, 1:])[0, 1]
     assert abs(r - 0.5) < 0.05
+
+
+def test_bounded_input_spec_chi2_quantile_matches_scipy_stats():
+    for d_x in range(1, 20):
+        for tail_prob in (1e-2, 1e-3, 1e-6):
+            spec = bounded_input_spec(d_x, 0.5, tail_prob=tail_prob)
+            c = 1.0 / stats.chi2.ppf(1.0 - tail_prob, df=d_x)
+            assert spec.sigma == np.sqrt(c * (1.0 - 0.5 ** 2))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(spectral_rnn.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, spectral_rnn; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_bounded_input_spec_norm():
@@ -92,6 +188,52 @@ def test_rnn_forward_blow_up_raises():
     x = np.ones((1, 200))
     with np.errstate(over="ignore"), pytest.raises(AssumptionError):
         rnn_forward(params, x)
+
+
+def test_brnn_backward_blow_up_names_direction_and_step():
+    params = BrnnParams(A1=[[0.1]], B1=[[2.0]], U=[[0.1]], V=[[2.0]],
+                        A2=[[1.0], [1.0]], l=2)
+    n = _FINITE_CHECK_STEPS + 500
+    x = np.zeros((1, n))
+    x[0, :100] = 1.0  # z stays 0 from the end down to t = 100
+    z = 0.0
+    with np.errstate(over="ignore"):
+        for t in range(99, -1, -1):
+            z = (2.0 * x[0, t] + 2.0 * z) ** 2
+            if not np.isfinite(z):
+                break
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AssumptionError,
+                           match=f"^backward state blow-up at step {t}$"):
+            brnn_forward(params, x)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_forward_kernel_matches_loop_across_check_blocks(l):
+    rng = np.random.default_rng(12)
+    A1 = 0.4 * np.linalg.qr(rng.standard_normal((3, 2)))[0].T
+    B1 = 0.4 * np.linalg.qr(rng.standard_normal((3, 2)))[0].T
+    U = 0.3 * np.linalg.qr(rng.standard_normal((2, 2)))[0]
+    V = 0.2 * np.linalg.qr(rng.standard_normal((2, 2)))[0]
+    A2 = rng.standard_normal((4, 2))
+    x = sample_markov_chain(bounded_input_spec(3, 0.5, seed=13), _FINITE_CHECK_STEPS + 37,
+                            seed=14)
+    h0 = np.array([0.3, -0.2])
+    n = x.shape[1]
+    h = np.empty((2, n))
+    z = np.empty((2, n))
+    hp, zp = h0, np.zeros(2)
+    for t in range(n):
+        hp = (A1 @ x[:, t] + U @ hp) ** l
+        h[:, t] = hp
+        zp = (B1 @ x[:, n - 1 - t] + V @ zp) ** l
+        z[:, n - 1 - t] = zp
+    data = rnn_forward(RnnParams(A1=A1, U=U, A2=A2[:2], l=l), x, h0=h0)
+    np.testing.assert_allclose(data.h, h, rtol=0, atol=1e-12 * np.max(np.abs(h)))
+    bdata = brnn_forward(BrnnParams(A1=A1, B1=B1, U=U, V=V, A2=A2, l=l), x)
+    np.testing.assert_allclose(bdata.z, z, rtol=0, atol=1e-12 * np.max(np.abs(z)))
+    assert data.h.shape == bdata.z.shape == (2, n)
 
 
 def test_brnn_forward_matches_loop():
