@@ -29,7 +29,7 @@ from .moments import (cross_moment_s2, cross_moment_s3_scalar,
                       cross_moment_s4_reshaped, toeplitz_blocks)
 from .recovery import (recover_brnn, recover_linear, recover_quadratic,
                        recover_scalar)
-from .score import QuadraticTest, stein_check
+from .score import QuadraticTest, centered_scores, stein_check
 from .sequence_models import (AssumptionError, BrnnParams, MarkovChainSpec,
                               RnnParams, bounded_input_spec, brnn_forward,
                               rnn_forward, sample_markov_chain,
@@ -139,10 +139,11 @@ def _make_brnn(config: ExperimentConfig, seed: int) -> BrnnParams:
 
 def _quadratic_moments(config, spec, data):
     burn = config["estimation.burn_in"]
-    T2 = cross_moment_s2(spec, data, burn_in=burn).value
+    s = centered_scores(spec, data.x)
+    T2 = cross_moment_s2(spec, data, burn_in=burn, scores=s).value
     T4 = None
     if config["model.u_scale"] > 0:
-        T4 = cross_moment_s4_reshaped(spec, data, shift=-1, burn_in=burn).value
+        T4 = cross_moment_s4_reshaped(spec, data, shift=-1, burn_in=burn, scores=s).value
     return T2, T4
 
 
@@ -249,11 +250,12 @@ def _cmd_train_brnn(config, seed, art):
     x = sample_markov_chain(spec, config["estimation.n"], chain_seed)
     data = brnn_forward(params, x)
     burn = config["estimation.burn_in"]
-    T2 = cross_moment_s2(spec, data, burn_in=burn).value
+    s = centered_scores(spec, data.x)
+    T2 = cross_moment_s2(spec, data, burn_in=burn, scores=s).value
     T4b = T4f = None
     if config["model.u_scale"] > 0:
-        T4b = cross_moment_s4_reshaped(spec, data, shift=-1, burn_in=burn).value
-        T4f = cross_moment_s4_reshaped(spec, data, shift=+1, burn_in=burn).value
+        T4b = cross_moment_s4_reshaped(spec, data, shift=-1, burn_in=burn, scores=s).value
+        T4f = cross_moment_s4_reshaped(spec, data, shift=+1, burn_in=burn, scores=s).value
     est = recover_brnn(T2, config.d_h, T4_back=T4b, T4_fwd=T4f, seed=seed)
     C_hat = np.vstack([est.A1, est.B1])
     C_true = np.vstack([params.A1, params.B1])

@@ -50,10 +50,15 @@ class BrnnEstimate:
     stage1: CpDecomposition | None = None
 
 
-def _stage1_factors(T2: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray, CpDecomposition]:
-    """Input rows (unit) and output rows with scale from the quadratic moment."""
-    M1 = None
-    cp = decompose(T2, k=k, M1=M1, seed=seed)
+def _stage1_factors(
+    T2: np.ndarray, k: int, seed: int, cp: CpDecomposition | None = None,
+) -> tuple[np.ndarray, np.ndarray, CpDecomposition]:
+    """Input rows (unit) and output rows with scale from the quadratic moment.
+
+    cp, if given, is decompose(T2, k=k, seed=seed), already computed.
+    """
+    if cp is None:
+        cp = decompose(T2, k=k, seed=seed)
     A1 = cp.factor.T                      # k x d_x, unit rows
     A2 = (cp.mode1 * (cp.weights / 2.0)).T  # k x d_y
     return A1, A2, cp
@@ -182,9 +187,15 @@ def recover_quadratic(
     T4: np.ndarray | None = None,
     seed: int = 0,
     u_method: str = "fit",
+    *,
+    stage1: CpDecomposition | None = None,
 ) -> RnnEstimate:
-    """Recover quadratic-unit model parameters from score cross-moments."""
-    A1, A2, cp = _stage1_factors(T2, d_h, seed)
+    """Recover quadratic-unit model parameters from score cross-moments.
+
+    stage1, if given, is decompose(T2, k=d_h, seed=seed) computed earlier;
+    it is used instead of decomposing again.
+    """
+    A1, A2, cp = _stage1_factors(T2, d_h, seed, stage1)
     U = None
     no_rec = False
     if T4 is not None:
@@ -257,6 +268,8 @@ def recover_brnn(
     T4_back: np.ndarray | None = None,
     T4_fwd: np.ndarray | None = None,
     seed: int = 0,
+    *,
+    stage1: CpDecomposition | None = None,
 ) -> BrnnEstimate:
     """Recover a bidirectional quadratic model.
 
@@ -264,11 +277,13 @@ def recover_brnn(
     moments (output against the score one step back or one step forward)
     separate forward from backward units when recurrences are present.  With
     both shifted moments absent or negligible the split falls back to weight
-    order and the recurrences are reported as zero.
+    order and the recurrences are reported as zero.  stage1, if given, is
+    decompose(T2, k=2 * d_h, seed=seed) computed earlier; it is used instead
+    of decomposing again.
     """
     if T2.shape[0] < 2 * d_h:
         raise ValueError("output dimension insufficient for BRNN identifiability")
-    C, A2, cp = _stage1_factors(T2, 2 * d_h, seed)
+    C, A2, cp = _stage1_factors(T2, 2 * d_h, seed, stage1)
     n2 = np.linalg.norm(T2)
 
     back_rows = np.zeros(2 * d_h)
@@ -373,30 +388,34 @@ def train_quadratic(data, spec, d_h, burn_in=10, seed=0, u_method="fit",
     zero and the subtraction only reduces variance.
     """
     from .moments import cross_moment_s2, cross_moment_s4_reshaped
+    from .score import centered_scores
 
-    T2 = cross_moment_s2(spec, data, burn_in=burn_in).value
-    T4 = None
+    s = centered_scores(spec, data.x)
+    T2 = cross_moment_s2(spec, data, burn_in=burn_in, scores=s).value
+    T4 = cp = None
     if with_recurrence:
-        A1, A2, _ = _stage1_factors(T2, d_h, seed)
+        A1, A2, cp = _stage1_factors(T2, d_h, seed)
         baseline = A2.T @ (A1 @ data.x) ** 2
         T4 = cross_moment_s4_reshaped(spec, data, shift=-1, burn_in=burn_in,
-                                      baseline=baseline).value
-    return recover_quadratic(T2, d_h, T4=T4, seed=seed, u_method=u_method)
+                                      baseline=baseline, scores=s).value
+    return recover_quadratic(T2, d_h, T4=T4, seed=seed, u_method=u_method, stage1=cp)
 
 
 def train_brnn(data, spec, d_h, burn_in=10, seed=0, with_recurrence=True) -> BrnnEstimate:
     from .moments import cross_moment_s2, cross_moment_s4_reshaped
+    from .score import centered_scores
 
-    T2 = cross_moment_s2(spec, data, burn_in=burn_in).value
-    T4b = T4f = None
+    s = centered_scores(spec, data.x)
+    T2 = cross_moment_s2(spec, data, burn_in=burn_in, scores=s).value
+    T4b = T4f = cp = None
     if with_recurrence:
-        C, A2, _ = _stage1_factors(T2, 2 * d_h, seed)
+        C, A2, cp = _stage1_factors(T2, 2 * d_h, seed)
         baseline = A2.T @ (C @ data.x) ** 2
         T4b = cross_moment_s4_reshaped(spec, data, shift=-1, burn_in=burn_in,
-                                       baseline=baseline).value
+                                       baseline=baseline, scores=s).value
         T4f = cross_moment_s4_reshaped(spec, data, shift=+1, burn_in=burn_in,
-                                       baseline=baseline).value
-    return recover_brnn(T2, d_h, T4_back=T4b, T4_fwd=T4f, seed=seed)
+                                       baseline=baseline, scores=s).value
+    return recover_brnn(T2, d_h, T4_back=T4b, T4_fwd=T4f, seed=seed, stage1=cp)
 
 
 def train_scalar(data, spec, d_h, l=3, burn_in=10, seed=0) -> RnnEstimate:

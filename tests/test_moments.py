@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from spectral_rnn.moments import (cross_moment_s1, cross_moment_s2,
+from spectral_rnn.moments import (_MOMENT_BLOCK, DEFAULT_BURN_IN,
+                                  cross_moment_s1, cross_moment_s2,
                                   cross_moment_s3, cross_moment_s3_scalar,
                                   cross_moment_s4_reshaped, load_moment,
                                   measured_activation_scale, MomentTensor,
                                   population_moment_oracle, save_moment,
                                   toeplitz_blocks)
+from spectral_rnn.score import centered_scores, precision_matrix
 from spectral_rnn.sequence_models import (BrnnParams, RnnParams, SequenceData,
                                           bounded_input_spec, brnn_forward,
                                           rnn_forward, sample_markov_chain,
@@ -252,3 +254,107 @@ def test_oracle_rejects_unknown_kind():
         population_moment_oracle(params, "S9")
     with pytest.raises(ValueError):
         population_moment_oracle(params, "S4-reshaped-order3", shift=0)
+
+
+# Reference formulas for the moment kernel: direct einsum and full
+# d^2-column Gram expressions, averaged over the same aligned positions.
+
+def _ref_aligned(spec, data, shift, baseline=None):
+    n = data.n
+    idx = np.arange(max(1, 1 - shift) + DEFAULT_BURN_IN, min(n - 2, n - 2 - shift) + 1)
+    Y = data.y[:, idx]
+    if baseline is not None:
+        Y = Y - baseline[:, idx]
+    Y = Y - Y.mean(axis=1, keepdims=True)
+    return Y, centered_scores(spec, data.x)[:, idx + shift]
+
+
+def _ref_s2(spec, data):
+    Y, S = _ref_aligned(spec, data, 0)
+    return np.einsum("at,it,jt->aij", Y, S, S) / Y.shape[1]
+
+
+def _ref_s3(spec, data):
+    Y, S = _ref_aligned(spec, data, 0)
+    N = Y.shape[1]
+    Lam = precision_matrix(spec)
+    val = np.einsum("at,it,jt,kt->aijk", Y, S, S, S) / N
+    ys = Y @ S.T / N
+    return val - (np.einsum("ai,jk->aijk", ys, Lam)
+                  + np.einsum("aj,ik->aijk", ys, Lam)
+                  + np.einsum("ak,ij->aijk", ys, Lam))
+
+
+def _ref_s4(spec, data, shift, baseline):
+    Y, S = _ref_aligned(spec, data, shift, baseline)
+    d_y, N = Y.shape
+    d = S.shape[0]
+    K = (S[:, None, :] * S[None, :, :]).reshape(d * d, N)
+    gram = np.stack([(K * Y[a]) @ K.T for a in range(d_y)]) / N
+    M = np.einsum("at,it,jt->aij", Y, S, S) / N
+    Lam = precision_matrix(spec)
+    T = gram.reshape(d_y, d, d, d, d)
+    T -= (np.einsum("aij,kl->aijkl", M, Lam)
+          + np.einsum("aik,jl->aijkl", M, Lam)
+          + np.einsum("ail,jk->aijkl", M, Lam)
+          + np.einsum("ajk,il->aijkl", M, Lam)
+          + np.einsum("ajl,ik->aijkl", M, Lam)
+          + np.einsum("akl,ij->aijkl", M, Lam))
+    return T.reshape(d_y, d * d, d * d)
+
+
+def _kernel_case(d_x, d_y, N, shift):
+    """Outputs quadratic in the current and previous input, on a chain with
+    exactly N aligned positions at this shift, and an x_t-only baseline."""
+    n = N + DEFAULT_BURN_IN + (2 if shift == 0 else 3)
+    spec = bounded_input_spec(d_x, 0.5, seed=40 + d_x)
+    x = sample_markov_chain(spec, n, seed=41)
+    rng = np.random.default_rng(42)
+    G = rng.standard_normal((d_y, d_x))
+    y = ((G @ x) ** 2 + np.roll(G @ x, 1, axis=1) ** 2
+         + 0.1 * rng.standard_normal((d_y, n)))
+    return spec, SequenceData(x=x, y=y), 0.9 * (G @ x) ** 2
+
+
+def _assert_kernel_close(new, ref):
+    """The kernel sums in another order than the reference; 1e-12 relative
+    stands against a measured gap of about 1e-13."""
+    assert new.shape == ref.shape
+    assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("N", [_MOMENT_BLOCK // 2, _MOMENT_BLOCK, _MOMENT_BLOCK + 1,
+                               4 * _MOMENT_BLOCK + 3])
+@pytest.mark.parametrize("d_y", [1, 4])
+@pytest.mark.parametrize("d_x", [1, 2, 6])
+def test_moment_kernel_matches_reference_formulas(d_x, d_y, N):
+    spec, data, _ = _kernel_case(d_x, d_y, N, 0)
+    m2 = cross_moment_s2(spec, data)
+    assert m2.n_used == N
+    _assert_kernel_close(m2.value, _ref_s2(spec, data))
+    # both orders of a score pair read the same product
+    assert np.array_equal(m2.value, m2.value.transpose(0, 2, 1))
+    m3 = cross_moment_s3(spec, data)
+    assert m3.n_used == N
+    _assert_kernel_close(m3.value, _ref_s3(spec, data))
+    for shift in (-1, 1):
+        spec, data, baseline = _kernel_case(d_x, d_y, N, shift)
+        for bl in (None, baseline):
+            m4 = cross_moment_s4_reshaped(spec, data, shift=shift, baseline=bl)
+            assert m4.n_used == N
+            _assert_kernel_close(m4.value, _ref_s4(spec, data, shift, bl))
+
+
+def test_scores_argument_matches_computed_scores():
+    spec, data, baseline = _kernel_case(3, 2, 3000, -1)
+    s = centered_scores(spec, data.x)
+    assert np.array_equal(cross_moment_s2(spec, data, scores=s).value,
+                          cross_moment_s2(spec, data).value)
+    for shift in (-1, 1):
+        given = cross_moment_s4_reshaped(spec, data, shift=shift, baseline=baseline, scores=s)
+        computed = cross_moment_s4_reshaped(spec, data, shift=shift, baseline=baseline)
+        assert np.array_equal(given.value, computed.value)
+    with pytest.raises(ValueError, match="shape of x"):
+        cross_moment_s2(spec, data, scores=s[:, :-1])
+    with pytest.raises(ValueError, match="shape of x"):
+        cross_moment_s4_reshaped(spec, data, scores=s[:2])

@@ -1,19 +1,23 @@
 """Parameter recovery from exact (oracle) and simulated moments."""
 
+import importlib
+
 import numpy as np
 import pytest
 
+from spectral_rnn import cp_decomp, moments, recovery
 from spectral_rnn.diagnostics import align
-from spectral_rnn.moments import population_moment_oracle
+from spectral_rnn.moments import (cross_moment_s2, cross_moment_s4_reshaped,
+                                  population_moment_oracle)
 from spectral_rnn.recovery import (fit_recurrence_row, recover_brnn,
                                    recover_cubic, recover_general,
                                    recover_linear, recover_quadratic,
                                    recover_recurrence, recover_scalar,
-                                   recover_u, train_linear, train_quadratic,
-                                   train_scalar)
+                                   recover_u, train_brnn, train_linear,
+                                   train_quadratic, train_scalar)
 from spectral_rnn.sequence_models import (BrnnParams, RnnParams,
-                                          bounded_input_spec, rnn_forward,
-                                          sample_markov_chain,
+                                          bounded_input_spec, brnn_forward,
+                                          rnn_forward, sample_markov_chain,
                                           scalar_output_forward)
 from spectral_rnn.tensor_core import rowwise_kron
 
@@ -221,3 +225,60 @@ def test_recurrence_sign_freedom_is_reported():
     U_hat = recover_recurrence(T4, est.A1, est.A2, method="fit", seed=0)
     rep = align(est.A1, params.A1, U_est=U_hat, U_true=params.U)
     assert rep.u_error < 1e-9
+
+
+# the package exports the function score, which hides the module attribute
+score_module = importlib.import_module("spectral_rnn.score")
+
+
+def _count_calls(monkeypatch, name, fn, modules):
+    """Replace fn at every module attribute the library reaches it through."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("family", ["quadratic", "brnn"])
+def test_train_computes_scores_and_stage1_once(monkeypatch, family):
+    spec = bounded_input_spec(4, 0.5, seed=19)
+    x = sample_markov_chain(spec, 20000, seed=20)
+    if family == "quadratic":
+        data = rnn_forward(_quad_model(seed=21, d_x=4, d_h=2, d_y=3), x)
+        train = train_quadratic
+    else:
+        rng = np.random.default_rng(22)
+        params = BrnnParams(A1=np.linalg.qr(rng.standard_normal((4, 1)))[0].T,
+                            B1=np.linalg.qr(rng.standard_normal((4, 1)))[0].T,
+                            U=[[0.3]], V=[[0.2]], A2=rng.standard_normal((2, 3)), l=2)
+        data = brnn_forward(params, x)
+        train = train_brnn
+    scores = _count_calls(monkeypatch, "centered_scores", score_module.centered_scores,
+                          (score_module, moments))
+    decomps = _count_calls(monkeypatch, "decompose", cp_decomp.decompose,
+                           (cp_decomp, recovery))
+    train(data, spec, 1 if family == "brnn" else 2, seed=3)
+    assert len(scores) == 1
+    assert len(decomps) == 1
+
+
+def test_train_quadratic_equals_recover_quadratic_bitwise():
+    """Reusing the stage-1 decomposition leaves the estimate bit for bit
+    equal to recovering from the same moments with a fresh decomposition."""
+    params = _quad_model(seed=23, d_x=4, d_h=2, d_y=3)
+    spec = bounded_input_spec(4, 0.5, seed=24)
+    data = rnn_forward(params, sample_markov_chain(spec, 30000, seed=25))
+    seed = 4
+    est = train_quadratic(data, spec, 2, seed=seed)
+    T2 = cross_moment_s2(spec, data).value
+    first = recover_quadratic(T2, 2, seed=seed)
+    baseline = first.A2.T @ (first.A1 @ data.x) ** 2
+    T4 = cross_moment_s4_reshaped(spec, data, shift=-1, baseline=baseline).value
+    ref = recover_quadratic(T2, 2, T4=T4, seed=seed)
+    for name in ("A1", "A2", "U", "weights"):
+        assert np.array_equal(getattr(est, name), getattr(ref, name)), name
