@@ -21,13 +21,11 @@ from .moments import (MomentTensor, cross_moment_s1, cross_moment_s2,
                       cross_moment_s4_reshaped, load_moment,
                       measured_activation_scale, population_moment_oracle,
                       save_moment, toeplitz_blocks)
-from .cp_decomp import (CpDecomposition, decompose, decompose_symmetric,
-                        power_method, symmetrize, symmetrizer_from_moment,
-                        whiten)
-from .recovery import (BrnnEstimate, RnnEstimate, recover_brnn, recover_cubic,
-                       recover_general, recover_linear, recover_quadratic,
-                       recover_recurrence, recover_scalar, recover_u,
-                       train_brnn, train_linear, train_quadratic, train_scalar)
+from .cp_decomp import CpDecomposition, decompose, decompose_symmetric
+from .recovery import (BrnnEstimate, RnnEstimate, quadratic_moments,
+                       recover_brnn, recover_linear, recover_quadratic,
+                       recover_recurrence, recover_scalar, train_brnn,
+                       train_linear, train_quadratic, train_scalar)
 from .diagnostics import (MixingEstimate, RecoveryReport, SweepResult, align,
                           concentration_bound, lipschitz_bound, mixing_estimate,
                           sample_sweep)

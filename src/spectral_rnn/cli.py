@@ -25,11 +25,9 @@ from . import __version__, spt1
 from .config import ConfigError, ExperimentConfig, config_hash, from_items, parse_config, serialize
 from .cp_decomp import decompose
 from .diagnostics import align, sample_sweep
-from .moments import (cross_moment_s2, cross_moment_s3_scalar,
-                      cross_moment_s4_reshaped, toeplitz_blocks)
-from .recovery import (recover_brnn, recover_linear, recover_quadratic,
-                       recover_scalar)
-from .score import QuadraticTest, centered_scores, stein_check
+from .recovery import (quadratic_moments, train_brnn, train_linear,
+                       train_quadratic, train_scalar)
+from .score import QuadraticTest, stein_check
 from .sequence_models import (AssumptionError, BrnnParams, MarkovChainSpec,
                               RnnParams, bounded_input_spec, brnn_forward,
                               rnn_forward, sample_markov_chain,
@@ -137,14 +135,37 @@ def _make_brnn(config: ExperimentConfig, seed: int) -> BrnnParams:
     return BrnnParams(A1=A1, B1=B1, U=U, V=V, A2=A2, l=2)
 
 
-def _quadratic_moments(config, spec, data):
-    burn = config["estimation.burn_in"]
-    s = centered_scores(spec, data.x)
-    T2 = cross_moment_s2(spec, data, burn_in=burn, scores=s).value
-    T4 = None
-    if config["model.u_scale"] > 0:
-        T4 = cross_moment_s4_reshaped(spec, data, shift=-1, burn_in=burn, scores=s).value
-    return T2, T4
+def _simulate(config: ExperimentConfig, seed: int, family: str = "rnn"):
+    """(input spec, true parameters, simulated data) of one run of a family."""
+    make, forward = {
+        "rnn": (_make_rnn, rnn_forward),
+        "brnn": (_make_brnn, brnn_forward),
+        "scalar": (lambda c, s: _make_rnn(c, s, d_y=1), scalar_output_forward),
+        "linear": (lambda c, s: _make_rnn(c, s, l=1), rnn_forward),
+    }[family]
+    spec_seed, chain_seed, model_seed = _child_seeds(seed, 3)
+    spec = _input_spec(config, spec_seed)
+    params = make(config, model_seed)
+    x = sample_markov_chain(spec, config["estimation.n"], chain_seed)
+    return spec, params, forward(params, x)
+
+
+def _unit_input_rows(params):
+    """The same model in the estimates' convention of unit input rows.
+
+    With D the diagonal of A1's row norms, (D^-1 A1, D^-1 U D^l, D^l A2)
+    produces the same outputs as (A1, U, A2); a BRNN maps each direction.
+    """
+    def scale(A1, U):
+        D = np.linalg.norm(A1, axis=1)
+        return A1 / D[:, None], U / D[:, None] * D ** params.l, D ** params.l
+
+    A1, U, Dl = scale(params.A1, params.U)
+    if isinstance(params, BrnnParams):
+        B1, V, El = scale(params.B1, params.V)
+        return BrnnParams(A1=A1, B1=B1, U=U, V=V, l=params.l,
+                          A2=np.concatenate([Dl, El])[:, None] * params.A2)
+    return RnnParams(A1=A1, U=U, A2=Dl[:, None] * params.A2, l=params.l)
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +174,7 @@ def _quadratic_moments(config, spec, data):
 
 
 def _cmd_generate(config, seed, art):
-    spec_seed, chain_seed, model_seed = _child_seeds(seed, 3)
-    spec = _input_spec(config, spec_seed)
-    params = _make_rnn(config, model_seed)
-    x = sample_markov_chain(spec, config["estimation.n"], chain_seed)
-    data = rnn_forward(params, x)
+    spec, params, data = _simulate(config, seed)
     art.write_array("x", data.x)
     art.write_array("y", data.y)
     art.write_array("a1_true", params.A1)
@@ -185,20 +202,12 @@ def _cmd_score_check(config, seed, art):
     return EXIT_OK
 
 
-def _generate_quadratic(config, seed):
-    spec_seed, chain_seed, model_seed = _child_seeds(seed, 3)
-    spec = _input_spec(config, spec_seed)
-    params = _make_rnn(config, model_seed)
-    x = sample_markov_chain(spec, config["estimation.n"], chain_seed)
-    return spec, params, rnn_forward(params, x)
-
-
 def _cmd_moments(config, seed, art):
-    spec, params, data = _generate_quadratic(config, seed)
-    T2, T4 = _quadratic_moments(config, spec, data)
+    spec, _, data = _simulate(config, seed)
+    T2, T4, _ = quadratic_moments(data, spec, config.d_h,
+                                  burn_in=config["estimation.burn_in"], seed=seed)
     art.write_array("t2", T2)
-    if T4 is not None:
-        art.write_array("t4", T4)
+    art.write_array("t4", T4)
     print(f"moment tensors written to {art.out_dir}")
     return EXIT_OK
 
@@ -216,23 +225,20 @@ def _cmd_decompose(config, seed, art):
     return EXIT_OK
 
 
-def _write_estimate(art, est, params):
+def _cmd_train(config, seed, art):
+    """Quadratic model; the recurrence is always estimated and the data
+    decide whether it is absent."""
+    spec, params, data = _simulate(config, seed)
+    est = train_quadratic(data, spec, config.d_h,
+                          burn_in=config["estimation.burn_in"], seed=seed)
+    truth = _unit_input_rows(params)
     art.write_array("a1_hat", est.A1)
     art.write_array("a2_hat", est.A2)
-    if est.U is not None:
-        art.write_array("u_hat", est.U)
-    art.write_array("a1_true", params.A1)
-    art.write_array("a2_true", params.A2)
-    art.write_array("u_true", params.U)
-
-
-def _cmd_train(config, seed, art):
-    spec, params, data = _generate_quadratic(config, seed)
-    T2, T4 = _quadratic_moments(config, spec, data)
-    est = recover_quadratic(T2, config.d_h, T4=T4, seed=seed)
-    _write_estimate(art, est, params)
-    report = align(est.A1, params.A1, A2_est=est.A2, A2_true=params.A2,
-                   U_est=est.U, U_true=params.U if est.U is not None else None)
+    art.write_array("u_hat", est.U)
+    art.write_array("a1_true", truth.A1)
+    art.write_array("a2_true", truth.A2)
+    art.write_array("u_true", truth.U)
+    report = align(est.A1, truth.A1, est.A2, truth.A2, est.U, truth.U)
     art.write_json("report.json", {
         "max_error": report.max_error,
         "median_error": report.median_error,
@@ -244,25 +250,16 @@ def _cmd_train(config, seed, art):
 
 
 def _cmd_train_brnn(config, seed, art):
-    spec_seed, chain_seed, model_seed = _child_seeds(seed, 3)
-    spec = _input_spec(config, spec_seed)
-    params = _make_brnn(config, model_seed)
-    x = sample_markov_chain(spec, config["estimation.n"], chain_seed)
-    data = brnn_forward(params, x)
-    burn = config["estimation.burn_in"]
-    s = centered_scores(spec, data.x)
-    T2 = cross_moment_s2(spec, data, burn_in=burn, scores=s).value
-    T4b = T4f = None
-    if config["model.u_scale"] > 0:
-        T4b = cross_moment_s4_reshaped(spec, data, shift=-1, burn_in=burn, scores=s).value
-        T4f = cross_moment_s4_reshaped(spec, data, shift=+1, burn_in=burn, scores=s).value
-    est = recover_brnn(T2, config.d_h, T4_back=T4b, T4_fwd=T4f, seed=seed)
+    spec, params, data = _simulate(config, seed, "brnn")
+    est = train_brnn(data, spec, config.d_h,
+                     burn_in=config["estimation.burn_in"], seed=seed)
+    truth = _unit_input_rows(params)
     C_hat = np.vstack([est.A1, est.B1])
-    C_true = np.vstack([params.A1, params.B1])
+    C_true = np.vstack([truth.A1, truth.B1])
     art.write_array("c_hat", C_hat)
     art.write_array("a2_hat", est.A2)
     art.write_array("c_true", C_true)
-    art.write_array("a2_true", params.A2)
+    art.write_array("a2_true", truth.A2)
     report = align(C_hat, C_true)
     art.write_json("report.json", {
         "max_error": report.max_error,
@@ -273,37 +270,30 @@ def _cmd_train_brnn(config, seed, art):
 
 
 def _cmd_train_scalar(config, seed, art):
-    spec_seed, chain_seed, model_seed = _child_seeds(seed, 3)
-    spec = _input_spec(config, spec_seed)
     if config.l < 3:
         raise AssumptionError("scalar output requires l >= 3")
-    params = _make_rnn(config, model_seed, d_y=1)
-    x = sample_markov_chain(spec, config["estimation.n"], chain_seed)
-    data = scalar_output_forward(params, x)
-    T3 = cross_moment_s3_scalar(spec, data, burn_in=config["estimation.burn_in"]).value
-    est = recover_scalar(T3, config.d_h, l=params.l, seed=seed)
+    spec, params, data = _simulate(config, seed, "scalar")
+    est = train_scalar(data, spec, config.d_h, l=config.l,
+                       burn_in=config["estimation.burn_in"], seed=seed)
+    truth = _unit_input_rows(params)
     art.write_array("a1_hat", est.A1)
     art.write_array("a2_hat", est.A2)
-    art.write_array("a1_true", params.A1)
-    art.write_array("a2_true", params.A2)
-    report = align(est.A1, params.A1)
+    art.write_array("a1_true", truth.A1)
+    art.write_array("a2_true", truth.A2)
+    report = align(est.A1, truth.A1)
     art.write_json("report.json", {"max_error": report.max_error})
     print(f"train-scalar: max aligned row error {report.max_error:.4g}")
     return EXIT_OK
 
 
 def _cmd_train_linear(config, seed, art):
-    spec_seed, chain_seed, model_seed = _child_seeds(seed, 3)
-    spec = _input_spec(config, spec_seed)
-    params = _make_rnn(config, model_seed, l=1)
-    x = sample_markov_chain(spec, config["estimation.n"], chain_seed)
-    data = rnn_forward(params, x)
-    blocks = toeplitz_blocks(spec, data, max_lag=1,
-                             burn_in=config["estimation.burn_in"])
-    est = recover_linear(blocks[0].value, blocks[1].value, A1_known=params.A1)
+    """Linear model.  The lagged blocks A2^T U^k A1 identify A2 and U only
+    given A1, so the true A1 is passed in as declared side information."""
+    spec, params, data = _simulate(config, seed, "linear")
+    est = train_linear(data, spec, A1_known=params.A1,
+                       burn_in=config["estimation.burn_in"])
     art.write_array("a2_hat", est.A2)
-    if est.U is not None:
-        art.write_array("u_hat", est.U)
+    art.write_array("u_hat", est.U)
     art.write_array("a2_true", params.A2)
     art.write_array("u_true", params.U)
     err = float(np.linalg.norm(est.A2 - params.A2))
@@ -322,6 +312,8 @@ def _read_pair(art, name):
 
 
 def _cmd_eval(config, seed, art):
+    """Aligns a train run's estimates against the truth it wrote, which is
+    already in the unit-input-row convention."""
     A1_hat = _read_pair(art, "a1_hat")
     if A1_hat is None:
         raise FileNotFoundError(f"no estimate found in {art.out_dir}; run a train subcommand first")
@@ -350,10 +342,10 @@ def _cmd_sweep(config, seed, art, workers):
         sub.values["estimation.n"] = int(n)
         mixed = int(np.random.SeedSequence([cell_master, int(n), int(cell_seed)])
                     .generate_state(1)[0])
-        spec, params, data = _generate_quadratic(sub, mixed)
-        T2, T4 = _quadratic_moments(sub, spec, data)
-        est = recover_quadratic(T2, sub.d_h, T4=T4, seed=mixed)
-        report = align(est.A1, params.A1)
+        spec, params, data = _simulate(sub, mixed)
+        est = train_quadratic(data, spec, sub.d_h,
+                              burn_in=sub["estimation.burn_in"], seed=mixed)
+        report = align(est.A1, _unit_input_rows(params).A1)
         return [("A1", int(r), float(e))
                 for r, e in enumerate(report.per_row_errors["A1"])]
 

@@ -33,7 +33,6 @@ _SCHEMA: dict[str, tuple] = {
     "model.d_h": (int, None),
     "model.d_y": (int, None),
     "model.l": (int, 2),
-    "model.activation": (str, "monomial"),
     "model.seed": (int, 0),
     "model.a1_scale": (float, 1.0),
     "model.u_scale": (float, 0.0),
@@ -45,10 +44,6 @@ _SCHEMA: dict[str, tuple] = {
     "estimation.n_grid": (_parse_int_list, [10000, 100000]),
     "estimation.seeds": (_parse_int_list, [0, 1, 2]),
     "estimation.burn_in": (int, 10),
-    "decomposition.restarts": (int, 10),
-    "decomposition.iters": (int, 200),
-    "decomposition.tol": (float, 1e-10),
-    "decomposition.pinv_tol": (float, 1e-10),
     "output.dir": (str, "out"),
     "output.format": (str, "spt1"),
 }
@@ -84,8 +79,6 @@ def _validate(values: dict) -> None:
             raise ConfigError(f"{key}: dimension must be positive")
     if values["model.l"] < 1:
         raise ConfigError("model.l: unit degree must be >= 1")
-    if values["model.activation"] != "monomial":
-        raise ConfigError("model.activation: only 'monomial' is supported")
     if values["model.norm_check"] not in ("strict", "off"):
         raise ConfigError("model.norm_check: expected 'strict' or 'off'")
     if values["model.l"] >= 2 and values["model.norm_check"] == "strict":

@@ -2,16 +2,17 @@
 
 Two tensor shapes arise.  The main pipeline produces pair-symmetric tensors
 T = sum_r w_r b_r (x) c_r (x) c_r with modes 2 and 3 sharing the factor c_r;
-auxiliary paths produce fully symmetric tensors sum_r w_r c_r^(x)3.
+the scalar-output cubic model produces fully symmetric tensors
+sum_r w_r c_r^(x)3.
 
 Both paths whiten against a definite random slice combination M_theta =
 sum_a theta_a T[a,:,:] = C diag(eta) C^T; after whitening the shared factors
 are orthonormal, so they come out of an eigendecomposition (pair-symmetric
 case) or a tensor power method with restarts and deflation (symmetric case).
 Mode-1 factors and weights are then fit to the original tensor by least
-squares, which also undoes any mode-1 preconditioning.  When no definite
-slice combination exists, a simultaneous-diagonalization fallback recovers
-the shared factors from eigenvectors of M_1 pinv(M_2).
+squares.  When no definite slice combination exists, a
+simultaneous-diagonalization fallback recovers the shared factors from
+eigenvectors of M_1 pinv(M_2).
 """
 
 from __future__ import annotations
@@ -49,18 +50,6 @@ class CpDecomposition:
     def rank(self) -> int:
         return self.weights.shape[0]
 
-    @property
-    def R1(self) -> np.ndarray:
-        return self.mode1
-
-    @property
-    def R2(self) -> np.ndarray:
-        return self.factor
-
-    @property
-    def R3(self) -> np.ndarray:
-        return self.factor
-
     def reconstruct(self) -> np.ndarray:
         return np.einsum("r,ar,ir,jr->aij", self.weights, self.mode1,
                          self.factor, self.factor)
@@ -72,31 +61,13 @@ class CpDecomposition:
         return float(np.linalg.norm(T - self.reconstruct()) / nT)
 
 
-def symmetrizer_from_moment(M1: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Mode-1 preconditioner built from a first-order cross-moment matrix.
-
-    Contracting mode 1 with this matrix maps mode-1 factors of the form
-    M1 c_r onto (scaled projections of) the shared factors.
-    """
-    return pinv(np.asarray(M1, dtype=float), tol=tol).T
-
-
-def symmetrize(T: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Precondition mode 1: multilinear(T, D, I, I)."""
-    T = np.asarray(T, dtype=float)
-    D = np.asarray(D, dtype=float)
-    if D.shape[0] != T.shape[0]:
-        raise ValueError("preconditioner row count must match mode-1 dimension")
-    return multilinear(T, D, None, None)
-
-
 def _slice_matrix(T: np.ndarray, theta: np.ndarray) -> np.ndarray:
     M = np.tensordot(theta, T, axes=(0, 0))
     return 0.5 * (M + M.T)
 
 
 def _find_definite_combo(
-    T: np.ndarray, k: int, rng: np.random.Generator, n_trials: int
+    T: np.ndarray, k: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Search for theta making the top-k spectrum of M_theta one-signed.
 
@@ -105,7 +76,7 @@ def _find_definite_combo(
     """
     d1 = T.shape[0]
     thetas = [np.ones(d1) / np.sqrt(d1)]
-    thetas += [rng.standard_normal(d1) for _ in range(n_trials)]
+    thetas += [rng.standard_normal(d1) for _ in range(DEFAULT_TRIALS)]
     best = None
     best_score = 0.0
     for theta in thetas:
@@ -124,86 +95,29 @@ def _find_definite_combo(
     return best
 
 
-def whiten(T: np.ndarray, k: int, seed: int = 0,
-           n_trials: int = DEFAULT_TRIALS) -> tuple[np.ndarray, np.ndarray]:
-    """Whitening stage: returns (core, W) with core = multilinear(T, W, W, W).
-
-    W is built from the rank-k eigendecomposition of a definite slice
-    combination, so the core's shared factors are orthonormal.  Intended for
-    (approximately) fully symmetric T; the trailing two modes are what the
-    later stages rely on.
-    """
-    T = np.asarray(T, dtype=float)
-    rng = np.random.default_rng(seed)
-    combo = _find_definite_combo(T, k, rng, n_trials)
-    if combo is None:
-        raise AssumptionError("rank deficiency; check full-rank assumption")
-    vals, vecs = combo
-    W = vecs * np.abs(vals) ** -0.5
-    return multilinear(T, W, W, W), W
-
-
-def _power_iteration(core, rng, n_restarts, n_iters, tol):
+def _power_iteration(core, rng, n_restarts):
     """Best eigenpair of a symmetric order-3 tensor over several starts."""
     d = core.shape[0]
     flat = core.reshape(d, d * d)
     starts = [np.linalg.svd(flat)[0][:, 0]]
     starts += [rng.standard_normal(d) for _ in range(n_restarts)]
-    best_lam, best_u, converged = 0.0, starts[0], False
+    best_lam, best_u = 0.0, starts[0]
     for u in starts:
         u = u / np.linalg.norm(u)
-        ok = False
-        for _ in range(n_iters):
+        for _ in range(DEFAULT_ITERS):
             v = np.einsum("ijk,j,k->i", core, u, u)
             nv = np.linalg.norm(v)
-            if nv < tol:
+            if nv < DEFAULT_TOL:
                 break
             v /= nv
-            if min(np.linalg.norm(v - u), np.linalg.norm(v + u)) < tol:
+            if min(np.linalg.norm(v - u), np.linalg.norm(v + u)) < DEFAULT_TOL:
                 u = v
-                ok = True
                 break
             u = v
         lam = float(np.einsum("ijk,i,j,k->", core, u, u, u))
         if abs(lam) > abs(best_lam):
-            best_lam, best_u, converged = lam, u, ok
-    return best_lam, best_u, converged
-
-
-def power_method(
-    core: np.ndarray,
-    k: int | None = None,
-    n_restarts: int | None = None,
-    n_iters: int = DEFAULT_ITERS,
-    tol: float = DEFAULT_TOL,
-    seed: int = 0,
-) -> CpDecomposition:
-    """Deflated tensor power method on a symmetric core.
-
-    Extracts k eigenpairs by iterating u <- core(I, u, u)/||.|| from an
-    SVD-based start plus random restarts, deflating core by lambda u^(x)3
-    after each.  Weights keep the eigenvalue sign; components are sorted by
-    |weight| with ties broken by making the first significant entry of each
-    vector positive.
-    """
-    core = np.asarray(core, dtype=float)
-    d = core.shape[0]
-    if k is None:
-        k = d
-    if n_restarts is None:
-        n_restarts = 10 * k
-    rng = np.random.default_rng(seed)
-    work = core.copy()
-    lams, us = [], []
-    for _ in range(k):
-        lam, u, _ = _power_iteration(work, rng, n_restarts, n_iters, tol)
-        lams.append(lam)
-        us.append(u)
-        work = work - lam * np.einsum("i,j,k->ijk", u, u, u)
-    weights = np.array(lams)
-    factor = np.stack(us, axis=1)
-    weights, mode1, factor = _finalize(weights, factor, factor, symmetric=True)
-    return CpDecomposition(weights=weights, mode1=mode1, factor=factor)
+            best_lam, best_u = lam, u
+    return best_lam, best_u
 
 
 def _finalize(weights, mode1, factor, symmetric, rank_tol=RANK_TOL, sig_tol=1e-8):
@@ -259,18 +173,12 @@ def _jennrich_factors(T: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
 def decompose(
     T: np.ndarray,
     k: int,
-    M1: np.ndarray | None = None,
     seed: int = 0,
-    n_trials: int = DEFAULT_TRIALS,
 ) -> CpDecomposition:
     """Rank-k pair-symmetric CP decomposition of an order-3 tensor.
 
-    M1, if given and well-conditioned, preconditions mode 1 before the
-    whitening search; an ill-conditioned M1 (condition number above 1e6)
-    is skipped in favor of random slice combinations.  The final mode-1 fit
-    is always against the original T, so preconditioning only helps the
-    search and never biases the result.  Components with weight below
-    1e-10 of the largest are dropped (a zero tensor yields rank 0).
+    Components with weight below 1e-10 of the largest are dropped (a zero
+    tensor yields rank 0).
     """
     T = np.asarray(T, dtype=float)
     if T.ndim != 3 or T.shape[1] != T.shape[2]:
@@ -282,22 +190,13 @@ def decompose(
         return CpDecomposition(weights=np.zeros(0), mode1=np.zeros((d1, 0)),
                                factor=np.zeros((d, 0)))
     rng = np.random.default_rng(seed)
-
-    T_search = T
-    if M1 is not None:
-        M1 = np.asarray(M1, dtype=float)
-        sv = np.linalg.svd(M1, compute_uv=False)
-        r = min(k, sv.size)
-        if sv.size and sv[0] > 0 and sv[r - 1] > 0 and sv[0] / sv[r - 1] < 1e6:
-            T_search = symmetrize(T, symmetrizer_from_moment(M1))
-
-    combo = _find_definite_combo(T_search, k, rng, n_trials)
+    combo = _find_definite_combo(T, k, rng)
     if combo is None:
-        factor = _jennrich_factors(T_search, k, rng)
+        factor = _jennrich_factors(T, k, rng)
     else:
         vals, vecs = combo
         W = vecs * np.abs(vals) ** -0.5
-        core = multilinear(T_search, None, W, W)
+        core = multilinear(T, None, W, W)
         # core slices share an orthonormal eigenbasis; a generic slice
         # combination exposes it in one eigendecomposition
         A = _slice_matrix(core, rng.standard_normal(core.shape[0]))
@@ -315,16 +214,15 @@ def decompose_symmetric(
     T: np.ndarray,
     k: int,
     seed: int = 0,
-    n_trials: int = DEFAULT_TRIALS,
-    n_restarts: int | None = None,
-    n_iters: int = DEFAULT_ITERS,
-    tol: float = DEFAULT_TOL,
 ) -> CpDecomposition:
     """Rank-k decomposition of a fully symmetric tensor sum_r w_r c_r^(x)3.
 
     Whitens against a definite slice combination, extracts whitened factors
-    by the deflated tensor power method, then refits signed weights to the
-    original tensor.  mode1 equals factor and weights carry the signs.
+    by the deflated tensor power method (an SVD start plus 10 k random
+    restarts per component), then refits signed weights to the original
+    tensor.  mode1 equals factor and weights carry the signs.  The
+    whitening search and the power iterations draw from separate streams
+    seeded by seed.
     """
     T = np.asarray(T, dtype=float)
     if T.ndim != 3 or len(set(T.shape)) != 1:
@@ -333,14 +231,16 @@ def decompose_symmetric(
     if np.linalg.norm(T) == 0.0:
         return CpDecomposition(weights=np.zeros(0), mode1=np.zeros((d, 0)),
                                factor=np.zeros((d, 0)))
+    combo = _find_definite_combo(T, k, np.random.default_rng(seed))
+    if combo is None:
+        raise AssumptionError("rank deficiency; check full-rank assumption")
+    vals, vecs = combo
+    W = vecs * np.abs(vals) ** -0.5
+    work = multilinear(T, W, W, W)
     rng = np.random.default_rng(seed)
-    core, W = whiten(T, k, seed=seed, n_trials=n_trials)
-    if n_restarts is None:
-        n_restarts = 10 * k
-    work = core.copy()
     us = []
     for _ in range(k):
-        lam, u, _ = _power_iteration(work, rng, n_restarts, n_iters, tol)
+        lam, u = _power_iteration(work, rng, 10 * k)
         us.append(u)
         work = work - lam * np.einsum("i,j,k->ijk", u, u, u)
     unwhiten = W @ np.linalg.inv(W.T @ W)

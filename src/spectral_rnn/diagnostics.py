@@ -25,7 +25,6 @@ from .sequence_models import (AssumptionError, MarkovChainSpec, RnnParams,
 class RecoveryReport:
     permutation: np.ndarray          # estimate row permutation[i] matches true row i
     signs: np.ndarray                # +-1 applied to the permuted estimate rows
-    scales: np.ndarray               # per-row rescaling (ones unless scale is allowed)
     A1: np.ndarray                   # aligned estimate
     A2: np.ndarray | None
     U: np.ndarray | None
@@ -44,14 +43,14 @@ def align(
     A2_true: np.ndarray | None = None,
     U_est: np.ndarray | None = None,
     U_true: np.ndarray | None = None,
-    allow_scale: bool = False,
 ) -> RecoveryReport:
     """Match estimated units to true units and quotient out the symmetry group.
 
     The assignment maximizes |cosine| between input rows (ties broken by the
     assignment solver's deterministic ordering).  Signs flip aligned A1 rows
     and the matching U rows; U columns and A2 rows follow the permutation
-    only.  With allow_scale each A1 row is rescaled to the true row's norm.
+    only.  Errors are not scale-invariant: pass the truth in the estimates'
+    unit-input-row convention.
     """
     A1_est = np.asarray(A1_est, dtype=float)
     A1_true = np.asarray(A1_true, dtype=float)
@@ -67,11 +66,6 @@ def align(
     signs[signs == 0] = 1.0
 
     A1a = signs[:, None] * A1_est[perm]
-    scales = np.ones(k)
-    if allow_scale:
-        na = np.maximum(np.linalg.norm(A1a, axis=1), 1e-300)
-        scales = np.linalg.norm(A1_true, axis=1) / na
-        A1a = A1a * scales[:, None]
     A2a = A2_est[perm] if A2_est is not None else None
     Ua = None
     if U_est is not None:
@@ -94,7 +88,6 @@ def align(
     return RecoveryReport(
         permutation=perm,
         signs=signs,
-        scales=scales,
         A1=A1a,
         A2=A2a,
         U=Ua,
@@ -159,18 +152,14 @@ class MixingEstimate:
 def mixing_estimate(
     spec: MarkovChainSpec,
     horizon: int = 30,
-    mc_draws: int = 0,
-    seed: int = 0,
 ) -> MixingEstimate:
     """Geometric decay fit rho(t) ~ G theta^(t-1) for the input chain.
 
     The distance proxy at lag t combines the worst-case mean displacement
     ||W^t|| over unit starting points with the Bures gap between the lag-t
     covariance (started from a point) and the stationary covariance; both are
-    available in closed form for the linear-Gaussian chain, so mc_draws and
-    seed are accepted for interface stability but unused.
+    available in closed form for the linear-Gaussian chain.
     """
-    del mc_draws, seed
     Sinf = stationary_covariance(spec)
     curve = []
     Wt = np.eye(spec.d_x)

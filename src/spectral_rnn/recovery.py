@@ -5,9 +5,10 @@ Stage 1 decomposes the second-order cross-moment
 to read off the input rows a_k (unit norm by convention) and the output rows
 A2[k] with their scale.  Stage 2 recovers the recurrence from the reshaped
 fourth-order cross-moment, whose per-unit blocks are pair-symmetrizations of
-H_k = 2 sum_j U_kj a_j a_j^T.  Bidirectional models add a mirrored backward
-stage; cubic scalar models use the symmetric third-order moment instead; the
-linear model is handled in closed form from lagged first-order blocks.
+H_k = 2 sum_j U_kj a_j a_j^T, fit row by row by least squares.  Bidirectional
+models add a mirrored backward stage; cubic units (scalar output only) use the
+symmetric third-order moment instead; the linear model is handled in closed
+form from lagged first-order blocks, given its input map.
 
 Row signs of even-degree units are not identifiable (flipping an input row
 together with its recurrence row leaves the unit invariant), so recovered rows
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cp_decomp import CpDecomposition, decompose, decompose_symmetric
-from .tensor_core import pinv, rowwise_kron
+from .tensor_core import pinv
 
 NO_RECURRENCE_RATIO = 0.1
 
@@ -113,72 +114,18 @@ def fit_recurrence_row(Q_k: np.ndarray, A1: np.ndarray) -> np.ndarray:
     return np.sqrt(abs(vals[i])) * vecs[:, i]
 
 
-def recover_u(R_tilde: np.ndarray, A1_hat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Recurrence from a matched second-stage factor matrix: R_tilde pinv(A1 (.) A1).
-
-    (.) is the row-wise Kronecker product; when R_tilde rows are linear
-    combinations of vec(a_j a_j^T) this inverts them to the coefficients.
-    """
-    K = rowwise_kron(A1_hat, A1_hat)
-    KK = K @ K.T
-    sv = np.linalg.svd(KK, compute_uv=False)
-    if sv[-1] < tol * max(sv[0], 1.0):
-        raise np.linalg.LinAlgError("squared input rows are rank deficient")
-    return R_tilde @ pinv(K, tol=tol)
-
-
-def _match_to_stage1(cp_mode1: np.ndarray, A2: np.ndarray) -> np.ndarray:
-    """Greedy |cosine| matching of second-stage components to the A2 rows."""
-    k = A2.shape[0]
-    ref = A2 / np.maximum(np.linalg.norm(A2, axis=1, keepdims=True), 1e-300)
-    cand = cp_mode1 / np.maximum(np.linalg.norm(cp_mode1, axis=0, keepdims=True), 1e-300)
-    cos = np.abs(ref @ cand)
-    assign = np.full(k, -1)
-    used = set()
-    for _ in range(min(k, cand.shape[1])):
-        i, j = np.unravel_index(np.argmax(cos), cos.shape)
-        assign[i] = j
-        used.add(j)
-        cos[i, :] = -1.0
-        cos[:, j] = -1.0
-    return assign
-
-
 def recover_recurrence(
     T4: np.ndarray,
     A1: np.ndarray,
     A2: np.ndarray,
-    method: str = "fit",
-    seed: int = 0,
 ) -> np.ndarray:
     """Recurrence matrix from the reshaped fourth-order cross-moment.
 
-    method "fit" (default): exact least-squares fit of each unit block
-    against the quadratic pattern in the recurrence row (row signs are
-    indeterminate).  method "calibrated": single-unit shortcut reading the
-    block's top singular value as 24 u^2.  method "pinv": decompose the
-    tensor, match components to the A2 rows, and apply recover_u to the
-    weighted factors; this treats each block as rank one, which holds for a
-    single unit but overstates multi-unit scales.
+    Each unit block is fit by least squares against the quadratic pattern
+    in its recurrence row (fit_recurrence_row); row signs are indeterminate.
     """
-    k = A1.shape[0]
-    if method == "fit":
-        Q = _unit_blocks(T4, A2)
-        return np.stack([fit_recurrence_row(Q[r], A1) for r in range(k)])
-    if method == "calibrated":
-        if k != 1:
-            raise ValueError("calibrated recurrence recovery needs one hidden unit")
-        Q = _unit_blocks(T4, A2)
-        w2 = np.linalg.norm(Q[0], 2)       # ~ 24 u^2 for a single unit
-        return np.array([[np.sqrt(max(w2, 0.0) / 24.0)]])
-    if method == "pinv":
-        cp = decompose(T4, k=k, seed=seed)
-        if cp.rank < k:
-            raise np.linalg.LinAlgError("second-stage decomposition is rank deficient")
-        assign = _match_to_stage1(cp.mode1, A2)
-        R_tilde = (cp.factor * cp.weights).T[assign]
-        return recover_u(R_tilde, A1)
-    raise ValueError(f"unknown recurrence method: {method!r}")
+    Q = _unit_blocks(T4, A2)
+    return np.stack([fit_recurrence_row(Q[r], A1) for r in range(A1.shape[0])])
 
 
 def recover_quadratic(
@@ -186,7 +133,6 @@ def recover_quadratic(
     d_h: int,
     T4: np.ndarray | None = None,
     seed: int = 0,
-    u_method: str = "fit",
     *,
     stage1: CpDecomposition | None = None,
 ) -> RnnEstimate:
@@ -203,7 +149,7 @@ def recover_quadratic(
             U = np.zeros((d_h, d_h))
             no_rec = True
         else:
-            U = recover_recurrence(T4, A1, A2, method=u_method, seed=seed)
+            U = recover_recurrence(T4, A1, A2)
     return RnnEstimate(A1=A1, A2=A2, U=U, l=2, no_recurrence=no_rec,
                        weights=cp.weights, stage1=cp)
 
@@ -227,39 +173,6 @@ def recover_scalar(
     a2 = cp.weights / 6.0  # signed weights; third derivative of z^3 is 6
     return RnnEstimate(A1=A1, A2=a2.reshape(-1, 1), U=None, l=l,
                        weights=cp.weights, stage1=cp)
-
-
-def recover_cubic(T3: np.ndarray, d_h: int, seed: int = 0) -> RnnEstimate:
-    """Recover cubic units with vector output from E[y (x) S_3], order 4.
-
-    A random mode-1 contraction gives a fully symmetric order-3 tensor
-    6 sum_k <phi, A2[k]> a_k^(x)3 whose factors are the input rows; output
-    rows then come from a least-squares fit of the full tensor against the
-    a_k^(x)3 basis (the constant third derivative of z^3 contributes the 6).
-    """
-    T3 = np.asarray(T3, dtype=float)
-    if T3.ndim != 4:
-        raise ValueError("expected an order-4 tensor (output mode first)")
-    d_y, d = T3.shape[0], T3.shape[1]
-    rng = np.random.default_rng(seed)
-    for attempt in range(8):
-        phi = rng.standard_normal(d_y)
-        M = np.tensordot(phi, T3, axes=(0, 0))
-        try:
-            cp = decompose_symmetric(M, k=d_h, seed=seed + attempt)
-        except Exception:
-            continue
-        if cp.rank == d_h:
-            break
-    else:
-        raise np.linalg.LinAlgError("no contraction exposed all components")
-    A1 = cp.factor.T
-    G = np.stack([np.einsum("i,j,k->ijk", A1[r], A1[r], A1[r]).ravel()
-                  for r in range(d_h)], axis=1)
-    B = np.linalg.lstsq(G, T3.reshape(d_y, -1).T, rcond=None)[0].T  # d_y x d_h
-    A2 = B.T / 6.0
-    weights = np.linalg.norm(B, axis=0)
-    return RnnEstimate(A1=A1, A2=A2, U=None, l=3, weights=weights, stage1=cp)
 
 
 def recover_brnn(
@@ -349,56 +262,39 @@ def recover_linear(
     return RnnEstimate(A1=A1_known, A2=A2t.T, U=U, l=1)
 
 
-def recover_general(
-    l: int,
-    d_h: int,
-    T2: np.ndarray | None = None,
-    T3: np.ndarray | None = None,
-    T4: np.ndarray | None = None,
-    seed: int = 0,
-    u_method: str = "fit",
-) -> RnnEstimate:
-    """Dispatch on the unit degree: 2 uses T2/T4, 3 uses the scalar T3 path."""
-    if l == 2:
-        if T2 is None:
-            raise ValueError("quadratic recovery needs the second-order moment")
-        return recover_quadratic(T2, d_h, T4=T4, seed=seed, u_method=u_method)
-    if l == 3:
-        if T3 is None:
-            raise ValueError("cubic recovery needs the third-order moment")
-        T3 = np.asarray(T3, dtype=float)
-        if T3.ndim == 3:
-            return recover_scalar(T3, d_h, l=l, seed=seed)
-        return recover_cubic(T3, d_h, seed=seed)
-    raise ValueError("recovery implemented for unit degrees 2 and 3")
-
-
 # ---------------------------------------------------------------------------
 # data-level pipelines
 # ---------------------------------------------------------------------------
 
 
-def train_quadratic(data, spec, d_h, burn_in=10, seed=0, u_method="fit",
-                    with_recurrence=True) -> RnnEstimate:
-    """Full quadratic pipeline from a simulated sequence: moments then recovery.
+def quadratic_moments(data, spec, d_h, burn_in=10, seed=0, with_recurrence=True):
+    """Moments of a quadratic model from a sequence: (T2, T4, stage1).
 
-    The recurrence moment subtracts the no-recurrence prediction implied by
-    the already-estimated input and output weights.  That prediction depends
-    on the current input only, so its cross-moment with the lagged score is
-    zero and the subtraction only reduces variance.
+    stage1 is decompose(T2, k=d_h, seed=seed).  T4 (None without the
+    recurrence) subtracts the no-recurrence prediction implied by the
+    stage-1 input and output weights.  That prediction depends on the
+    current input only, so its cross-moment with the lagged score is zero
+    and the subtraction only reduces variance.
     """
     from .moments import cross_moment_s2, cross_moment_s4_reshaped
     from .score import centered_scores
 
     s = centered_scores(spec, data.x)
     T2 = cross_moment_s2(spec, data, burn_in=burn_in, scores=s).value
-    T4 = cp = None
+    A1, A2, cp = _stage1_factors(T2, d_h, seed)
+    T4 = None
     if with_recurrence:
-        A1, A2, cp = _stage1_factors(T2, d_h, seed)
         baseline = A2.T @ (A1 @ data.x) ** 2
         T4 = cross_moment_s4_reshaped(spec, data, shift=-1, burn_in=burn_in,
                                       baseline=baseline, scores=s).value
-    return recover_quadratic(T2, d_h, T4=T4, seed=seed, u_method=u_method, stage1=cp)
+    return T2, T4, cp
+
+
+def train_quadratic(data, spec, d_h, burn_in=10, seed=0,
+                    with_recurrence=True) -> RnnEstimate:
+    """Full quadratic pipeline from a sequence: quadratic_moments then recovery."""
+    T2, T4, cp = quadratic_moments(data, spec, d_h, burn_in, seed, with_recurrence)
+    return recover_quadratic(T2, d_h, T4=T4, seed=seed, stage1=cp)
 
 
 def train_brnn(data, spec, d_h, burn_in=10, seed=0, with_recurrence=True) -> BrnnEstimate:
@@ -428,6 +324,11 @@ def train_scalar(data, spec, d_h, l=3, burn_in=10, seed=0) -> RnnEstimate:
 
 
 def train_linear(data, spec, max_lag=1, A1_known=None, burn_in=10) -> RnnEstimate:
+    """Linear pipeline from lagged Toeplitz blocks C_k = A2^T U^k A1.
+
+    The blocks identify A2 and U only given the input map, so A1_known is
+    declared side information; without it see recover_linear.
+    """
     from .moments import toeplitz_blocks
 
     blocks = toeplitz_blocks(spec, data, max_lag=max(max_lag, 1), burn_in=burn_in)

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from spectral_rnn import spt1
+from spectral_rnn import cli, spt1
 from spectral_rnn.cli import main
 from spectral_rnn.config import (ConfigError, config_hash, from_items,
                                  parse_config, serialize)
@@ -188,6 +188,74 @@ def test_cli_train_and_eval(tmp_path):
     ev = json.loads(open(os.path.join(out, "eval.json")).read())
     assert ev["max_error"] < 0.5
     assert sorted(ev["permutation"]) == [0, 1]
+
+
+def test_cli_train_and_eval_non_unit_input_rows(tmp_path):
+    """At a1_scale != 1 the truth is written and aligned in the estimates'
+    unit-row convention, so the error meets the a1_scale = 1 bound."""
+    cfg = {"estimation.n": "40000", "model.a1_scale": "0.7"}
+    code, out = _run(tmp_path, "train", ("--seed", "3"), cfg)
+    assert code == 0
+    report = json.loads(open(os.path.join(out, "report.json")).read())
+    assert report["max_error"] < 0.5
+    code2, _ = _run(tmp_path, "eval", ("--seed", "3"), cfg)
+    assert code2 == 0
+    ev = json.loads(open(os.path.join(out, "eval.json")).read())
+    assert ev["max_error"] < 0.5
+    a1_true = spt1.read_tensor(os.path.join(out, "a1_true.spt1"))
+    assert np.allclose(np.linalg.norm(a1_true, axis=1), 1.0)
+
+
+@pytest.mark.parametrize("family", ["rnn", "brnn"])
+def test_unit_input_rows_is_the_same_model(family):
+    config = from_items({**BASE, "model.d_y": "4", "model.a1_scale": "0.7",
+                         "model.u_scale": "0.3", "estimation.n": "300"})
+    spec, params, data = cli._simulate(config, 1, family)
+    unit = cli._unit_input_rows(params)
+    assert np.allclose(np.linalg.norm(unit.A1, axis=1), 1.0)
+    forward = cli.brnn_forward if family == "brnn" else cli.rnn_forward
+    np.testing.assert_allclose(forward(unit, data.x).y, data.y, rtol=1e-12, atol=1e-14)
+
+
+def test_cli_train_brnn(tmp_path):
+    cfg = {"model.d_h": "1", "model.u_scale": "0.3", "model.a1_scale": "0.7",
+           "estimation.n": "40000"}
+    code, out = _run(tmp_path, "train-brnn", ("--seed", "2"), cfg)
+    assert code == 0
+    assert spt1.read_tensor(os.path.join(out, "c_hat.spt1")).shape == (2, 4)
+    report = json.loads(open(os.path.join(out, "report.json")).read())
+    assert report["max_error"] < 0.5
+
+
+def test_cli_estimates_do_not_read_model_truth(tmp_path, monkeypatch):
+    """One fixed (x, y) under two model.u_scale values gives identical
+    estimate and moment bytes: nothing but the data decides the estimate."""
+    simulate = cli._simulate
+    fixed = {}
+
+    def fixed_data(config, seed, family="rnn"):
+        spec, params, data = simulate(config, seed, family)
+        return spec, params, fixed.setdefault(family, data)
+
+    monkeypatch.setattr(cli, "_simulate", fixed_data)
+    files = {"train": ("a1_hat", "a2_hat", "u_hat"),
+             "train-brnn": ("c_hat", "a2_hat"),
+             "moments": ("t2", "t4")}
+    hashes = {}
+    for u_scale in ("0.3", "0"):
+        cfg = {"model.d_h": "1", "model.u_scale": u_scale,
+               "model.norm_check": "off", "estimation.n": "20000"}
+        for command, names in files.items():
+            code, out = _run(tmp_path, command, ("--seed", "5"), cfg,
+                             out=f"{command}-{u_scale}")
+            assert code == 0, command
+            manifest = json.loads(open(os.path.join(out, "manifest.json")).read())
+            written = manifest["files"]
+            assert {n + ".spt1" for n in names} <= written.keys(), (command, u_scale)
+            hashes.setdefault(command, []).append(
+                {n: written[n + ".spt1"] for n in names})
+    for command, (first, second) in hashes.items():
+        assert first == second, command
 
 
 def test_cli_eval_without_estimate_exit_code(tmp_path):

@@ -3,10 +3,7 @@
 import numpy as np
 import pytest
 
-from spectral_rnn.cp_decomp import (CpDecomposition, decompose,
-                                    decompose_symmetric, power_method,
-                                    symmetrize, symmetrizer_from_moment,
-                                    whiten)
+from spectral_rnn.cp_decomp import decompose, decompose_symmetric
 from spectral_rnn.sequence_models import AssumptionError
 
 
@@ -121,12 +118,11 @@ def test_whiten_orthogonalizes_components():
     B /= np.linalg.norm(B, axis=0)
     w = np.array([2.0, 1.4, 1.0])
     T = np.einsum("r,ir,jr,kr->ijk", w, B, B, B)
-    core, Wmat = whiten(T, 3, seed=18)
-    assert core.shape == (3, 3, 3)
-    # whitened components are orthonormal: the core has an exact odeco form,
-    # so reconstructing from its tensor eigenpairs reproduces it
-    cp_core = power_method(core)
-    assert np.linalg.norm(cp_core.reconstruct() - core) / np.linalg.norm(core) < 1e-8
+    # the components are not orthogonal; only after whitening does the
+    # power method's deflation recover them exactly
+    cp = decompose_symmetric(T, 3, seed=18)
+    assert np.linalg.norm(cp.reconstruct() - T) / np.linalg.norm(T) < 1e-8
+    assert _best_column_error(cp.factor, B) < 1e-8
 
 
 def test_power_method_on_odeco_tensor():
@@ -134,32 +130,9 @@ def test_power_method_on_odeco_tensor():
     Q = np.linalg.qr(rng.standard_normal((4, 4)))[0][:, :3]
     w = np.array([3.0, 2.0, 1.0])
     T = np.einsum("r,ir,jr,kr->ijk", w, Q, Q, Q)
-    cp = power_method(T, k=3, seed=20)
+    cp = decompose_symmetric(T, 3, seed=20)
     assert _best_column_error(cp.factor, Q) < 1e-8
     assert np.allclose(np.sort(np.abs(cp.weights))[::-1], w, atol=1e-8)
-
-
-def test_symmetrizer_and_symmetrize():
-    """A pair moment M1 = sum_r w_r c_r c_r^T gives a transform under which the
-    order-3 moment becomes whitened-orthogonal."""
-    rng = np.random.default_rng(21)
-    C = rng.standard_normal((5, 5))
-    D = symmetrizer_from_moment(C)
-    assert np.allclose(D, np.linalg.pinv(C).T)
-    T = rng.standard_normal((5, 5, 5))
-    got = symmetrize(T, D)
-    want = np.einsum("ijk,ia->ajk", T, D)
-    assert np.allclose(got, want)
-    with pytest.raises(ValueError):
-        symmetrize(T, np.zeros((3, 2)))
-
-
-def test_decompose_uses_pair_moment():
-    """Passing the matching second-order moment must not hurt exactness."""
-    T, w, A, B = _planted(6, 3, seed=22)
-    M1 = np.einsum("r,ir,jr->ij", w, B, B)
-    cp = decompose(T, 3, M1=M1, seed=23)
-    assert np.linalg.norm(cp.reconstruct() - T) / np.linalg.norm(T) < 1e-8
 
 
 def test_reconstruct_shape_and_modes():

@@ -59,13 +59,6 @@ def test_align_shape_mismatch():
         align(np.eye(2), np.eye(3))
 
 
-def test_align_allow_scale():
-    A1 = _unit_rows(3, 4, 5)
-    rep = align(2.5 * A1, A1, allow_scale=True)
-    assert rep.max_error < 1e-12
-    assert np.allclose(rep.scales, 0.4)
-
-
 def test_align_reports_sigma_min():
     A1 = _unit_rows(3, 4, 6)
     rep = align(A1, A1)

@@ -9,17 +9,15 @@ from spectral_rnn import cp_decomp, moments, recovery
 from spectral_rnn.diagnostics import align
 from spectral_rnn.moments import (cross_moment_s2, cross_moment_s4_reshaped,
                                   population_moment_oracle)
-from spectral_rnn.recovery import (fit_recurrence_row, recover_brnn,
-                                   recover_cubic, recover_general,
-                                   recover_linear, recover_quadratic,
-                                   recover_recurrence, recover_scalar,
-                                   recover_u, train_brnn, train_linear,
+from spectral_rnn.recovery import (fit_recurrence_row, quadratic_moments,
+                                   recover_brnn, recover_linear,
+                                   recover_quadratic, recover_recurrence,
+                                   recover_scalar, train_brnn, train_linear,
                                    train_quadratic, train_scalar)
 from spectral_rnn.sequence_models import (BrnnParams, RnnParams,
                                           bounded_input_spec, brnn_forward,
                                           rnn_forward, sample_markov_chain,
                                           scalar_output_forward)
-from spectral_rnn.tensor_core import rowwise_kron
 
 
 def _quad_model(seed=5, d_x=6, d_h=3, d_y=4, u_scale=0.3):
@@ -41,21 +39,15 @@ def test_quadratic_oracle_exact():
     assert not est.no_recurrence
 
 
-def test_quadratic_all_u_methods_scalar_hidden():
+def test_quadratic_recurrence_scalar_hidden():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((1, 3))
     a /= np.linalg.norm(a)
     params = RnnParams(A1=a, U=[[0.35]], A2=[[1.3]], l=2)
     T2 = population_moment_oracle(params, "S2-order3")
     T4 = population_moment_oracle(params, "S4-reshaped-order3", shift=-1)
-    for method in ("fit", "calibrated"):
-        est = recover_quadratic(T2, 1, T4=T4, seed=0, u_method=method)
-        assert abs(abs(est.U[0, 0]) - 0.35) < 1e-8, method
-    # the raw pseudoinverse path keeps cross terms and overstates the
-    # scale, so only require a finite nonzero answer from it
-    est = recover_quadratic(T2, 1, T4=T4, seed=0, u_method="pinv")
-    assert np.isfinite(est.U).all()
-    assert est.U[0, 0] != 0.0
+    est = recover_quadratic(T2, 1, T4=T4, seed=0)
+    assert abs(abs(est.U[0, 0]) - 0.35) < 1e-8
 
 
 def test_no_recurrence_flag():
@@ -81,15 +73,6 @@ def test_fit_recurrence_row_roundtrip():
     assert np.allclose(np.abs(got), np.abs(u), atol=1e-10)
 
 
-def test_recover_u_rowwise_kron_inverse():
-    rng = np.random.default_rng(3)
-    A1 = np.linalg.qr(rng.standard_normal((4, 2)))[0].T
-    coeffs = rng.standard_normal((2, 2))
-    R_tilde = coeffs @ rowwise_kron(A1, A1)
-    got = recover_u(R_tilde, A1)
-    assert np.allclose(got, coeffs, atol=1e-10)
-
-
 def test_recover_scalar_oracle():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((1, 3))
@@ -101,19 +84,6 @@ def test_recover_scalar_oracle():
     assert 1.0 - abs(cos) < 1e-12
     # (a, a2) -> (-a, -a2) is a model symmetry for odd degree
     assert abs(abs(est.A2[0, 0]) - 0.8) < 1e-10
-
-
-def test_recover_cubic_oracle():
-    rng = np.random.default_rng(6)
-    A1 = np.linalg.qr(rng.standard_normal((5, 2)))[0].T
-    A2 = rng.standard_normal((2, 3))
-    params = RnnParams(A1=A1, U=np.zeros((2, 2)), A2=A2, l=3)
-    T3 = population_moment_oracle(params, "S3-order4")
-    est = recover_cubic(T3, 2, seed=0)
-    rep = align(est.A1, A1)
-    assert np.max(rep.direction_errors) < 1e-10
-    joint = rep.signs[:, None] * est.A2[rep.permutation]
-    assert np.allclose(joint, A2, atol=1e-8)
 
 
 def test_recover_brnn_oracle_exact():
@@ -161,25 +131,6 @@ def test_recover_linear_without_known_input_map():
     assert np.allclose(est.A2.T @ est.U @ est.A1, C1, atol=1e-8)
 
 
-def test_recover_general_dispatch():
-    params = _quad_model()
-    T2 = population_moment_oracle(params, "S2-order3")
-    est = recover_general(2, 3, T2=T2)
-    assert est.l == 2
-    rng = np.random.default_rng(9)
-    a = rng.standard_normal((1, 3))
-    a /= np.linalg.norm(a)
-    p3 = RnnParams(A1=a, U=np.zeros((1, 1)), A2=[[0.5]], l=3)
-    T3s = population_moment_oracle(p3, "S3-order4-scalar")
-    est3 = recover_general(3, 1, T3=T3s)
-    assert est3.l == 3
-    T3v = population_moment_oracle(p3, "S3-order4")
-    est3v = recover_general(3, 1, T3=T3v)
-    assert est3v.A1.shape == (1, 3)
-    with pytest.raises(ValueError):
-        recover_general(5, 1, T2=T2)
-
-
 def test_train_quadratic_from_data():
     params = _quad_model(seed=10, d_x=4, d_h=2, d_y=3, u_scale=0.25)
     spec = bounded_input_spec(4, 0.5, seed=11)
@@ -222,7 +173,7 @@ def test_recurrence_sign_freedom_is_reported():
     T2 = population_moment_oracle(params, "S2-order3")
     T4 = population_moment_oracle(params, "S4-reshaped-order3", shift=-1)
     est = recover_quadratic(T2, 2, T4=T4, seed=0)
-    U_hat = recover_recurrence(T4, est.A1, est.A2, method="fit", seed=0)
+    U_hat = recover_recurrence(T4, est.A1, est.A2)
     rep = align(est.A1, params.A1, U_est=U_hat, U_true=params.U)
     assert rep.u_error < 1e-9
 
@@ -282,3 +233,19 @@ def test_train_quadratic_equals_recover_quadratic_bitwise():
     ref = recover_quadratic(T2, 2, T4=T4, seed=seed)
     for name in ("A1", "A2", "U", "weights"):
         assert np.array_equal(getattr(est, name), getattr(ref, name)), name
+
+
+def test_quadratic_moments_match_train_quadratic_bitwise():
+    """train_quadratic recovers from exactly the tensors quadratic_moments
+    returns; without the recurrence T4 is None and stage 1 is unchanged."""
+    params = _quad_model(seed=26, d_x=4, d_h=2, d_y=3)
+    spec = bounded_input_spec(4, 0.5, seed=27)
+    data = rnn_forward(params, sample_markov_chain(spec, 20000, seed=28))
+    T2, T4, stage1 = quadratic_moments(data, spec, 2, seed=5)
+    est = train_quadratic(data, spec, 2, seed=5)
+    ref = recover_quadratic(T2, 2, T4=T4, seed=5)
+    for name in ("A1", "A2", "U", "weights"):
+        assert np.array_equal(getattr(est, name), getattr(ref, name)), name
+    T2n, T4n, stage1n = quadratic_moments(data, spec, 2, seed=5, with_recurrence=False)
+    assert T4n is None
+    assert np.array_equal(T2n, T2) and np.array_equal(stage1n.factor, stage1.factor)

@@ -191,6 +191,16 @@ def test_stein_check_quadratic_converges():
     assert err < 0.15
 
 
+def test_quadratic_test_first_derivative_per_position():
+    """A derivative that varies with x_t comes back per position, sample
+    axis last, equal to the one-position-at-a-time values."""
+    a = np.array([0.5, 1.0, -0.25])
+    x = np.random.default_rng(4).standard_normal((3, 7))
+    batch = QuadraticTest(a).grad_m(x, x, x, 1)
+    loop = np.stack([2 * (a @ x[:, t]) * a for t in range(7)], axis=-1)
+    np.testing.assert_allclose(batch, loop, rtol=1e-15)
+
+
 def test_stein_check_lagged_function():
     """A statistic of the previous input has zero derivative in x_t, so the
     cross-moment estimate is compared in absolute terms."""
