@@ -18,17 +18,15 @@ from .score import (LocalGaussian, ScoreTensor, batch_cross_moment,
                     stein_check)
 from .moments import (MomentTensor, cross_moment_s1, cross_moment_s2,
                       cross_moment_s3, cross_moment_s3_scalar,
-                      cross_moment_s4_reshaped, load_moment,
-                      measured_activation_scale, population_moment_oracle,
-                      save_moment, toeplitz_blocks)
+                      cross_moment_s4_reshaped, population_moment_oracle,
+                      toeplitz_blocks)
 from .cp_decomp import CpDecomposition, decompose, decompose_symmetric
 from .recovery import (BrnnEstimate, RnnEstimate, quadratic_moments,
                        recover_brnn, recover_linear, recover_quadratic,
                        recover_recurrence, recover_scalar, train_brnn,
                        train_linear, train_quadratic, train_scalar)
-from .diagnostics import (MixingEstimate, RecoveryReport, SweepResult, align,
-                          concentration_bound, lipschitz_bound, mixing_estimate,
-                          sample_sweep)
+from .diagnostics import (RecoveryReport, SweepResult, align,
+                          concentration_bound, lipschitz_bound, sample_sweep)
 from .config import ConfigError, ExperimentConfig, parse_config
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -250,6 +250,9 @@ def _cmd_train(config, seed, art):
 
 
 def _cmd_train_brnn(config, seed, art):
+    if config.d_y < 2 * config.d_h:
+        raise ConfigError(f"train-brnn needs model.d_y >= 2 * model.d_h, got model.d_y="
+                          f"{config.d_y} and model.d_h={config.d_h}")
     spec, params, data = _simulate(config, seed, "brnn")
     est = train_brnn(data, spec, config.d_h,
                      burn_in=config["estimation.burn_in"], seed=seed)

@@ -12,7 +12,8 @@ case) or a tensor power method with restarts and deflation (symmetric case).
 Mode-1 factors and weights are then fit to the original tensor by least
 squares.  When no definite slice combination exists, a
 simultaneous-diagonalization fallback recovers the shared factors from
-eigenvectors of M_1 pinv(M_2).
+eigenvectors of M_1 M_2^-1, with both slices projected onto the top-k
+subspace of the shared mode.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sequence_models import AssumptionError
-from .tensor_core import multilinear, pinv
+from .tensor_core import multilinear
 
 DEFAULT_TRIALS = 64
 DEFAULT_ITERS = 200
@@ -157,13 +158,18 @@ def _fit_mode1(T: np.ndarray, factor: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _jennrich_factors(T: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Shared factors via eigenvectors of M_theta1 pinv(M_theta2)."""
-    d1 = T.shape[0]
-    M1 = _slice_matrix(T, rng.standard_normal(d1))
-    M2 = _slice_matrix(T, rng.standard_normal(d1))
-    vals, vecs = np.linalg.eig(M1 @ pinv(M2))
-    order = np.argsort(-np.abs(vals))[:k]
-    C = np.real(vecs[:, order])
+    """Shared factors via eigenvectors of M_theta1 M_theta2^-1 in the signal subspace.
+
+    The slices are projected onto the top-k left singular vectors V of the
+    mode-2 unfolding first, so the inverse acts on k x k matrices and never
+    amplifies the d - k noise directions; V maps the eigenvectors back.
+    """
+    d1, d = T.shape[0], T.shape[1]
+    V = np.linalg.svd(T.transpose(1, 0, 2).reshape(d, -1), full_matrices=False)[0][:, :k]
+    core = multilinear(T, None, V, V)
+    M1 = _slice_matrix(core, rng.standard_normal(d1))
+    M2 = _slice_matrix(core, rng.standard_normal(d1))
+    C = V @ np.real(np.linalg.eig(M1 @ np.linalg.inv(M2))[1])
     norms = np.linalg.norm(C, axis=0)
     if np.any(norms < DEFAULT_TOL):
         raise AssumptionError("rank deficiency; check full-rank assumption")

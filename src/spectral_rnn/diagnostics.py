@@ -1,4 +1,4 @@
-"""Evaluation utilities: alignment, error bounds, mixing and sweeps.
+"""Evaluation utilities: alignment, error bounds and sweeps.
 
 Recovered parameters are only defined up to a hidden-unit permutation and,
 for even-degree units, a per-unit sign that flips an input row together with
@@ -14,11 +14,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import sqrtm
 from scipy.optimize import linear_sum_assignment
 
-from .sequence_models import (AssumptionError, MarkovChainSpec, RnnParams,
-                              stationary_covariance)
+from .sequence_models import AssumptionError, RnnParams
 
 
 @dataclass
@@ -29,10 +27,8 @@ class RecoveryReport:
     A2: np.ndarray | None
     U: np.ndarray | None
     per_row_errors: dict             # matrix name -> per-row l2 errors after alignment
-    direction_errors: np.ndarray     # 1 - |cos| per input row
     max_error: float
     median_error: float
-    sigma_min: dict                  # matrix name -> smallest singular value of the truth
     u_error: float | None            # max entrywise |.|-gap of recurrences, if compared
 
 
@@ -72,16 +68,11 @@ def align(
         Ua = signs[:, None] * U_est[np.ix_(perm, perm)]
 
     per_row = {"A1": np.linalg.norm(A1a - A1_true, axis=1)}
-    sigma_min = {"A1": float(np.linalg.svd(A1_true, compute_uv=False)[-1])}
     if A2a is not None and A2_true is not None:
         per_row["A2"] = np.linalg.norm(A2a - A2_true, axis=1)
-        sigma_min["A2"] = float(np.linalg.svd(A2_true, compute_uv=False)[-1])
     if Ua is not None and U_true is not None:
         per_row["U"] = np.linalg.norm(np.abs(Ua) - np.abs(U_true), axis=1)
-        sigma_min["U"] = float(np.linalg.svd(U_true, compute_uv=False)[-1])
     all_errs = np.concatenate(list(per_row.values()))
-    na = np.maximum(np.linalg.norm(A1a, axis=1), 1e-300)
-    direction = 1.0 - np.abs(np.einsum("ij,ij->i", A1a, A1_true)) / (nt * na)
     u_error = None
     if Ua is not None and U_true is not None:
         u_error = float(np.max(np.abs(np.abs(Ua) - np.abs(U_true))))
@@ -92,10 +83,8 @@ def align(
         A2=A2a,
         U=Ua,
         per_row_errors=per_row,
-        direction_errors=direction,
         max_error=float(np.max(all_errs)),
         median_error=float(np.median(all_errs)),
-        sigma_min=sigma_min,
         u_error=u_error,
     )
 
@@ -132,54 +121,6 @@ def concentration_bound(
         raise ValueError("c must be positive and delta in (0, 1)")
     lead = G * (1.0 + 1.0 / (math.sqrt(8.0) * c * n ** 1.5)) / (1.0 - theta)
     return lead * math.sqrt(8.0 * c * c * n * math.log((d1 + d2) / delta))
-
-
-def _bures_sq(S1: np.ndarray, S2: np.ndarray) -> float:
-    root = sqrtm(S2)
-    inner = sqrtm(root @ S1 @ root)
-    val = np.trace(S1) + np.trace(S2) - 2.0 * np.real(np.trace(inner))
-    return float(max(val, 0.0))
-
-
-@dataclass
-class MixingEstimate:
-    G_hat: float
-    theta_hat: float
-    curve: np.ndarray        # curve[t-1] = distance-to-stationarity proxy at lag t
-    fit_ok: bool = True
-
-
-def mixing_estimate(
-    spec: MarkovChainSpec,
-    horizon: int = 30,
-) -> MixingEstimate:
-    """Geometric decay fit rho(t) ~ G theta^(t-1) for the input chain.
-
-    The distance proxy at lag t combines the worst-case mean displacement
-    ||W^t|| over unit starting points with the Bures gap between the lag-t
-    covariance (started from a point) and the stationary covariance; both are
-    available in closed form for the linear-Gaussian chain.
-    """
-    Sinf = stationary_covariance(spec)
-    curve = []
-    Wt = np.eye(spec.d_x)
-    St = np.zeros_like(Sinf)
-    for _ in range(horizon):
-        Wt = spec.W @ Wt
-        St = spec.W @ St @ spec.W.T + spec.sigma**2 * np.eye(spec.d_x)
-        curve.append(math.sqrt(np.linalg.norm(Wt, 2) ** 2 + _bures_sq(St, Sinf)))
-    curve = np.array(curve)
-    ts = np.arange(1, horizon + 1)
-    mask = curve > 1e-13
-    if mask.sum() < 2:
-        return MixingEstimate(G_hat=float(curve[0]), theta_hat=0.0, curve=curve)
-    try:
-        slope, intercept = np.polyfit(ts[mask] - 1, np.log(curve[mask]), 1)
-    except np.linalg.LinAlgError:
-        return MixingEstimate(G_hat=float("nan"), theta_hat=float("nan"),
-                              curve=curve, fit_ok=False)
-    return MixingEstimate(G_hat=float(np.exp(intercept)),
-                          theta_hat=float(np.exp(slope)), curve=curve)
 
 
 @dataclass

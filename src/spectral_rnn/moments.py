@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .score import centered_scores, precision_matrix
-from .sequence_models import (BrnnParams, MarkovChainSpec, RnnParams, SequenceData,
-                              _unroll)
+from .sequence_models import BrnnParams, MarkovChainSpec, RnnParams, SequenceData
 
 DEFAULT_BURN_IN = 10
 
@@ -325,47 +324,3 @@ def population_moment_oracle(
         return params.A2.T @ np.linalg.matrix_power(params.U, lag) @ params.A1
 
     raise ValueError(f"unknown moment kind: {kind!r}")
-
-
-def measured_activation_scale(params: RnnParams, data: SequenceData, order: int = 2) -> np.ndarray:
-    """Trajectory average of the order-th derivative of each unit's activation.
-
-    For monomial units z^l the derivative is l!/(l-order)! z^(l-order)
-    evaluated at the pre-activations, so the average is measurable from a
-    simulated trajectory even when no closed form exists (U nonzero).
-    """
-    l = params.l
-    if order > l:
-        return np.zeros(params.d_h)
-    h = _unroll(params.A1, params.U, l, data.x).T
-    pre = params.A1 @ data.x + params.U @ np.hstack([np.zeros((params.d_h, 1)), h[:, :-1]])
-    coeff = 1.0
-    for j in range(order):
-        coeff *= (l - j)
-    return coeff * np.mean(pre ** (l - order), axis=1)
-
-
-def save_moment(path: str, moment: MomentTensor) -> None:
-    """SPT1 tensor plus a sidecar text record (kind, n_used, shift)."""
-    from . import spt1
-
-    spt1.write_tensor(path, moment.value)
-    with open(f"{path}.meta", "w", encoding="utf-8") as fh:
-        fh.write(f"kind = {moment.kind}\n"
-                 f"n_used = {moment.n_used}\n"
-                 f"shift = {moment.shift}\n")
-
-
-def load_moment(path: str) -> MomentTensor:
-    from . import spt1
-
-    value = spt1.read_tensor(path)
-    meta = {}
-    with open(f"{path}.meta", "r", encoding="utf-8") as fh:
-        for line in fh:
-            if "=" in line:
-                key, raw = line.split("=", 1)
-                meta[key.strip()] = raw.strip()
-    return MomentTensor(value=value, kind=meta.get("kind", "unknown"),
-                        n_used=int(meta.get("n_used", 0)),
-                        shift=int(meta.get("shift", 0)))

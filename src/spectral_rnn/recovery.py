@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cp_decomp import CpDecomposition, decompose, decompose_symmetric
+from .sequence_models import AssumptionError
 from .tensor_core import pinv
 
 NO_RECURRENCE_RATIO = 0.1
@@ -35,8 +36,6 @@ class RnnEstimate:
     U: np.ndarray | None
     l: int
     no_recurrence: bool = False
-    weights: np.ndarray | None = None
-    stage1: CpDecomposition | None = None
 
 
 @dataclass
@@ -47,8 +46,12 @@ class BrnnEstimate:
     U: np.ndarray | None
     V: np.ndarray | None
     no_recurrence: bool = False
-    weights: np.ndarray | None = None
-    stage1: CpDecomposition | None = None
+
+
+def _check_rank(cp: CpDecomposition, k: int) -> None:
+    """Stage 1 must keep every requested component (decompose drops small ones)."""
+    if cp.rank < k:
+        raise AssumptionError(f"stage 1: rank deficiency, kept {cp.rank} of {k} components")
 
 
 def _stage1_factors(
@@ -60,6 +63,7 @@ def _stage1_factors(
     """
     if cp is None:
         cp = decompose(T2, k=k, seed=seed)
+    _check_rank(cp, k)
     A1 = cp.factor.T                      # k x d_x, unit rows
     A2 = (cp.mode1 * (cp.weights / 2.0)).T  # k x d_y
     return A1, A2, cp
@@ -150,8 +154,7 @@ def recover_quadratic(
             no_rec = True
         else:
             U = recover_recurrence(T4, A1, A2)
-    return RnnEstimate(A1=A1, A2=A2, U=U, l=2, no_recurrence=no_rec,
-                       weights=cp.weights, stage1=cp)
+    return RnnEstimate(A1=A1, A2=A2, U=U, l=2, no_recurrence=no_rec)
 
 
 def recover_scalar(
@@ -169,10 +172,10 @@ def recover_scalar(
     if l < 3:
         raise ValueError("scalar output requires l >= 3")
     cp = decompose_symmetric(T3, k=d_h, seed=seed)
+    _check_rank(cp, d_h)
     A1 = cp.factor.T
     a2 = cp.weights / 6.0  # signed weights; third derivative of z^3 is 6
-    return RnnEstimate(A1=A1, A2=a2.reshape(-1, 1), U=None, l=l,
-                       weights=cp.weights, stage1=cp)
+    return RnnEstimate(A1=A1, A2=a2.reshape(-1, 1), U=None, l=l)
 
 
 def recover_brnn(
@@ -213,8 +216,7 @@ def recover_brnn(
         fwd = np.arange(d_h)
         bwd = np.arange(d_h, 2 * d_h)
         return BrnnEstimate(A1=C[fwd], B1=C[bwd], A2=np.vstack([A2[fwd], A2[bwd]]),
-                            U=None, V=None, no_recurrence=True,
-                            weights=cp.weights, stage1=cp)
+                            U=None, V=None, no_recurrence=True)
 
     # forward units respond to the backward-shifted score and vice versa
     score_diff = back_rows - fwd_rows
@@ -232,7 +234,7 @@ def recover_brnn(
         for i, r in enumerate(bwd):
             V[i] = fit_recurrence_row(Qf[r], B1)
     return BrnnEstimate(A1=A1, B1=B1, A2=np.vstack([A2[fwd], A2[bwd]]),
-                        U=U, V=V, weights=cp.weights, stage1=cp)
+                        U=U, V=V)
 
 
 def recover_linear(

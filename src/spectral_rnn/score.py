@@ -186,18 +186,6 @@ class TestFunction:
         raise NotImplementedError
 
 
-class LinearTest(TestFunction):
-    """G = x_t; grad = I."""
-
-    def value(self, x_prev, x_t, x_next):
-        return x_t
-
-    def grad_m(self, x_prev, x_t, x_next, m):
-        if m != 1:
-            raise ValueError("LinearTest supports m = 1")
-        return np.eye(x_t.shape[0])
-
-
 class QuadraticTest(TestFunction):
     """G = <a, x_t>^2; hessian = 2 a a^T."""
 
@@ -213,21 +201,6 @@ class QuadraticTest(TestFunction):
         if m == 2:
             return 2 * np.multiply.outer(self.a, self.a)
         raise ValueError("QuadraticTest supports m <= 2")
-
-
-class LaggedLinearTest(TestFunction):
-    """G = <a, x_{t-1}>; independent of x_t, so every x_t derivative is 0."""
-
-    def __init__(self, a):
-        self.a = np.asarray(a, dtype=float)
-
-    def value(self, x_prev, x_t, x_next):
-        return self.a @ x_prev
-
-    def grad_m(self, x_prev, x_t, x_next, m):
-        if m == 1:
-            return np.zeros(x_t.shape[0])
-        raise ValueError("LaggedLinearTest supports m = 1")
 
 
 def batch_cross_moment(g: np.ndarray, S: np.ndarray, Lam: np.ndarray, m: int) -> np.ndarray:

@@ -14,8 +14,8 @@ All simulation runs through two kernels:
 - ``_unroll`` runs the polynomial recursion.  It hoists ``A1 x`` into one
   matmul, updates a row-major ``(n, d_h)`` state in place, and checks
   finiteness once per block of steps.  ``rnn_forward``,
-  ``scalar_output_forward``, both directions of ``brnn_forward`` and
-  ``moments.measured_activation_scale`` all call it.
+  ``scalar_output_forward`` and both directions of ``brnn_forward`` all
+  call it.
 
 Both reorder floating-point sums relative to a step-by-step loop, so results
 agree with one to rounding (about 1 ulp), not bit for bit.
@@ -23,7 +23,7 @@ agree with one to rounding (about 1 ulp), not bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -86,10 +86,6 @@ class RnnParams:
     @property
     def d_y(self) -> int:
         return self.A2.shape[1]
-
-    def norm_slack(self) -> float:
-        """1 - (||A1|| + ||U||); nonnegative under the boundedness assumption."""
-        return 1.0 - (np.linalg.norm(self.A1, 2) + np.linalg.norm(self.U, 2))
 
 
 @dataclass(frozen=True)
@@ -272,8 +268,6 @@ def rnn_forward(
     params: RnnParams,
     x: np.ndarray,
     h0: Optional[np.ndarray] = None,
-    noise_std: float = 0.0,
-    seed: int = 0,
 ) -> SequenceData:
     """Run the forward recursion; keeps the hidden trajectory for oracles.
 
@@ -283,10 +277,7 @@ def rnn_forward(
     if x.shape[0] != params.d_x:
         raise ValueError(f"input dim {x.shape[0]} != d_x {params.d_x}")
     h = _unroll(params.A1, params.U, params.l, x, h0).T
-    y = params.A2.T @ h
-    if noise_std > 0:
-        y = y + np.random.default_rng(seed).standard_normal(y.shape) * noise_std
-    return SequenceData(x=x, y=y, h=h)
+    return SequenceData(x=x, y=params.A2.T @ h, h=h)
 
 
 def brnn_forward(params: BrnnParams, x: np.ndarray) -> SequenceData:

@@ -6,6 +6,8 @@ little-endian in C order (last mode fastest).
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -14,8 +16,12 @@ import numpy as np
 MAGIC = b"SPT1"
 
 
+class Spt1Error(OSError, ValueError):
+    """A file that is not a well-formed SPT1 tensor: an I/O error and a bad value."""
+
+
 def write_tensor(path: str | Path, T: np.ndarray) -> None:
-    T = np.ascontiguousarray(np.asarray(T, dtype="<f8"))
+    T = np.asarray(T, dtype="<f8")  # tobytes writes C order; a 0-d tensor keeps order 0
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", T.ndim))
@@ -25,14 +31,20 @@ def write_tensor(path: str | Path, T: np.ndarray) -> None:
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
+    """Read an SPT1 file, checking its header and its exact size before the payload."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != MAGIC:
-            raise ValueError(f"{path}: not an SPT1 file (magic {magic!r})")
-        (order,) = struct.unpack("<I", f.read(4))
-        dims = [struct.unpack("<Q", f.read(8))[0] for _ in range(order)]
-        count = int(np.prod(dims)) if dims else 1
-        data = np.frombuffer(f.read(count * 8), dtype="<f8", count=count)
-        if data.size != count:
-            raise ValueError(f"{path}: truncated payload")
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(8)
+        if head[:4] != MAGIC:
+            raise Spt1Error(f"{path}: not an SPT1 file (magic {head[:4]!r})")
+        if len(head) < 8:
+            raise Spt1Error(f"{path}: truncated header")
+        (order,) = struct.unpack("<I", head[4:])
+        if size < 8 + 8 * order:
+            raise Spt1Error(f"{path}: truncated header for order {order}")
+        dims = struct.unpack(f"<{order}Q", f.read(8 * order))
+        expected = 8 + 8 * order + 8 * math.prod(dims)
+        if size != expected:
+            raise Spt1Error(f"{path}: {size} bytes, expected {expected} for dims {dims}")
+        data = np.frombuffer(f.read(), dtype="<f8")
     return data.reshape(dims).astype(float)

@@ -2,8 +2,7 @@
 
 Tensors are plain ``numpy.ndarray`` objects in C (row-major) layout, so the
 *last* mode varies fastest in memory.  All mode indices in the public API are
-1-based, matching the matricization convention ``T(i,j,l) = M(i, l+(j-1)d)``
-that the rest of the package relies on.
+1-based.
 """
 
 from __future__ import annotations
@@ -29,21 +28,6 @@ def outer(vectors: Sequence[np.ndarray]) -> np.ndarray:
     return reduce(np.multiply.outer, vecs)
 
 
-def matricize_mode1(T: np.ndarray) -> np.ndarray:
-    """Unfold an order-3 tensor with equal mode dims d into a d x d^2 matrix.
-
-    Entry rule (1-based): ``T(i,j,l) -> M(i, l + (j-1) d)``, i.e. mode 2 is
-    the slow column index and mode 3 the fast one.
-    """
-    T = np.asarray(T)
-    if T.ndim != 3:
-        raise ValueError(f"matricize_mode1 expects an order-3 tensor, got order {T.ndim}")
-    d = T.shape[0]
-    if T.shape != (d, d, d):
-        raise ValueError(f"matricize_mode1 expects equal mode dims, got {T.shape}")
-    return T.reshape(d, d * d)
-
-
 def _check_grouping(order: int, groups: ModeGrouping) -> None:
     seen: set[int] = set()
     for g in groups:
@@ -63,8 +47,9 @@ def _check_grouping(order: int, groups: ModeGrouping) -> None:
 def reshape(T: np.ndarray, groups: ModeGrouping) -> np.ndarray:
     """Regroup tensor modes; within a group the last listed mode varies fastest.
 
-    ``reshape(T, [[1], [2, 3]])`` on an equal-dim order-3 tensor reproduces
-    :func:`matricize_mode1`.
+    ``reshape(T, [[1], [2, 3]])`` is the mode-1 unfolding of an order-3
+    tensor, ``T(i,j,l) -> M(i, l + (j-1) d3)`` (1-based): mode 2 is the slow
+    column index and mode 3 the fast one.
     """
     T = np.asarray(T)
     _check_grouping(T.ndim, groups)
@@ -103,31 +88,6 @@ def multilinear(T: np.ndarray, *matrices: np.ndarray | None) -> np.ndarray:
                 f"mode {mode + 1} has dim {out.shape[mode]} but matrix has {M.shape[0]} rows"
             )
         out = np.moveaxis(np.tensordot(out, M, axes=([mode], [0])), -1, mode)
-    return out
-
-
-def rowwise_kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Row-wise Kronecker product: row j of the result is kron(A[j], B[j]).
-
-    The flattening puts the B index fastest, consistent with C layout.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.ndim != 2 or B.ndim != 2:
-        raise ValueError("rowwise_kron expects matrices")
-    if A.shape[0] != B.shape[0]:
-        raise ValueError(f"row count mismatch: {A.shape[0]} vs {B.shape[0]}")
-    d = A.shape[0]
-    return np.einsum("ij,ik->ijk", A, B).reshape(d, A.shape[1] * B.shape[1])
-
-
-def rowwise_kron_power(A: np.ndarray, p: int) -> np.ndarray:
-    """A repeatedly row-wise Kronecker'd with itself, p factors total."""
-    if p < 1:
-        raise ValueError("power must be >= 1")
-    out = np.asarray(A, dtype=float)
-    for _ in range(p - 1):
-        out = rowwise_kron(out, A)
     return out
 
 

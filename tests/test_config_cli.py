@@ -166,6 +166,16 @@ def test_cli_missing_moment_file_exit_code(tmp_path):
     assert code == 4
 
 
+def test_cli_truncated_moment_file_exit_code(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    spt1.write_tensor(out / "t2.spt1", np.ones((3, 4, 4)))
+    raw = (out / "t2.spt1").read_bytes()
+    (out / "t2.spt1").write_bytes(raw[:-8])
+    code, _ = _run(tmp_path, "decompose", extra_cfg={"estimation.n": "100"})
+    assert code == 4
+
+
 def test_cli_moments_then_decompose(tmp_path):
     cfg = {"estimation.n": "20000", "model.d_h": "2", "model.d_y": "3"}
     code, out = _run(tmp_path, "moments", extra_cfg=cfg)
@@ -225,6 +235,14 @@ def test_cli_train_brnn(tmp_path):
     assert spt1.read_tensor(os.path.join(out, "c_hat.spt1")).shape == (2, 4)
     report = json.loads(open(os.path.join(out, "report.json")).read())
     assert report["max_error"] < 0.5
+
+
+def test_cli_train_brnn_narrow_output_is_a_config_error(tmp_path, monkeypatch):
+    """d_y < 2 d_h cannot identify a BRNN; it is rejected before simulating."""
+    monkeypatch.setattr(cli, "_simulate", None)
+    code, _ = _run(tmp_path, "train-brnn", extra_cfg={
+        "model.d_x": "6", "model.d_h": "2", "model.d_y": "3", "estimation.n": "100"})
+    assert code == 2
 
 
 def test_cli_estimates_do_not_read_model_truth(tmp_path, monkeypatch):

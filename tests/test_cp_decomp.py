@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spectral_rnn import cp_decomp
 from spectral_rnn.cp_decomp import decompose, decompose_symmetric
 from spectral_rnn.sequence_models import AssumptionError
 
@@ -141,3 +142,52 @@ def test_reconstruct_shape_and_modes():
     assert cp.reconstruct().shape == T.shape
     assert cp.mode1.shape[0] == T.shape[0]
     assert cp.factor.shape[0] == T.shape[1]
+
+
+def _no_definite_combo(seed, noise):
+    """Pair-symmetric rank-3 tensor whose mode-1 vectors have zero in their
+    convex hull, so no slice combination is definite (Gordan) and decompose
+    must take the simultaneous-diagonalization fallback; plus noise of
+    relative size noise, symmetric in the two shared modes."""
+    rng = np.random.default_rng(seed)
+    P = np.linalg.qr(rng.standard_normal((4, 2)))[0]
+    phi = np.array([0.0, 2.1, 4.3]) + rng.uniform(0, 2 * np.pi)
+    A = P @ np.stack([np.cos(phi), np.sin(phi)])
+    B = rng.standard_normal((6, 3))
+    B /= np.linalg.norm(B, axis=0)
+    T = np.einsum("r,ar,ir,jr->aij", [1.5, 1.2, 1.0], A, B, B)
+    E = rng.standard_normal(T.shape)
+    E += E.transpose(0, 2, 1)
+    return T + noise * np.linalg.norm(T) / np.linalg.norm(E) * E, B
+
+
+def _count_fallbacks(monkeypatch):
+    calls = []
+    real = cp_decomp._jennrich_factors
+    monkeypatch.setattr(cp_decomp, "_jennrich_factors",
+                        lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def test_fallback_exact_without_noise(monkeypatch):
+    calls = _count_fallbacks(monkeypatch)
+    for seed in range(8):
+        T, B = _no_definite_combo(seed, 0.0)
+        cp = decompose(T, 3, seed=0)
+        assert _best_column_error(cp.factor, B) < 1e-12
+    assert len(calls) == 8
+
+
+def test_fallback_works_in_the_signal_subspace(monkeypatch):
+    """With 0.1% noise, eigenvectors of M1 pinv(M2) over all six dimensions
+    fail with rank deficiency on 7 of these 47 tensors and reach a median
+    factor error of 0.9 on the rest; projected onto the top-3 subspace
+    first, the worst error is 0.027."""
+    calls = _count_fallbacks(monkeypatch)
+    errs = []
+    for seed in range(47):
+        T, B = _no_definite_combo(seed, 1e-3)
+        errs.append(_best_column_error(decompose(T, 3, seed=0).factor, B))
+    assert len(calls) == 47
+    assert np.median(errs) < 0.01
+    assert max(errs) < 0.05

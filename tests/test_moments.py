@@ -6,10 +6,8 @@ import pytest
 from spectral_rnn.moments import (_MOMENT_BLOCK, DEFAULT_BURN_IN,
                                   cross_moment_s1, cross_moment_s2,
                                   cross_moment_s3, cross_moment_s3_scalar,
-                                  cross_moment_s4_reshaped, load_moment,
-                                  measured_activation_scale, MomentTensor,
-                                  population_moment_oracle, save_moment,
-                                  toeplitz_blocks)
+                                  cross_moment_s4_reshaped,
+                                  population_moment_oracle, toeplitz_blocks)
 from spectral_rnn.score import centered_scores, precision_matrix
 from spectral_rnn.sequence_models import (BrnnParams, RnnParams, SequenceData,
                                           bounded_input_spec, brnn_forward,
@@ -207,45 +205,6 @@ def test_baseline_subtraction_changes_nothing_in_expectation():
     oracle = population_moment_oracle(params, "S4-reshaped-order3", shift=-1)
     rel = np.linalg.norm(m.value - oracle) / np.linalg.norm(oracle)
     assert rel < 0.8
-
-
-def test_measured_activation_scale():
-    params = _quad_params(seed=26, u_scale=0.2)
-    spec = bounded_input_spec(4, 0.5, seed=27)
-    x = sample_markov_chain(spec, 2000, seed=28)
-    data = rnn_forward(params, x)
-    scale = measured_activation_scale(params, data, order=2)
-    # second derivative of z^2 is the constant 2 regardless of the trajectory
-    assert np.allclose(scale, 2.0)
-
-
-@pytest.mark.parametrize("l", [2, 3])
-@pytest.mark.parametrize("order", [1, 2])
-def test_measured_activation_scale_matches_loop(l, order):
-    p = _quad_params(seed=29, u_scale=0.3)
-    params = RnnParams(A1=0.8 * p.A1, U=p.U, A2=p.A2, l=l)
-    x = sample_markov_chain(bounded_input_spec(4, 0.5, seed=30), 3000, seed=31)
-    pre = np.empty((params.d_h, x.shape[1]))
-    h_prev = np.zeros(params.d_h)
-    for t in range(x.shape[1]):
-        pre[:, t] = params.A1 @ x[:, t] + params.U @ h_prev
-        h_prev = pre[:, t] ** l
-    coeff = l if order == 1 else l * (l - 1)
-    want = coeff * np.mean(pre ** (l - order), axis=1)
-    got = measured_activation_scale(params, SequenceData(x=x, y=x[:1]), order=order)
-    np.testing.assert_allclose(got, want, rtol=1e-12)
-
-
-def test_moment_save_load_round_trip(tmp_path):
-    val = np.arange(12, dtype=float).reshape(3, 2, 2)
-    m = MomentTensor(value=val, kind="S2-order3", n_used=1234, shift=-1)
-    p = tmp_path / "m.spt1"
-    save_moment(p, m)
-    back = load_moment(p)
-    assert np.array_equal(back.value, val)
-    assert back.kind == "S2-order3"
-    assert back.n_used == 1234
-    assert back.shift == -1
 
 
 def test_oracle_rejects_unknown_kind():

@@ -5,7 +5,8 @@ import importlib
 import numpy as np
 import pytest
 
-from spectral_rnn import cp_decomp, moments, recovery
+from spectral_rnn import cli, cp_decomp, moments, recovery
+from spectral_rnn.config import from_items
 from spectral_rnn.diagnostics import align
 from spectral_rnn.moments import (cross_moment_s2, cross_moment_s4_reshaped,
                                   population_moment_oracle)
@@ -14,7 +15,7 @@ from spectral_rnn.recovery import (fit_recurrence_row, quadratic_moments,
                                    recover_quadratic, recover_recurrence,
                                    recover_scalar, train_brnn, train_linear,
                                    train_quadratic, train_scalar)
-from spectral_rnn.sequence_models import (BrnnParams, RnnParams,
+from spectral_rnn.sequence_models import (AssumptionError, BrnnParams, RnnParams,
                                           bounded_input_spec, brnn_forward,
                                           rnn_forward, sample_markov_chain,
                                           scalar_output_forward)
@@ -57,6 +58,38 @@ def test_no_recurrence_flag():
     est = recover_quadratic(T2, 3, T4=T4, seed=0)
     assert est.no_recurrence
     assert np.allclose(est.U, 0.0)
+
+
+def test_stage1_never_returns_fewer_rows_than_asked():
+    """A unit with a zero output row leaves T2 with rank 2, which decompose
+    reports as two components; stage 1 must fail rather than return 2 rows."""
+    params = _quad_model()
+    A2 = params.A2.copy()
+    A2[1] = 0.0
+    T2 = population_moment_oracle(RnnParams(A1=params.A1, U=params.U, A2=A2), "S2-order3")
+    with pytest.raises(AssumptionError, match="stage 1: rank deficiency, kept 2 of 3"):
+        recover_quadratic(T2, 3, seed=0)
+    cubic = RnnParams(A1=params.A1, U=np.zeros((3, 3)), A2=[[1.0], [0.0], [0.7]], l=3)
+    T3 = population_moment_oracle(cubic, "S3-order4-scalar")
+    with pytest.raises(AssumptionError, match="rank deficiency"):
+        recover_scalar(T3, 3, seed=0)
+
+
+def test_stage1_fallback_sweep_cell(monkeypatch):
+    """A d_y=6 sweep cell (master 4245, n=1e4, cell seed 2) where no slice
+    combination of T2 is definite; the fallback used to exit with rank
+    deficiency here and now gives an estimate."""
+    config = from_items({"model.d_x": "6", "model.d_h": "3", "model.d_y": "6",
+                         "model.u_scale": "0.3", "model.norm_check": "off",
+                         "estimation.n": "10000"})
+    cell_master = cli._child_seeds(4245, 1)[0]
+    seed = int(np.random.SeedSequence([cell_master, 10000, 2]).generate_state(1)[0])
+    spec, params, data = cli._simulate(config, seed)
+    calls = _count_calls(monkeypatch, "_jennrich_factors", cp_decomp._jennrich_factors,
+                         [cp_decomp])
+    est = train_quadratic(data, spec, 3, seed=seed)
+    assert calls == ["_jennrich_factors"]
+    assert align(est.A1, cli._unit_input_rows(params).A1).max_error < 0.1
 
 
 def test_fit_recurrence_row_roundtrip():
@@ -231,7 +264,7 @@ def test_train_quadratic_equals_recover_quadratic_bitwise():
     baseline = first.A2.T @ (first.A1 @ data.x) ** 2
     T4 = cross_moment_s4_reshaped(spec, data, shift=-1, baseline=baseline).value
     ref = recover_quadratic(T2, 2, T4=T4, seed=seed)
-    for name in ("A1", "A2", "U", "weights"):
+    for name in ("A1", "A2", "U"):
         assert np.array_equal(getattr(est, name), getattr(ref, name)), name
 
 
@@ -244,7 +277,7 @@ def test_quadratic_moments_match_train_quadratic_bitwise():
     T2, T4, stage1 = quadratic_moments(data, spec, 2, seed=5)
     est = train_quadratic(data, spec, 2, seed=5)
     ref = recover_quadratic(T2, 2, T4=T4, seed=5)
-    for name in ("A1", "A2", "U", "weights"):
+    for name in ("A1", "A2", "U"):
         assert np.array_equal(getattr(est, name), getattr(ref, name)), name
     T2n, T4n, stage1n = quadratic_moments(data, spec, 2, seed=5, with_recurrence=False)
     assert T4n is None

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from spectral_rnn.score import (LaggedLinearTest, LinearTest, QuadraticTest,
-                                batch_cross_moment, centered_scores,
-                                local_gaussian, precision_matrix, score,
-                                score_closed_form, score_from_local,
-                                score_patterns, stein_check)
+from spectral_rnn.score import (QuadraticTest, batch_cross_moment,
+                                centered_scores, local_gaussian,
+                                precision_matrix, score, score_closed_form,
+                                score_from_local, score_patterns, stein_check)
 from spectral_rnn.sequence_models import MarkovChainSpec, bounded_input_spec
 
 
@@ -176,9 +175,32 @@ def test_batch_cross_moment_matches_direct_average():
         assert np.allclose(got, direct / 500, atol=1e-10)
 
 
+class _Identity:
+    """G = x_t; its first derivative is the constant I."""
+
+    def value(self, x_prev, x_t, x_next):
+        return x_t
+
+    def grad_m(self, x_prev, x_t, x_next, m):
+        return np.eye(x_t.shape[0])
+
+
+class _Lagged:
+    """G = <a, x_{t-1}>; independent of x_t, so its x_t derivative is 0."""
+
+    def __init__(self, a):
+        self.a = a
+
+    def value(self, x_prev, x_t, x_next):
+        return self.a @ x_prev
+
+    def grad_m(self, x_prev, x_t, x_next, m):
+        return np.zeros(x_t.shape[0])
+
+
 def test_stein_check_linear_exact_shape():
     spec = bounded_input_spec(2, 0.5, seed=0)
-    err, is_abs = stein_check(spec, LinearTest(), 1, 20000, seed=1)
+    err, is_abs = stein_check(spec, _Identity(), 1, 20000, seed=1)
     assert not is_abs
     assert err < 0.2
 
@@ -206,6 +228,6 @@ def test_stein_check_lagged_function():
     cross-moment estimate is compared in absolute terms."""
     spec = bounded_input_spec(2, 0.5, seed=0)
     a = np.array([1.0, 1.0])
-    err, is_abs = stein_check(spec, LaggedLinearTest(a), 1, 50000, seed=3)
+    err, is_abs = stein_check(spec, _Lagged(a), 1, 50000, seed=3)
     assert is_abs
     assert err < 0.05

@@ -295,8 +295,3 @@ def test_sequence_data_validation():
         SequenceData(x=np.zeros((2, 4)), y=np.zeros((1, 3)))
     with pytest.raises(ValueError):
         SequenceData(x=np.zeros((2, 2)), y=np.zeros((1, 2)))
-
-
-def test_norm_slack():
-    params = RnnParams(A1=[[0.5]], U=[[0.3]], A2=[[1.0]], l=2)
-    assert np.isclose(params.norm_slack(), 0.2)

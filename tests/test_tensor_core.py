@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from spectral_rnn.tensor_core import (inverse_reshape, matricize_mode1,
-                                      multilinear, outer, pinv, reshape,
-                                      rowwise_kron, rowwise_kron_power)
-from spectral_rnn.spt1 import read_tensor, write_tensor
+from spectral_rnn.tensor_core import (inverse_reshape, multilinear, outer, pinv,
+                                      reshape)
+from spectral_rnn.spt1 import Spt1Error, read_tensor, write_tensor
 
 
 def test_outer_two_vectors():
@@ -35,25 +37,6 @@ def test_outer_rejects_bad_input():
         outer([np.array([1.0, np.inf])])
 
 
-def test_matricize_mode1_entry_rule():
-    d = 3
-    T = np.arange(d ** 3, dtype=float).reshape(d, d, d)
-    M = matricize_mode1(T)
-    assert M.shape == (d, d * d)
-    # 1-based rule: T(i, j, l) = M(i, l + (j - 1) d)
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            for l in range(1, d + 1):
-                assert M[i - 1, (l + (j - 1) * d) - 1] == T[i - 1, j - 1, l - 1]
-
-
-def test_matricize_mode1_rejects_wrong_order():
-    with pytest.raises(ValueError):
-        matricize_mode1(np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        matricize_mode1(np.zeros((2, 2, 3)))
-
-
 def test_reshape_grouping_entry():
     T = np.arange(16, dtype=float).reshape(2, 2, 2, 2)
     M = reshape(T, [[1, 2], [3, 4]])
@@ -63,9 +46,15 @@ def test_reshape_grouping_entry():
 
 
 def test_reshape_matches_matricize():
-    rng = np.random.default_rng(1)
-    T = rng.standard_normal((3, 3, 3))
-    assert np.array_equal(reshape(T, [[1], [2, 3]]), matricize_mode1(T))
+    d = 3
+    T = np.arange(d ** 3, dtype=float).reshape(d, d, d)
+    M = reshape(T, [[1], [2, 3]])
+    assert M.shape == (d, d * d)
+    # 1-based mode-1 unfolding: T(i, j, l) = M(i, l + (j - 1) d)
+    for i in range(1, d + 1):
+        for j in range(1, d + 1):
+            for l in range(1, d + 1):
+                assert M[i - 1, (l + (j - 1) * d) - 1] == T[i - 1, j - 1, l - 1]
 
 
 def test_reshape_round_trip():
@@ -115,27 +104,6 @@ def test_multilinear_shape_errors():
         multilinear(T, np.eye(3), np.eye(2))
 
 
-def test_rowwise_kron_single_row():
-    got = rowwise_kron(np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]]))
-    assert np.array_equal(got, np.array([[3.0, 4.0, 6.0, 8.0]]))
-
-
-def test_rowwise_kron_two_rows():
-    A = np.array([[1.0, 2.0], [0.0, 1.0]])
-    B = np.array([[3.0, 0.0], [1.0, 1.0]])
-    want = np.array([[3.0, 0.0, 6.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
-    assert np.array_equal(rowwise_kron(A, B), want)
-
-
-def test_rowwise_kron_power():
-    A = np.array([[1.0, 2.0]])
-    got = rowwise_kron_power(A, 3)
-    want = np.kron(np.kron(A[0], A[0]), A[0])[None, :]
-    assert np.array_equal(got, want)
-    with pytest.raises(ValueError):
-        rowwise_kron_power(A, 0)
-
-
 def test_pinv_truncates_small_singular_values():
     got = pinv(np.diag([2.0, 0.0]))
     assert np.allclose(got, np.diag([0.5, 0.0]))
@@ -177,3 +145,47 @@ def test_spt1_rejects_bad_magic(tmp_path):
     p.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ValueError):
         read_tensor(p)
+
+
+# every SPT1 property runs the same fixed examples on every run
+_SPT1_PROPERTY = settings(derandomize=True, max_examples=40, deadline=None,
+                          database=None)
+
+_tensors = st.lists(st.integers(0, 3), max_size=4).flatmap(
+    lambda shape: arrays("<f8", tuple(shape)))
+
+
+@_SPT1_PROPERTY
+@given(_tensors)
+def test_spt1_round_trip_property(tmp_path_factory, T):
+    """Orders 0-4, zero-size dims and any float bits, NaN payloads included."""
+    p = tmp_path_factory.mktemp("spt1") / "t.spt1"
+    write_tensor(p, T)
+    back = read_tensor(p)
+    assert back.shape == T.shape
+    assert back.tobytes() == T.tobytes()
+
+
+@_SPT1_PROPERTY
+@given(_tensors)
+def test_spt1_rejects_truncation_at_every_offset(tmp_path_factory, T):
+    p = tmp_path_factory.mktemp("spt1") / "t.spt1"
+    write_tensor(p, T)
+    raw = p.read_bytes()
+    for cut in range(len(raw)):
+        p.write_bytes(raw[:cut])
+        with pytest.raises(Spt1Error):
+            read_tensor(p)
+    p.write_bytes(raw + b"\x00")
+    with pytest.raises(Spt1Error):
+        read_tensor(p)
+
+
+def test_spt1_error_is_an_io_error_and_a_value_error(tmp_path):
+    """A corrupt dim of 2^47 is a size mismatch, not an allocation attempt."""
+    p = tmp_path / "huge.spt1"
+    p.write_bytes(b"SPT1" + (1).to_bytes(4, "little") + (2 ** 47).to_bytes(8, "little")
+                  + b"\x00" * 16)
+    with pytest.raises(Spt1Error, match="expected"):
+        read_tensor(p)
+    assert issubclass(Spt1Error, OSError) and issubclass(Spt1Error, ValueError)
