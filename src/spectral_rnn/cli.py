@@ -23,10 +23,9 @@ import scipy
 
 from . import __version__, spt1
 from .config import ConfigError, ExperimentConfig, config_hash, from_items, parse_config, serialize
-from .cp_decomp import decompose
 from .diagnostics import align, sample_sweep
-from .recovery import (quadratic_moments, train_brnn, train_linear,
-                       train_quadratic, train_scalar)
+from .recovery import (_stage1_factors, quadratic_moments, train_brnn,
+                       train_linear, train_quadratic, train_scalar)
 from .score import QuadraticTest, stein_check
 from .sequence_models import (AssumptionError, BrnnParams, MarkovChainSpec,
                               RnnParams, bounded_input_spec, brnn_forward,
@@ -213,11 +212,12 @@ def _cmd_moments(config, seed, art):
 
 
 def _cmd_decompose(config, seed, art):
+    """Stage 1 of train on a moments run's T2, with the same rank check."""
     path = os.path.join(art.out_dir, "t2.spt1")
     if not os.path.exists(path):
         raise FileNotFoundError(f"expected moment tensor at {path}; run the moments subcommand first")
     T2 = spt1.read_tensor(path)
-    cp = decompose(T2, k=config.d_h, seed=seed)
+    cp = _stage1_factors(T2, config.d_h, seed)[2]
     art.write_array("cp_weights", cp.weights.reshape(1, -1))
     art.write_array("cp_mode1", cp.mode1)
     art.write_array("cp_factor", cp.factor)
@@ -226,8 +226,7 @@ def _cmd_decompose(config, seed, art):
 
 
 def _cmd_train(config, seed, art):
-    """Quadratic model; the recurrence is always estimated and the data
-    decide whether it is absent."""
+    """Quadratic model; the recurrence is always estimated."""
     spec, params, data = _simulate(config, seed)
     est = train_quadratic(data, spec, config.d_h,
                           burn_in=config["estimation.burn_in"], seed=seed)
@@ -243,13 +242,16 @@ def _cmd_train(config, seed, art):
         "max_error": report.max_error,
         "median_error": report.median_error,
         "a1_row_errors": report.per_row_errors["A1"].tolist(),
-        "no_recurrence": est.no_recurrence,
     })
     print(f"train: max aligned row error {report.max_error:.4g}")
     return EXIT_OK
 
 
 def _cmd_train_brnn(config, seed, art):
+    """Bidirectional model.  The joint error aligns the stacked input rows
+    [A1; B1] and cannot see a swapped forward/backward split; each direction
+    is also aligned with its output rows and recurrence, so a large gap
+    between the joint and the per-direction errors means the split failed."""
     if config.d_y < 2 * config.d_h:
         raise ConfigError(f"train-brnn needs model.d_y >= 2 * model.d_h, got model.d_y="
                           f"{config.d_y} and model.d_h={config.d_h}")
@@ -263,10 +265,21 @@ def _cmd_train_brnn(config, seed, art):
     art.write_array("a2_hat", est.A2)
     art.write_array("c_true", C_true)
     art.write_array("a2_true", truth.A2)
+    art.write_array("u_hat", est.U)
+    art.write_array("v_hat", est.V)
+    art.write_array("u_true", truth.U)
+    art.write_array("v_true", truth.V)
     report = align(C_hat, C_true)
+    d = config.d_h
+    forward = align(est.A1, truth.A1, est.A2[:d], truth.A2[:d], est.U, truth.U)
+    backward = align(est.B1, truth.B1, est.A2[d:], truth.A2[d:], est.V, truth.V)
     art.write_json("report.json", {
         "max_error": report.max_error,
         "median_error": report.median_error,
+        "forward_max_error": forward.max_error,
+        "backward_max_error": backward.max_error,
+        "u_error": forward.u_error,
+        "v_error": backward.u_error,
     })
     print(f"train-brnn: max aligned row error {report.max_error:.4g}")
     return EXIT_OK

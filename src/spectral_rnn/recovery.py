@@ -3,12 +3,14 @@
 Stage 1 decomposes the second-order cross-moment
     T2 = 2 sum_k A2[k] (x) a_k (x) a_k
 to read off the input rows a_k (unit norm by convention) and the output rows
-A2[k] with their scale.  Stage 2 recovers the recurrence from the reshaped
-fourth-order cross-moment, whose per-unit blocks are pair-symmetrizations of
-H_k = 2 sum_j U_kj a_j a_j^T, fit row by row by least squares.  Bidirectional
-models add a mirrored backward stage; cubic units (scalar output only) use the
-symmetric third-order moment instead; the linear model is handled in closed
-form from lagged first-order blocks, given its input map.
+A2[k] with their scale.  Stage 2 always fits the recurrence, row by row by
+least squares (recover_recurrence), from a shifted reshaped fourth-order
+cross-moment whose unmixed per-unit blocks are pair-symmetrizations of
+H_k = 2 sum_j U_kj a_j a_j^T.  Both quadratic families run these two stages;
+the bidirectional model fits forward units from the backward shift and
+backward units from the forward shift.  Cubic units (scalar output only) use
+the symmetric third-order moment instead; the linear model is handled in
+closed form from lagged first-order blocks, given its input map.
 
 Row signs of even-degree units are not identifiable (flipping an input row
 together with its recurrence row leaves the unit invariant), so recovered rows
@@ -26,16 +28,12 @@ from .cp_decomp import CpDecomposition, decompose, decompose_symmetric
 from .sequence_models import AssumptionError
 from .tensor_core import pinv
 
-NO_RECURRENCE_RATIO = 0.1
-
 
 @dataclass
 class RnnEstimate:
     A1: np.ndarray
     A2: np.ndarray
     U: np.ndarray | None
-    l: int
-    no_recurrence: bool = False
 
 
 @dataclass
@@ -45,7 +43,6 @@ class BrnnEstimate:
     A2: np.ndarray
     U: np.ndarray | None
     V: np.ndarray | None
-    no_recurrence: bool = False
 
 
 def _check_rank(cp: CpDecomposition, k: int) -> None:
@@ -122,14 +119,16 @@ def recover_recurrence(
     T4: np.ndarray,
     A1: np.ndarray,
     A2: np.ndarray,
+    units,
 ) -> np.ndarray:
-    """Recurrence matrix from the reshaped fourth-order cross-moment.
+    """Recurrence rows of one direction from a reshaped fourth-order moment.
 
-    Each unit block is fit by least squares against the quadratic pattern
-    in its recurrence row (fit_recurrence_row); row signs are indeterminate.
+    T4 is unmixed against all stage-1 output rows A2 once; the blocks of the
+    direction's units (indices into A2, ordered as the rows of A1) are each
+    fit by least squares (fit_recurrence_row).  Row signs are indeterminate.
     """
     Q = _unit_blocks(T4, A2)
-    return np.stack([fit_recurrence_row(Q[r], A1) for r in range(A1.shape[0])])
+    return np.stack([fit_recurrence_row(Q[r], A1) for r in units])
 
 
 def recover_quadratic(
@@ -145,16 +144,9 @@ def recover_quadratic(
     stage1, if given, is decompose(T2, k=d_h, seed=seed) computed earlier;
     it is used instead of decomposing again.
     """
-    A1, A2, cp = _stage1_factors(T2, d_h, seed, stage1)
-    U = None
-    no_rec = False
-    if T4 is not None:
-        if np.linalg.norm(T4) < NO_RECURRENCE_RATIO * np.linalg.norm(T2):
-            U = np.zeros((d_h, d_h))
-            no_rec = True
-        else:
-            U = recover_recurrence(T4, A1, A2)
-    return RnnEstimate(A1=A1, A2=A2, U=U, l=2, no_recurrence=no_rec)
+    A1, A2, _ = _stage1_factors(T2, d_h, seed, stage1)
+    U = None if T4 is None else recover_recurrence(T4, A1, A2, range(d_h))
+    return RnnEstimate(A1=A1, A2=A2, U=U)
 
 
 def recover_scalar(
@@ -175,7 +167,7 @@ def recover_scalar(
     _check_rank(cp, d_h)
     A1 = cp.factor.T
     a2 = cp.weights / 6.0  # signed weights; third derivative of z^3 is 6
-    return RnnEstimate(A1=A1, A2=a2.reshape(-1, 1), U=None, l=l)
+    return RnnEstimate(A1=A1, A2=a2.reshape(-1, 1), U=None)
 
 
 def recover_brnn(
@@ -189,59 +181,36 @@ def recover_brnn(
 ) -> BrnnEstimate:
     """Recover a bidirectional quadratic model.
 
-    Stage 1 yields all 2*d_h direction rows jointly; the shifted fourth-order
-    moments (output against the score one step back or one step forward)
-    separate forward from backward units when recurrences are present.  With
-    both shifted moments absent or negligible the split falls back to weight
-    order and the recurrences are reported as zero.  stage1, if given, is
-    decompose(T2, k=2 * d_h, seed=seed) computed earlier; it is used instead
-    of decomposing again.
+    Stage 1 yields all 2*d_h direction rows jointly.  Forward units respond
+    to the score one step back, backward units to the score one step ahead,
+    so the d_h units whose unmixed block norm in T4_back most exceeds that
+    in T4_fwd are forward (a stable sort: equal norms, as at a zero T4, give
+    weight order).  recover_recurrence then fits each direction from its
+    shift; a shift not given leaves its recurrence None.  stage1, if given,
+    is decompose(T2, k=2 * d_h, seed=seed), used instead of decomposing again.
     """
     if T2.shape[0] < 2 * d_h:
         raise ValueError("output dimension insufficient for BRNN identifiability")
-    C, A2, cp = _stage1_factors(T2, 2 * d_h, seed, stage1)
-    n2 = np.linalg.norm(T2)
+    C, A2, _ = _stage1_factors(T2, 2 * d_h, seed, stage1)
 
-    back_rows = np.zeros(2 * d_h)
-    fwd_rows = np.zeros(2 * d_h)
-    Qb = Qf = None
-    if T4_back is not None and np.linalg.norm(T4_back) >= NO_RECURRENCE_RATIO * n2:
-        Qb = _unit_blocks(T4_back, A2)
-        back_rows = np.linalg.norm(Qb.reshape(2 * d_h, -1), axis=1)
-    if T4_fwd is not None and np.linalg.norm(T4_fwd) >= NO_RECURRENCE_RATIO * n2:
-        Qf = _unit_blocks(T4_fwd, A2)
-        fwd_rows = np.linalg.norm(Qf.reshape(2 * d_h, -1), axis=1)
+    def block_norms(T4):
+        if T4 is None:
+            return np.zeros(2 * d_h)
+        return np.linalg.norm(_unit_blocks(T4, A2).reshape(2 * d_h, -1), axis=1)
 
-    if Qb is None and Qf is None:
-        fwd = np.arange(d_h)
-        bwd = np.arange(d_h, 2 * d_h)
-        return BrnnEstimate(A1=C[fwd], B1=C[bwd], A2=np.vstack([A2[fwd], A2[bwd]]),
-                            U=None, V=None, no_recurrence=True)
-
-    # forward units respond to the backward-shifted score and vice versa
-    score_diff = back_rows - fwd_rows
-    order = np.argsort(-score_diff, kind="stable")
+    order = np.argsort(block_norms(T4_fwd) - block_norms(T4_back), kind="stable")
     fwd = np.sort(order[:d_h])
     bwd = np.sort(order[d_h:])
-
     A1, B1 = C[fwd], C[bwd]
-    U = np.zeros((d_h, d_h))
-    V = np.zeros((d_h, d_h))
-    if Qb is not None:
-        for i, r in enumerate(fwd):
-            U[i] = fit_recurrence_row(Qb[r], A1)
-    if Qf is not None:
-        for i, r in enumerate(bwd):
-            V[i] = fit_recurrence_row(Qf[r], B1)
-    return BrnnEstimate(A1=A1, B1=B1, A2=np.vstack([A2[fwd], A2[bwd]]),
-                        U=U, V=V)
+    U = None if T4_back is None else recover_recurrence(T4_back, A1, A2, fwd)
+    V = None if T4_fwd is None else recover_recurrence(T4_fwd, B1, A2, bwd)
+    return BrnnEstimate(A1=A1, B1=B1, A2=np.vstack([A2[fwd], A2[bwd]]), U=U, V=V)
 
 
 def recover_linear(
     C0: np.ndarray,
     C1: np.ndarray | None = None,
     A1_known: np.ndarray | None = None,
-    tol: float = 1e-10,
 ) -> RnnEstimate:
     """Recover a linear model from lagged first-order blocks C_k = A2^T U^k A1.
 
@@ -249,19 +218,11 @@ def recover_linear(
     between A2 and A1 fits), so only the blocks themselves are identified; in
     that case A1 is reported as the identity and the blocks fold into A2, U.
     """
-    if A1_known is None:
-        A2t = C0
-        A1 = np.eye(C0.shape[1])
-        U = None
-        if C1 is not None:
-            U = pinv(A2t, tol=tol) @ C1
-        return RnnEstimate(A1=A1, A2=A2t.T, U=U, l=1)
-    A1_inv = pinv(A1_known, tol=tol)
+    A1 = np.eye(C0.shape[1]) if A1_known is None else A1_known
+    A1_inv = pinv(A1)
     A2t = C0 @ A1_inv
-    U = None
-    if C1 is not None:
-        U = pinv(A2t, tol=tol) @ C1 @ A1_inv
-    return RnnEstimate(A1=A1_known, A2=A2t.T, U=U, l=1)
+    U = None if C1 is None else pinv(A2t) @ C1 @ A1_inv
+    return RnnEstimate(A1=A1, A2=A2t.T, U=U)
 
 
 # ---------------------------------------------------------------------------
@@ -269,27 +230,33 @@ def recover_linear(
 # ---------------------------------------------------------------------------
 
 
-def quadratic_moments(data, spec, d_h, burn_in=10, seed=0, with_recurrence=True):
-    """Moments of a quadratic model from a sequence: (T2, T4, stage1).
+def _moments(data, spec, k, shifts, burn_in, seed):
+    """(T2, {shift: T4}, stage1) of a quadratic model with k units in all.
 
-    stage1 is decompose(T2, k=d_h, seed=seed).  T4 (None without the
-    recurrence) subtracts the no-recurrence prediction implied by the
-    stage-1 input and output weights.  That prediction depends on the
-    current input only, so its cross-moment with the lagged score is zero
-    and the subtraction only reduces variance.
+    stage1 is decompose(T2, k=k, seed=seed).  Each T4 subtracts the
+    no-recurrence prediction implied by the stage-1 input and output weights.
+    That prediction depends on the current input only, so its cross-moment
+    with a shifted score is zero and the subtraction only reduces variance.
     """
     from .moments import cross_moment_s2, cross_moment_s4_reshaped
     from .score import centered_scores
 
     s = centered_scores(spec, data.x)
     T2 = cross_moment_s2(spec, data, burn_in=burn_in, scores=s).value
-    A1, A2, cp = _stage1_factors(T2, d_h, seed)
-    T4 = None
-    if with_recurrence:
-        baseline = A2.T @ (A1 @ data.x) ** 2
-        T4 = cross_moment_s4_reshaped(spec, data, shift=-1, burn_in=burn_in,
-                                      baseline=baseline, scores=s).value
+    A1, A2, cp = _stage1_factors(T2, k, seed)
+    baseline = A2.T @ (A1 @ data.x) ** 2
+    T4 = {shift: cross_moment_s4_reshaped(spec, data, shift=shift, burn_in=burn_in,
+                                          baseline=baseline, scores=s).value
+          for shift in shifts}
     return T2, T4, cp
+
+
+def quadratic_moments(data, spec, d_h, burn_in=10, seed=0, with_recurrence=True):
+    """(T2, T4, stage1) of a quadratic model: _moments at shift -1, with T4
+    None without the recurrence."""
+    T2, T4, cp = _moments(data, spec, d_h, (-1,) if with_recurrence else (),
+                          burn_in, seed)
+    return T2, T4.get(-1), cp
 
 
 def train_quadratic(data, spec, d_h, burn_in=10, seed=0,
@@ -299,21 +266,10 @@ def train_quadratic(data, spec, d_h, burn_in=10, seed=0,
     return recover_quadratic(T2, d_h, T4=T4, seed=seed, stage1=cp)
 
 
-def train_brnn(data, spec, d_h, burn_in=10, seed=0, with_recurrence=True) -> BrnnEstimate:
-    from .moments import cross_moment_s2, cross_moment_s4_reshaped
-    from .score import centered_scores
-
-    s = centered_scores(spec, data.x)
-    T2 = cross_moment_s2(spec, data, burn_in=burn_in, scores=s).value
-    T4b = T4f = cp = None
-    if with_recurrence:
-        C, A2, cp = _stage1_factors(T2, 2 * d_h, seed)
-        baseline = A2.T @ (C @ data.x) ** 2
-        T4b = cross_moment_s4_reshaped(spec, data, shift=-1, burn_in=burn_in,
-                                       baseline=baseline, scores=s).value
-        T4f = cross_moment_s4_reshaped(spec, data, shift=+1, burn_in=burn_in,
-                                       baseline=baseline, scores=s).value
-    return recover_brnn(T2, d_h, T4_back=T4b, T4_fwd=T4f, seed=seed, stage1=cp)
+def train_brnn(data, spec, d_h, burn_in=10, seed=0) -> BrnnEstimate:
+    """Full bidirectional pipeline from a sequence: _moments then recover_brnn."""
+    T2, T4, cp = _moments(data, spec, 2 * d_h, (-1, +1), burn_in, seed)
+    return recover_brnn(T2, d_h, T4_back=T4[-1], T4_fwd=T4[+1], seed=seed, stage1=cp)
 
 
 def train_scalar(data, spec, d_h, l=3, burn_in=10, seed=0) -> RnnEstimate:
@@ -325,7 +281,7 @@ def train_scalar(data, spec, d_h, l=3, burn_in=10, seed=0) -> RnnEstimate:
     return recover_scalar(T3, d_h, l=l, seed=seed)
 
 
-def train_linear(data, spec, max_lag=1, A1_known=None, burn_in=10) -> RnnEstimate:
+def train_linear(data, spec, A1_known=None, burn_in=10) -> RnnEstimate:
     """Linear pipeline from lagged Toeplitz blocks C_k = A2^T U^k A1.
 
     The blocks identify A2 and U only given the input map, so A1_known is
@@ -333,5 +289,5 @@ def train_linear(data, spec, max_lag=1, A1_known=None, burn_in=10) -> RnnEstimat
     """
     from .moments import toeplitz_blocks
 
-    blocks = toeplitz_blocks(spec, data, max_lag=max(max_lag, 1), burn_in=burn_in)
+    blocks = toeplitz_blocks(spec, data, max_lag=1, burn_in=burn_in)
     return recover_linear(blocks[0].value, blocks[1].value, A1_known=A1_known)

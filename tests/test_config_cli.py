@@ -10,6 +10,9 @@ from spectral_rnn import cli, spt1
 from spectral_rnn.cli import main
 from spectral_rnn.config import (ConfigError, config_hash, from_items,
                                  parse_config, serialize)
+from spectral_rnn.moments import population_moment_oracle
+from spectral_rnn.recovery import BrnnEstimate
+from spectral_rnn.sequence_models import RnnParams
 
 BASE = {"model.d_x": "4", "model.d_h": "2", "model.d_y": "3"}
 
@@ -176,6 +179,24 @@ def test_cli_truncated_moment_file_exit_code(tmp_path):
     assert code == 4
 
 
+def test_cli_decompose_rank_deficiency_exit_code(tmp_path, capsys):
+    """decompose applies stage 1's rank check: the oracle T2 of a model with
+    a zero output row has rank 2, which must not pass for 3 components."""
+    rng = np.random.default_rng(5)
+    A2 = rng.standard_normal((3, 4))
+    A2[1] = 0.0
+    params = RnnParams(A1=np.linalg.qr(rng.standard_normal((6, 3)))[0].T,
+                       U=np.zeros((3, 3)), A2=A2, l=2)
+    out = tmp_path / "out"
+    out.mkdir()
+    spt1.write_tensor(out / "t2.spt1", population_moment_oracle(params, "S2-order3"))
+    code, _ = _run(tmp_path, "decompose", extra_cfg={
+        "model.d_x": "6", "model.d_h": "3", "model.d_y": "4", "estimation.n": "100"})
+    assert code == 3
+    assert "stage 1: rank deficiency, kept 2 of 3 components" in capsys.readouterr().err
+    assert not (out / "cp_weights.spt1").exists()
+
+
 def test_cli_moments_then_decompose(tmp_path):
     cfg = {"estimation.n": "20000", "model.d_h": "2", "model.d_y": "3"}
     code, out = _run(tmp_path, "moments", extra_cfg=cfg)
@@ -233,8 +254,31 @@ def test_cli_train_brnn(tmp_path):
     code, out = _run(tmp_path, "train-brnn", ("--seed", "2"), cfg)
     assert code == 0
     assert spt1.read_tensor(os.path.join(out, "c_hat.spt1")).shape == (2, 4)
+    for name in ("u_hat", "v_hat", "u_true", "v_true"):
+        assert spt1.read_tensor(os.path.join(out, name + ".spt1")).shape == (1, 1)
     report = json.loads(open(os.path.join(out, "report.json")).read())
     assert report["max_error"] < 0.5
+    assert report["forward_max_error"] < 0.5 and report["backward_max_error"] < 0.5
+
+
+def test_cli_train_brnn_reports_a_swapped_split(tmp_path, monkeypatch):
+    """A forward/backward swap leaves the stacked rows [A1; B1] intact, so
+    only the per-direction errors can show it."""
+    train_brnn = cli.train_brnn
+
+    def swapped(data, spec, d_h, **kwargs):
+        est = train_brnn(data, spec, d_h, **kwargs)
+        return BrnnEstimate(A1=est.B1, B1=est.A1, U=est.V, V=est.U,
+                            A2=np.vstack([est.A2[d_h:], est.A2[:d_h]]))
+
+    monkeypatch.setattr(cli, "train_brnn", swapped)
+    cfg = {"model.d_h": "1", "model.u_scale": "0.3", "model.a1_scale": "0.7",
+           "estimation.n": "40000"}
+    code, out = _run(tmp_path, "train-brnn", ("--seed", "2"), cfg)
+    assert code == 0
+    report = json.loads(open(os.path.join(out, "report.json")).read())
+    assert report["max_error"] < 0.1
+    assert report["forward_max_error"] > 0.5 and report["backward_max_error"] > 0.5
 
 
 def test_cli_train_brnn_narrow_output_is_a_config_error(tmp_path, monkeypatch):
@@ -257,7 +301,7 @@ def test_cli_estimates_do_not_read_model_truth(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_simulate", fixed_data)
     files = {"train": ("a1_hat", "a2_hat", "u_hat"),
-             "train-brnn": ("c_hat", "a2_hat"),
+             "train-brnn": ("c_hat", "a2_hat", "u_hat", "v_hat"),
              "moments": ("t2", "t4")}
     hashes = {}
     for u_scale in ("0.3", "0"):

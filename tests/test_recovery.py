@@ -19,6 +19,7 @@ from spectral_rnn.sequence_models import (AssumptionError, BrnnParams, RnnParams
                                           bounded_input_spec, brnn_forward,
                                           rnn_forward, sample_markov_chain,
                                           scalar_output_forward)
+from spectral_rnn.tensor_core import pinv
 
 
 def _quad_model(seed=5, d_x=6, d_h=3, d_y=4, u_scale=0.3):
@@ -37,7 +38,6 @@ def test_quadratic_oracle_exact():
     rep = align(est.A1, params.A1, est.A2, params.A2, est.U, params.U)
     assert rep.max_error < 1e-10
     assert rep.u_error < 1e-10
-    assert not est.no_recurrence
 
 
 def test_quadratic_recurrence_scalar_hidden():
@@ -51,13 +51,30 @@ def test_quadratic_recurrence_scalar_hidden():
     assert abs(abs(est.U[0, 0]) - 0.35) < 1e-8
 
 
-def test_no_recurrence_flag():
+def test_zero_t4_fits_zero_recurrence():
     params = _quad_model(u_scale=0.0)
     T2 = population_moment_oracle(params, "S2-order3")
     T4 = np.zeros((params.d_y, params.d_x ** 2, params.d_x ** 2))
     est = recover_quadratic(T2, 3, T4=T4, seed=0)
-    assert est.no_recurrence
-    assert np.allclose(est.U, 0.0)
+    assert np.array_equal(est.U, np.zeros((3, 3)))
+
+
+def test_brnn_zero_t4_splits_in_weight_order():
+    """Equal (zero) block norms leave the stable sort in stage-1 order, so
+    the first d_h units are forward, and both recurrences fit to zero."""
+    rng = np.random.default_rng(7)
+    params = BrnnParams(A1=np.linalg.qr(rng.standard_normal((4, 2)))[0].T,
+                        B1=np.linalg.qr(rng.standard_normal((4, 2)))[0].T,
+                        U=np.zeros((2, 2)), V=np.zeros((2, 2)),
+                        A2=rng.standard_normal((4, 4)), l=2)
+    T2 = population_moment_oracle(params, "S2-order3")
+    T4 = np.zeros((4, 16, 16))
+    est = recover_brnn(T2, 2, T4_back=T4, T4_fwd=T4, seed=0)
+    C, A2, _ = recovery._stage1_factors(T2, 4, 0)
+    assert np.array_equal(est.A1, C[:2]) and np.array_equal(est.B1, C[2:])
+    assert np.array_equal(est.A2, A2)
+    assert np.array_equal(est.U, np.zeros((2, 2)))
+    assert np.array_equal(est.V, np.zeros((2, 2)))
 
 
 def test_stage1_never_returns_fewer_rows_than_asked():
@@ -162,6 +179,11 @@ def test_recover_linear_without_known_input_map():
     # the blocks themselves are reproduced even though the factors mix
     assert np.allclose(est.A2.T @ est.A1, C0)
     assert np.allclose(est.A2.T @ est.U @ est.A1, C1, atol=1e-8)
+    # A1 = I goes through the known-A1 formulas exactly: pinv(I) = I and
+    # products with I are exact, so the blocks fold in bit for bit
+    assert np.array_equal(est.A1, np.eye(3))
+    assert np.array_equal(est.A2, C0.T)
+    assert np.array_equal(est.U, pinv(C0) @ C1)
 
 
 def test_train_quadratic_from_data():
@@ -206,7 +228,7 @@ def test_recurrence_sign_freedom_is_reported():
     T2 = population_moment_oracle(params, "S2-order3")
     T4 = population_moment_oracle(params, "S4-reshaped-order3", shift=-1)
     est = recover_quadratic(T2, 2, T4=T4, seed=0)
-    U_hat = recover_recurrence(T4, est.A1, est.A2)
+    U_hat = recover_recurrence(T4, est.A1, est.A2, range(2))
     rep = align(est.A1, params.A1, U_est=U_hat, U_true=params.U)
     assert rep.u_error < 1e-9
 
@@ -265,6 +287,30 @@ def test_train_quadratic_equals_recover_quadratic_bitwise():
     T4 = cross_moment_s4_reshaped(spec, data, shift=-1, baseline=baseline).value
     ref = recover_quadratic(T2, 2, T4=T4, seed=seed)
     for name in ("A1", "A2", "U"):
+        assert np.array_equal(getattr(est, name), getattr(ref, name)), name
+
+
+def test_train_brnn_equals_recover_brnn_bitwise():
+    """train_brnn recovers from the moments one would assemble by hand: T2,
+    then both shifted T4s minus the baseline of the stage-1 weights."""
+    rng = np.random.default_rng(29)
+    params = BrnnParams(A1=np.linalg.qr(rng.standard_normal((4, 2)))[0].T,
+                        B1=np.linalg.qr(rng.standard_normal((4, 2)))[0].T,
+                        U=0.25 * np.linalg.qr(rng.standard_normal((2, 2)))[0],
+                        V=0.2 * np.linalg.qr(rng.standard_normal((2, 2)))[0],
+                        A2=rng.standard_normal((4, 5)), l=2)
+    spec = bounded_input_spec(4, 0.5, seed=30)
+    data = brnn_forward(params, sample_markov_chain(spec, 30000, seed=31))
+    seed = 6
+    est = train_brnn(data, spec, 2, seed=seed)
+    T2 = cross_moment_s2(spec, data).value
+    first = recover_brnn(T2, 2, seed=seed)  # no shifts: stage-1 (weight) order
+    C = np.vstack([first.A1, first.B1])
+    baseline = first.A2.T @ (C @ data.x) ** 2
+    T4b, T4f = (cross_moment_s4_reshaped(spec, data, shift=shift, baseline=baseline).value
+                for shift in (-1, +1))
+    ref = recover_brnn(T2, 2, T4_back=T4b, T4_fwd=T4f, seed=seed)
+    for name in ("A1", "B1", "A2", "U", "V"):
         assert np.array_equal(getattr(est, name), getattr(ref, name)), name
 
 
