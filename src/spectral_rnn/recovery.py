@@ -149,20 +149,13 @@ def recover_quadratic(
     return RnnEstimate(A1=A1, A2=A2, U=U)
 
 
-def recover_scalar(
-    T3: np.ndarray,
-    d_h: int,
-    l: int = 3,
-    seed: int = 0,
-) -> RnnEstimate:
+def recover_scalar(T3: np.ndarray, d_h: int, seed: int = 0) -> RnnEstimate:
     """Recover cubic units with scalar output from the symmetric third-order moment.
 
     T3 = 6 sum_k a2_k a_k^(x)3, so factors give the input rows and signed
     weights give the output coefficients.  Odd degree makes row signs
     identifiable here.
     """
-    if l < 3:
-        raise ValueError("scalar output requires l >= 3")
     cp = decompose_symmetric(T3, k=d_h, seed=seed)
     _check_rank(cp, d_h)
     A1 = cp.factor.T
@@ -278,7 +271,7 @@ def train_scalar(data, spec, d_h, l=3, burn_in=10, seed=0) -> RnnEstimate:
     if l < 3:
         raise ValueError("scalar output requires l >= 3")
     T3 = cross_moment_s3_scalar(spec, data, burn_in=burn_in).value
-    return recover_scalar(T3, d_h, l=l, seed=seed)
+    return recover_scalar(T3, d_h, seed=seed)
 
 
 def train_linear(data, spec, A1_known=None, burn_in=10) -> RnnEstimate:

@@ -10,15 +10,17 @@ All simulation runs through two kernels:
 - ``_linear_scan`` steps the linear chain as a blocked scan: per block of B
   steps, one matmul with the block-Toeplitz kernel of powers of W gives the
   response to the innovations, and one carry pass adds the block's start
-  state.  It works through the chain in fixed-size chunks.
-- ``_unroll`` runs the polynomial recursion.  It hoists ``A1 x`` into one
-  matmul, updates a row-major ``(n, d_h)`` state in place, and checks
-  finiteness once per block of steps.  ``rnn_forward``,
-  ``scalar_output_forward`` and both directions of ``brnn_forward`` all
-  call it.
-
-Both reorder floating-point sums relative to a step-by-step loop, so results
-agree with one to rounding (about 1 ulp), not bit for bit.
+  state.  It works through the chain in fixed-size chunks.  It reorders
+  floating-point sums relative to a step-by-step loop, so the chain agrees
+  with one to rounding (about 1 ulp), not bit for bit.
+- ``_unroll`` runs the polynomial recursion parallel in time: chunks of the
+  sequence advance together from warm-up states, and a chunk whose start
+  state differs from the true one in any bit is re-run until it coalesces.
+  Every state comes from one step function with a fixed order of
+  elementwise multiply-adds, so the result equals its sequential loop
+  (``_unroll(..., chunks=1)``) bit for bit, for any chunking.
+  ``rnn_forward``, ``scalar_output_forward`` and both directions of
+  ``brnn_forward`` all call it.
 """
 
 from __future__ import annotations
@@ -229,38 +231,131 @@ def bounded_input_spec(d_x: int, w_scale: float, seed: int = 0, tail_prob: float
     return MarkovChainSpec(W=w_scale * Q, sigma=sigma)
 
 
-_FINITE_CHECK_STEPS = 4096  # steps between finiteness checks of the states
+_CHUNKS = 256         # chunks of the forward recursion advanced together
+_WARMUP = 32          # steps each chunk k > 0 runs from a zero state before its start
+_DRIVE_BLOCK = 4096   # steps per block when forming A1 x_t, so temporaries stay small
+
+
+def _drive(A1: np.ndarray, x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """out = A1 x as d_x elementwise multiply-adds in a fixed order.
+
+    Each entry is (A1[:, 0] x_0 + A1[:, 1] x_1) + ..., computed element by
+    element, so any range of columns gives the same bits.  tmp is scratch
+    shaped like out.
+    """
+    np.multiply(A1[:, :1], x[0], out=out)
+    for j in range(1, x.shape[0]):
+        np.multiply(A1[:, j : j + 1], x[j], out=tmp)
+        out += tmp
+
+
+def _step(prev: np.ndarray, drive: np.ndarray, out: np.ndarray, U: np.ndarray, l: int,
+          acc: np.ndarray, prods: np.ndarray) -> None:
+    """out = (drive + U prev)^l column by column, as d_h multiply-adds in a fixed order.
+
+    Each entry is ((drive + U[:, 0] p_0) + U[:, 1] p_1 + ...)^l with the power
+    taken by repeated multiplication, element by element, so a column's bits
+    do not depend on how many columns are stepped together.  out may be
+    drive; acc (shaped like out) and prods (d_h of them) are scratch.
+    """
+    np.multiply(U.T[:, :, None], prev[:, None, :], out=prods)  # prods[j] = U[:, j] p_j
+    np.add(drive, prods[0], out=acc)
+    for p in prods[1:]:
+        acc += p
+    if l == 1:
+        np.copyto(out, acc)
+    power = acc
+    for m in range(l - 1):
+        dst = out if m == l - 2 else prods[0]
+        np.multiply(power, acc, out=dst)
+        power = dst
+
+
+def _repair(A1, U, l, x, S, s, end) -> None:
+    """Re-run steps s..end-1 from the true state S[:, s-1] until they coalesce.
+
+    Stops at the first step whose new state equals the stored one bit for
+    bit: from there on the stored states are what the true start gives.
+    """
+    d_h = S.shape[0]
+    drive = np.empty((d_h, end - s))
+    _drive(A1, x[:, s:end], drive, np.empty_like(drive))
+    acc, prods = np.empty((d_h, 1)), np.empty((d_h, d_h, 1))
+    for t in range(s, end):
+        state = drive[:, t - s : t - s + 1]
+        _step(S[:, t - 1 : t], state, state, U, l, acc, prods)
+        if state.tobytes() == S[:, t].tobytes():
+            return
+        S[:, t : t + 1] = state
 
 
 def _unroll(A1: np.ndarray, U: np.ndarray, l: int, x: np.ndarray,
-            h0: Optional[np.ndarray] = None, backward: bool = False) -> np.ndarray:
+            h0: Optional[np.ndarray] = None, backward: bool = False,
+            chunks: int = _CHUNKS) -> np.ndarray:
     """States h_t = (A1 x_t + U h_{t-1})^l as an (n, d_h) array, row t = h_t.
 
     With ``backward`` the recursion runs from t = n-1 down to 0,
-    h_t = (A1 x_t + U h_{t+1})^l, over a reversed view of the rows, which
-    stay in time order.  The boundary state is h0 (zero if None).  A1 x is
-    one matmul; each step updates its row in place, and every
-    _FINITE_CHECK_STEPS steps the block is checked for non-finite values,
-    which signal violated norm assumptions.
+    h_t = (A1 x_t + U h_{t+1})^l, over reversed views of x and of the rows,
+    which stay in time order.  The boundary state is h0 (zero if None).
+
+    Parallel in time and exact.  The n steps split into at most ``chunks``
+    chunks of C >= _WARMUP steps.  Chunk k > 0 starts from the state that
+    a zero state reaches over the _WARMUP steps before the chunk, and all
+    chunks advance together as one (d_h, chunks) state, each state written
+    in place over its A1 x_t.  Then, chunk by chunk, a start state that
+    differs in any bit from the true state before the chunk is repaired:
+    the chunk re-runs from the true state until it coalesces with what is
+    stored.  Every state comes from ``_step``, whose bits do not depend on
+    the batch, so the result equals the sequential loop (``chunks=1``) bit
+    for bit.  A non-finite state in that result raises AssumptionError
+    naming the first such step.
     """
     n = x.shape[1]
-    H = x.T @ A1.T
-    steps = H[::-1] if backward else H
-    prev = np.zeros(A1.shape[0]) if h0 is None else np.asarray(h0, dtype=float)
+    d_h = A1.shape[0]
+    H = np.empty((n, d_h))
+    if n == 0:
+        return H
+    xs, S = (x[:, ::-1], H[::-1].T) if backward else (x, H.T)  # columns in step order
+    C = max(-(-n // chunks), min(_WARMUP, n))  # steps per chunk
+    K = -(-n // C)                             # chunk k covers steps kC .. kC+C-1
+    acc, tmp = np.empty((2, d_h, max(K, min(n, _DRIVE_BLOCK))))
+    prods = np.empty((d_h, d_h, K))
     with np.errstate(over="ignore", invalid="ignore"):
-        for b0 in range(0, n, _FINITE_CHECK_STEPS):
-            block = steps[b0 : b0 + _FINITE_CHECK_STEPS]
-            for row in block:
-                row += U @ prev
-                if l > 1:
-                    row **= l
-                prev = row
-            finite = np.isfinite(block).all(axis=1)
-            if not finite.all():
-                s = b0 + int(np.argmin(finite))
-                direction = "backward" if backward else "forward"
-                raise AssumptionError(
-                    f"{direction} state blow-up at step {n - 1 - s if backward else s}")
+        for b0 in range(0, n, _DRIVE_BLOCK):
+            m = min(_DRIVE_BLOCK, n - b0)
+            _drive(A1, xs[:, b0 : b0 + m], acc[:, :m], tmp[:, :m])
+            S[:, b0 : b0 + m] = acc[:, :m]
+        starts = np.zeros((d_h, K))
+        if h0 is not None:
+            starts[:, 0] = h0
+        if K > 1:
+            # chunks 1..K-1 warm up over the last steps of their predecessors,
+            # before the main pass writes states over those steps' A1 x_t
+            warm, nxt = starts[:, 1:].copy(), np.empty((d_h, K - 1))
+            for i in range(C - _WARMUP, C):
+                _step(warm, S[:, i::C][:, : K - 1], nxt, U, l,
+                      acc[:, : K - 1], prods[:, :, : K - 1])
+                warm, nxt = nxt, warm
+            starts[:, 1:] = warm
+        prev = starts
+        for i in range(C):
+            cols = S[:, i::C]  # step kC + i of every chunk that has one
+            active = cols.shape[1]
+            _step(prev[:, :active], cols, cols, U, l, acc[:, :active], prods[:, :, :active])
+            prev = cols
+        verified = n
+        for k in range(1, K):
+            before = S[:, k * C - 1]
+            if starts[:, k].tobytes() != before.tobytes():
+                if not np.isfinite(before).all():
+                    verified = k * C  # the blow-up is before this chunk
+                    break
+                _repair(A1, U, l, xs, S, k * C, min(n, k * C + C))
+        finite = np.isfinite(S[:, :verified]).all(axis=0)
+    if not finite.all():
+        s = int(np.argmin(finite))
+        direction = "backward" if backward else "forward"
+        raise AssumptionError(f"{direction} state blow-up at step {n - 1 - s if backward else s}")
     return H
 
 
@@ -276,6 +371,8 @@ def rnn_forward(
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[0] != params.d_x:
         raise ValueError(f"input dim {x.shape[0]} != d_x {params.d_x}")
+    if h0 is not None and np.shape(h0) != (params.d_h,):
+        raise ValueError(f"h0 shape {np.shape(h0)} != ({params.d_h},)")
     h = _unroll(params.A1, params.U, params.l, x, h0).T
     return SequenceData(x=x, y=params.A2.T @ h, h=h)
 

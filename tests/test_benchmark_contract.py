@@ -24,9 +24,10 @@ CASES = {
     "quad_e2e": (0, 1, {}),
     "oracle_recovery": (0, 3, {}),
     "brnn_observed": (0, 3, {"n": 20_000}),
-    # a cell of master seed 4245 has no definite slice combination, so stage 1
-    # takes its fallback
-    "sweep_cli": (4245, 2, {}),
+    # masters 4245 and 4246, each run twice, so the repeated-seed determinism
+    # gate sees two masters through the 2-worker pool; a cell of master 4245
+    # has no definite slice combination, so stage 1 takes its fallback
+    "sweep_cli": (4245, 4, {}),
 }
 
 

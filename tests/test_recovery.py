@@ -129,7 +129,7 @@ def test_recover_scalar_oracle():
     a /= np.linalg.norm(a)
     params = RnnParams(A1=a, U=np.zeros((1, 1)), A2=[[0.8]], l=3)
     T3 = population_moment_oracle(params, "S3-order4-scalar")
-    est = recover_scalar(T3, 1, l=3, seed=0)
+    est = recover_scalar(T3, 1, seed=0)
     cos = (est.A1 @ a.T)[0, 0] / np.linalg.norm(est.A1)
     assert 1.0 - abs(cos) < 1e-12
     # (a, a2) -> (-a, -a2) is a model symmetry for odd degree

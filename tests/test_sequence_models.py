@@ -12,13 +12,14 @@ from scipy import stats
 from scipy.linalg import solve_discrete_lyapunov
 
 import spectral_rnn
-from spectral_rnn.sequence_models import (_FINITE_CHECK_STEPS, _SCAN_BLOCK,
-                                          _SCAN_CHUNK, AssumptionError,
-                                          BrnnParams,
-                                          MarkovChainSpec, RnnParams,
-                                          SequenceData, bounded_input_spec,
-                                          brnn_forward, rnn_forward,
-                                          sample_markov_chain,
+from spectral_rnn import sequence_models
+from spectral_rnn.diagnostics import sample_sweep
+from spectral_rnn.sequence_models import (_CHUNKS, _SCAN_BLOCK, _SCAN_CHUNK,
+                                          _WARMUP, AssumptionError,
+                                          BrnnParams, MarkovChainSpec,
+                                          RnnParams, SequenceData, _unroll,
+                                          bounded_input_spec, brnn_forward,
+                                          rnn_forward, sample_markov_chain,
                                           scalar_output_forward,
                                           stationary_covariance)
 
@@ -165,6 +166,8 @@ def test_rnn_forward_hand_example():
     data = rnn_forward(params, x)
     assert np.allclose(data.h[0, :2], [0.25, 0.390625])
     assert np.allclose(data.y, data.h)
+    with pytest.raises(ValueError, match="h0 shape"):
+        rnn_forward(params, x, h0=0.5)
 
 
 def test_rnn_forward_matches_loop():
@@ -193,7 +196,7 @@ def test_rnn_forward_blow_up_raises():
 def test_brnn_backward_blow_up_names_direction_and_step():
     params = BrnnParams(A1=[[0.1]], B1=[[2.0]], U=[[0.1]], V=[[2.0]],
                         A2=[[1.0], [1.0]], l=2)
-    n = _FINITE_CHECK_STEPS + 500
+    n = 20 * _CHUNKS + 500  # the blow-up lies in the last chunk of the backward pass
     x = np.zeros((1, n))
     x[0, :100] = 1.0  # z stays 0 from the end down to t = 100
     z = 0.0
@@ -210,14 +213,14 @@ def test_brnn_backward_blow_up_names_direction_and_step():
 
 
 @pytest.mark.parametrize("l", [1, 2, 3])
-def test_forward_kernel_matches_loop_across_check_blocks(l):
+def test_forward_kernel_matches_loop_across_chunks(l):
     rng = np.random.default_rng(12)
     A1 = 0.4 * np.linalg.qr(rng.standard_normal((3, 2)))[0].T
     B1 = 0.4 * np.linalg.qr(rng.standard_normal((3, 2)))[0].T
     U = 0.3 * np.linalg.qr(rng.standard_normal((2, 2)))[0]
     V = 0.2 * np.linalg.qr(rng.standard_normal((2, 2)))[0]
     A2 = rng.standard_normal((4, 2))
-    x = sample_markov_chain(bounded_input_spec(3, 0.5, seed=13), _FINITE_CHECK_STEPS + 37,
+    x = sample_markov_chain(bounded_input_spec(3, 0.5, seed=13), 16 * _CHUNKS + 37,
                             seed=14)
     h0 = np.array([0.3, -0.2])
     n = x.shape[1]
@@ -234,6 +237,119 @@ def test_forward_kernel_matches_loop_across_check_blocks(l):
     bdata = brnn_forward(BrnnParams(A1=A1, B1=B1, U=U, V=V, A2=A2, l=l), x)
     np.testing.assert_allclose(bdata.z, z, rtol=0, atol=1e-12 * np.max(np.abs(z)))
     assert data.h.shape == bdata.z.shape == (2, n)
+
+
+def _kernel_model(d_x, d_h, u_scale, seed):
+    rng = np.random.default_rng(seed)
+    A1 = 0.5 * np.linalg.qr(rng.standard_normal((d_x, d_h)))[0].T
+    U = u_scale * np.linalg.qr(rng.standard_normal((d_h, d_h)))[0]
+    return A1, U
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, _CHUNKS - 1, _CHUNKS, _CHUNKS + 1,
+                               40 * _CHUNKS + 3])
+def test_chunked_kernel_equals_sequential(n, l):
+    A1, U = _kernel_model(4, 3, 0.3, seed=n)
+    x = sample_markov_chain(bounded_input_spec(4, 0.5, seed=1), n, seed=2)
+    h0 = np.array([0.2, -0.1, 0.3])
+    for start in (None, h0):
+        for backward in (False, True):
+            ref = _unroll(A1, U, l, x, start, backward, chunks=1)
+            got = _unroll(A1, U, l, x, start, backward)
+            assert got.shape == (n, 3)
+            assert np.array_equal(got, ref)
+
+
+def test_chunked_kernel_repairs_slow_mixing_exactly(monkeypatch):
+    # a linear recursion with a near-unit rotation takes hundreds of steps to
+    # forget its start state bit for bit, far more than _WARMUP, so most
+    # chunks are repaired: with short chunks a repair runs to the chunk's
+    # end, with four long chunks it coalesces inside
+    A1, U = _kernel_model(4, 3, 0.95, seed=3)
+    x = sample_markov_chain(bounded_input_spec(4, 0.5, seed=4), _CHUNKS * _WARMUP,
+                            seed=5)
+    repairs = []
+    repair = sequence_models._repair
+    monkeypatch.setattr(sequence_models, "_repair",
+                        lambda *args: repairs.append(args[5]) or repair(*args))
+    for l in (1, 2):
+        for backward in (False, True):
+            ref = _unroll(A1, U, l, x, backward=backward, chunks=1)
+            for chunks in (_CHUNKS, 4):
+                repairs.clear()
+                got = _unroll(A1, U, l, x, backward=backward, chunks=chunks)
+                assert np.array_equal(got, ref)
+                if l == 1:
+                    assert len(repairs) > (chunks - 1) // 2
+
+
+def test_forward_blow_up_in_a_later_chunk_names_its_step():
+    params = RnnParams(A1=[[1.0]], U=[[2.0]], A2=[[1.0]], l=2)
+    n = 40 * _CHUNKS
+    t0 = 25 * _CHUNKS + 7  # inside a chunk well after the first
+    x = np.zeros((1, n))
+    x[0, t0] = 2.0
+    h = 0.0
+    with np.errstate(over="ignore"):
+        for t in range(t0, n):
+            h = (x[0, t] + 2.0 * h) ** 2
+            if not np.isfinite(h):
+                break
+    assert t > t0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AssumptionError,
+                           match=f"^forward state blow-up at step {t}$"):
+            rnn_forward(params, x)
+
+
+def test_non_finite_warm_up_is_repaired_not_raised():
+    # h_t = (1 - 2^50) + 2^50 h_{t-1} stays exactly 1 from h0 = 1, while a
+    # warm-up from zero overflows within _WARMUP steps
+    big = 2.0 ** 50
+    x = np.full((1, 4 * _CHUNKS), 1.0 - big)
+    U = np.array([[big]])
+    ref = _unroll(np.eye(1), U, 1, x, h0=np.ones(1), chunks=1)
+    assert np.array_equal(ref, np.ones((x.shape[1], 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _unroll(np.eye(1), U, 1, x, h0=np.ones(1))
+    assert np.array_equal(got, ref)
+
+
+def test_forward_kernel_is_reentrant_across_sweep_threads():
+    # cells of a threaded sweep simulate distinct models and inputs; odd
+    # seeds run a slowly mixing linear model, so their chunks get repaired.
+    # Each cell must match a one-worker run.
+    def run(workers):
+        out = {}
+
+        def cell(n, seed):
+            slow = seed % 2
+            A1, U = _kernel_model(4, 2, 0.5 if slow else 0.3, seed)
+            l = 1 if slow else 2
+            x = sample_markov_chain(bounded_input_spec(4, 0.5, seed=seed), n, seed)
+            if seed < 2:
+                out[n, seed] = rnn_forward(RnnParams(A1=A1, U=U, A2=np.eye(2), l=l), x).y
+            else:
+                params = BrnnParams(A1=A1, B1=A1[::-1], U=U, V=U.T, A2=np.ones((4, 3)), l=l)
+                out[n, seed] = brnn_forward(params, x).y
+            return []
+
+        sample_sweep(cell, [20_000, 40_000], [0, 1, 2, 3], workers=workers)
+        return out
+
+    interval = sys.getswitchinterval()
+    base = run(1)
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the kernels
+    try:
+        for workers in (2, 2, 2, 2, 2, 4):
+            threaded = run(workers)
+            assert threaded.keys() == base.keys()
+            assert all(np.array_equal(threaded[c], base[c]) for c in base)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_brnn_forward_matches_loop():
