@@ -19,7 +19,6 @@ import os
 import sys
 
 import numpy as np
-import scipy
 
 from . import __version__, spt1
 from .config import ConfigError, ExperimentConfig, config_hash, from_items, parse_config, serialize
@@ -74,6 +73,7 @@ class _Artifacts:
         return self.write_text(name, json.dumps(record, indent=2, sort_keys=True) + "\n")
 
     def manifest(self, config: ExperimentConfig, seed: int) -> None:
+        import scipy  # only for its version; the pipeline does not load it
         record = {
             "config_hash": config_hash(config),
             "seed": seed,
@@ -197,7 +197,7 @@ def _cmd_score_check(config, seed, art):
                     "n": config["estimation.n"], "order": 2})
     print(f"score check m=2: relative error {err:.4g}")
     if not np.isfinite(err):
-        raise AssumptionError("score check produced a non-finite error")
+        raise AssumptionError("score check produced a non-finite error", stage="score-check")
     return EXIT_OK
 
 
@@ -287,7 +287,7 @@ def _cmd_train_brnn(config, seed, art):
 
 def _cmd_train_scalar(config, seed, art):
     if config.l < 3:
-        raise AssumptionError("scalar output requires l >= 3")
+        raise AssumptionError("scalar output requires l >= 3", stage="train-scalar")
     spec, params, data = _simulate(config, seed, "scalar")
     est = train_scalar(data, spec, config.d_h, l=config.l,
                        burn_in=config["estimation.burn_in"], seed=seed)
@@ -459,7 +459,8 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
         return EXIT_CONFIG
     except (AssumptionError, np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(json.dumps({"error": "numerical", "message": str(exc)}), file=sys.stderr)
+        stage = exc.stage if isinstance(exc, AssumptionError) else args.command
+        print(json.dumps({"error": "numerical", "stage": stage, "message": str(exc)}), file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(json.dumps({"error": "io", "message": str(exc)}), file=sys.stderr)

@@ -150,7 +150,7 @@ def _fit_mode1(T: np.ndarray, factor: np.ndarray) -> tuple[np.ndarray, np.ndarra
                   for r in range(k)], axis=1)
     B, _, grank, _ = np.linalg.lstsq(G, T.reshape(d1, -1).T, rcond=None)
     if grank < k:
-        raise AssumptionError("rank deficiency; check full-rank assumption")
+        raise AssumptionError("rank deficiency; check full-rank assumption", stage="stage1")
     B = B.T  # d1 x k
     weights = np.linalg.norm(B, axis=0)
     mode1 = np.divide(B, weights, out=np.zeros_like(B), where=weights > 0)
@@ -172,7 +172,7 @@ def _jennrich_factors(T: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     C = V @ np.real(np.linalg.eig(M1 @ np.linalg.inv(M2))[1])
     norms = np.linalg.norm(C, axis=0)
     if np.any(norms < DEFAULT_TOL):
-        raise AssumptionError("rank deficiency; check full-rank assumption")
+        raise AssumptionError("rank deficiency; check full-rank assumption", stage="stage1")
     return C / norms
 
 
@@ -239,7 +239,7 @@ def decompose_symmetric(
                                factor=np.zeros((d, 0)))
     combo = _find_definite_combo(T, k, np.random.default_rng(seed))
     if combo is None:
-        raise AssumptionError("rank deficiency; check full-rank assumption")
+        raise AssumptionError("rank deficiency; check full-rank assumption", stage="stage1")
     vals, vecs = combo
     W = vecs * np.abs(vals) ** -0.5
     work = multilinear(T, W, W, W)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .sequence_models import AssumptionError, RnnParams
 
@@ -32,6 +31,37 @@ class RecoveryReport:
     u_error: float | None            # max entrywise |.|-gap of recurrences, if compared
 
 
+def _assignment(cost: np.ndarray) -> np.ndarray:
+    """perm with perm[i] the column of row i, minimising sum_i cost[i, perm[i]].
+
+    Shortest augmenting paths with dual potentials u, v (Jonker & Volgenant,
+    Computing 1987), O(k^3): rows join in order, each by a Dijkstra search over
+    reduced costs that takes ties at the lowest column index.  Row and column 0
+    are virtual; match[j] is the row (1-based) on column j.
+    """
+    k = cost.shape[0]
+    padded = np.pad(cost, ((1, 0), (1, 0)))
+    u, v, match = np.zeros(k + 1), np.zeros(k + 1), np.zeros(k + 1, dtype=int)
+    for i in range(1, k + 1):
+        match[0], j0 = i, 0
+        dist, way = np.full(k + 1, np.inf), np.zeros(k + 1, dtype=int)
+        used = np.zeros(k + 1, dtype=bool)
+        while match[j0]:
+            used[j0] = True
+            reduced = padded[match[j0]] - u[match[j0]] - v
+            closer = ~used & (reduced < dist)
+            dist[closer], way[closer] = reduced[closer], j0
+            j0 = int(np.argmin(np.where(used, np.inf, dist)))
+            delta = dist[j0]
+            u[match[used]] += delta
+            v[used] -= delta
+            dist[~used] -= delta
+        while j0:
+            match[j0] = match[way[j0]]
+            j0 = way[j0]
+    return np.argsort(match[1:])
+
+
 def align(
     A1_est: np.ndarray,
     A1_true: np.ndarray,
@@ -42,11 +72,12 @@ def align(
 ) -> RecoveryReport:
     """Match estimated units to true units and quotient out the symmetry group.
 
-    The assignment maximizes |cosine| between input rows (ties broken by the
-    assignment solver's deterministic ordering).  Signs flip aligned A1 rows
-    and the matching U rows; U columns and A2 rows follow the permutation
-    only.  Errors are not scale-invariant: pass the truth in the estimates'
-    unit-input-row convention.
+    The assignment maximizes the summed |cosine| between input rows.  A tie
+    goes to the optimum that ``_assignment`` reaches first: true rows join in
+    order, and each search step takes the lowest-indexed estimate row among
+    those of least reduced cost.  Signs flip aligned A1 rows and the matching
+    U rows; U columns and A2 rows follow the permutation only.  Errors are not
+    scale-invariant: pass the truth in the estimates' unit-input-row convention.
     """
     A1_est = np.asarray(A1_est, dtype=float)
     A1_true = np.asarray(A1_true, dtype=float)
@@ -56,8 +87,9 @@ def align(
     ne = np.maximum(np.linalg.norm(A1_est, axis=1), 1e-300)
     nt = np.maximum(np.linalg.norm(A1_true, axis=1), 1e-300)
     cos = (A1_true @ A1_est.T) / np.outer(nt, ne)
-    rows, cols = linear_sum_assignment(-np.abs(cos))
-    perm = cols[np.argsort(rows)]
+    if not np.isfinite(cos).all():
+        raise ValueError("non-finite rows cannot be aligned")
+    perm = _assignment(-np.abs(cos))
     signs = np.sign(cos[np.arange(k), perm])
     signs[signs == 0] = 1.0
 
@@ -98,7 +130,7 @@ def lipschitz_bound(params: RnnParams, s2_norm: float, gamma: float, n: int) -> 
     a2 = np.linalg.norm(params.A2, 2)
     u = np.linalg.norm(params.U, 2)
     if params.l * u >= 1.0:
-        raise AssumptionError("contraction assumption violated: l * ||U|| >= 1")
+        raise AssumptionError("contraction assumption violated: l * ||U|| >= 1", stage="bounds")
     return a2 * (a1 / (1.0 - params.l * u) * s2_norm + 3.0 * gamma) / n
 
 
@@ -116,7 +148,7 @@ def concentration_bound(
     G (1 + 1/(sqrt(8) c n^{3/2})) / (1 - theta) * sqrt(8 c^2 n log((d1 + d2)/delta)).
     """
     if not 0 <= theta < 1:
-        raise AssumptionError("geometric mixing requires 0 <= theta < 1")
+        raise AssumptionError("geometric mixing requires 0 <= theta < 1", stage="bounds")
     if c <= 0 or not 0 < delta < 1:
         raise ValueError("c must be positive and delta in (0, 1)")
     lead = G * (1.0 + 1.0 / (math.sqrt(8.0) * c * n ** 1.5)) / (1.0 - theta)

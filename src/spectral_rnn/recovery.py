@@ -48,7 +48,8 @@ class BrnnEstimate:
 def _check_rank(cp: CpDecomposition, k: int) -> None:
     """Stage 1 must keep every requested component (decompose drops small ones)."""
     if cp.rank < k:
-        raise AssumptionError(f"stage 1: rank deficiency, kept {cp.rank} of {k} components")
+        raise AssumptionError(f"stage 1: rank deficiency, kept {cp.rank} of {k} components",
+                              stage="stage1")
 
 
 def _stage1_factors(
@@ -67,9 +68,14 @@ def _stage1_factors(
 
 
 def _unit_blocks(T4: np.ndarray, A2: np.ndarray) -> np.ndarray:
-    """Per-unit d^2 x d^2 blocks Q_k from mode-1 coefficients A2[k]."""
+    """Per-unit d^2 x d^2 blocks Q_k from mode-1 coefficients A2[k], which must
+    have rank k at pinv's relative cut, or the blocks of dependent units mix."""
     d_y, D, _ = T4.shape
     k = A2.shape[0]
+    sv = np.linalg.svd(A2, compute_uv=False)
+    rank = int(np.sum(sv > 1e-10 * sv.max(initial=0.0)))
+    if rank < k:
+        raise AssumptionError(f"recurrence: A2 rank {rank} of {k}", stage="recurrence")
     T4mat = T4.reshape(d_y, D * D)
     Q = pinv(A2.T) @ T4mat
     return Q.reshape(k, D, D)

@@ -29,12 +29,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import special
-from scipy.linalg import solve_discrete_lyapunov
 
 
 class AssumptionError(RuntimeError):
-    """A model assumption (norm bound, rank, convergence) is violated."""
+    """A model assumption (norm bound, rank, convergence) is violated at ``stage``."""
+
+    def __init__(self, message: str, *, stage: str):
+        super().__init__(message)
+        self.stage = stage
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,7 @@ class MarkovChainSpec:
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if np.linalg.norm(W, 2) >= 1.0:
-            raise AssumptionError("spectral norm of W must be < 1 for ergodicity")
+            raise AssumptionError("spectral norm of W must be < 1 for ergodicity", stage="simulate")
 
     @property
     def d_x(self) -> int:
@@ -143,9 +145,16 @@ class SequenceData:
 
 
 def stationary_covariance(spec: MarkovChainSpec) -> np.ndarray:
-    """Solve Sigma = W Sigma W^T + sigma^2 I directly (discrete Lyapunov equation)."""
-    S = solve_discrete_lyapunov(spec.W, spec.sigma**2 * np.eye(spec.d_x))
-    return 0.5 * (S + S.T)
+    """Solve Sigma = W Sigma W^T + sigma^2 I by Smith doubling: pass k adds the
+    next 2^k terms of sum_t W^t sigma^2 W^tT until S stops changing in any bit,
+    which ||W||_2 < 1 makes happen well within 64 passes (2^64 terms)."""
+    S, A = spec.sigma**2 * np.eye(spec.d_x), spec.W
+    for _ in range(64):
+        nxt = S + A @ S @ A.T
+        if np.array_equal(nxt, S):
+            return 0.5 * (S + S.T)
+        S, A = nxt, A @ A
+    raise AssumptionError("stationary covariance: doubling did not converge", stage="simulate")
 
 
 _SCAN_BLOCK = 64     # steps per block of the chain's blocked scan
@@ -224,6 +233,7 @@ def bounded_input_spec(d_x: int, w_scale: float, seed: int = 0, tail_prob: float
     input boundedness assumption holds with high probability without truncation.
     The chi-square quantile is 2 * gammaincinv(d_x / 2, 1 - tail_prob).
     """
+    from scipy import special  # here, so that importing the package loads no scipy
     rng = np.random.default_rng(seed)
     Q = np.linalg.qr(rng.standard_normal((d_x, d_x)))[0]
     c = 1.0 / (2.0 * special.gammaincinv(d_x / 2, 1.0 - tail_prob))
@@ -355,7 +365,8 @@ def _unroll(A1: np.ndarray, U: np.ndarray, l: int, x: np.ndarray,
     if not finite.all():
         s = int(np.argmin(finite))
         direction = "backward" if backward else "forward"
-        raise AssumptionError(f"{direction} state blow-up at step {n - 1 - s if backward else s}")
+        raise AssumptionError(f"{direction} state blow-up at step {n - 1 - s if backward else s}",
+                              stage="simulate")
     return H
 
 

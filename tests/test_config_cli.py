@@ -158,10 +158,38 @@ def test_cli_bad_set_exit_code(tmp_path):
     assert code == 2
 
 
-def test_cli_scalar_degree_guard_exit_code(tmp_path):
+def _exit_record(capsys):
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+def test_cli_scalar_degree_guard_exit_code(tmp_path, capsys):
     code, _ = _run(tmp_path, "train-scalar",
                    extra_cfg={"model.l": "2", "estimation.n": "100"})
     assert code == 3
+    assert _exit_record(capsys) == {"error": "numerical", "stage": "train-scalar",
+                                    "message": "scalar output requires l >= 3"}
+
+
+def test_cli_rank_deficient_output_rows_exit_code(tmp_path, capsys):
+    """Two outputs cannot separate three units: stage 1 still succeeds, and
+    the recurrence stage must fail loudly instead of truncating pinv(A2^T)."""
+    code, out = _run(tmp_path, "train", extra_cfg={
+        "model.d_x": "6", "model.d_h": "3", "model.d_y": "2", "estimation.n": "20000"})
+    assert code == 3
+    assert _exit_record(capsys) == {"error": "numerical", "stage": "recurrence",
+                                    "message": "recurrence: A2 rank 2 of 3"}
+    assert not os.path.exists(os.path.join(out, "a1_hat.spt1"))
+
+
+def test_cli_linalg_error_names_the_command(tmp_path, capsys, monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "train_quadratic", singular)
+    code, _ = _run(tmp_path, "train", extra_cfg={"estimation.n": "100"})
+    assert code == 3
+    assert _exit_record(capsys) == {"error": "numerical", "stage": "train",
+                                    "message": "Singular matrix"}
 
 
 def test_cli_missing_moment_file_exit_code(tmp_path):
@@ -193,7 +221,8 @@ def test_cli_decompose_rank_deficiency_exit_code(tmp_path, capsys):
     code, _ = _run(tmp_path, "decompose", extra_cfg={
         "model.d_x": "6", "model.d_h": "3", "model.d_y": "4", "estimation.n": "100"})
     assert code == 3
-    assert "stage 1: rank deficiency, kept 2 of 3 components" in capsys.readouterr().err
+    assert _exit_record(capsys) == {"error": "numerical", "stage": "stage1",
+                                    "message": "stage 1: rank deficiency, kept 2 of 3 components"}
     assert not (out / "cp_weights.spt1").exists()
 
 

@@ -1,12 +1,18 @@
 """Tests for alignment, error bounds and sweeps."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 
-from spectral_rnn.diagnostics import (SweepResult, align, concentration_bound,
-                                      lipschitz_bound, sample_sweep)
+from spectral_rnn.diagnostics import (SweepResult, _assignment, align,
+                                      concentration_bound, lipschitz_bound,
+                                      sample_sweep)
 from spectral_rnn.sequence_models import AssumptionError, RnnParams
 
 
@@ -51,9 +57,57 @@ def test_align_sign_of_recurrence_ignored():
     assert rep.u_error < 1e-15
 
 
+_PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+# small integer costs make ties common, so the optimum is often not unique
+_costs = st.integers(1, 6).flatmap(
+    lambda k: arrays(np.float64, (k, k), elements=st.integers(-3, 3).map(float)))
+
+
+@_PROPERTY
+@given(_costs)
+def test_assignment_is_optimal(cost):
+    k = cost.shape[0]
+    perm = _assignment(cost)
+    assert sorted(perm) == list(range(k))
+    best = min(cost[np.arange(k), list(p)].sum() for p in itertools.permutations(range(k)))
+    assert cost[np.arange(k), perm].sum() == best
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 12])
+def test_assignment_matches_scipy(k):
+    rng = np.random.default_rng(k)
+    for _ in range(20):
+        cost = rng.standard_normal((k, k))  # continuous: the optimum is unique
+        rows, cols = linear_sum_assignment(cost)
+        assert np.array_equal(_assignment(cost), cols[np.argsort(rows)])
+
+
+@_PROPERTY
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 6))
+def test_align_invariant_under_unit_symmetries(seed, k):
+    """Permuting the estimate's units and flipping their signs the way the
+    model symmetry does leaves the aligned estimate and its errors unchanged."""
+    rng = np.random.default_rng(seed)
+    A1, A2 = _unit_rows(k, 7, seed), rng.standard_normal((k, 4))
+    U = 0.3 * rng.standard_normal((k, k))
+    est = [M + 0.05 * rng.standard_normal(M.shape) for M in (A1, A2, U)]
+    perm, signs = rng.permutation(k), rng.choice([-1.0, 1.0], k)
+    moved = [(signs[:, None] * est[0])[perm], est[1][perm],
+             (signs[:, None] * est[2])[np.ix_(perm, perm)]]
+    a = align(est[0], A1, est[1], A2, est[2], U)
+    b = align(moved[0], A1, moved[1], A2, moved[2], U)
+    for name in ("A1", "A2", "U"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert np.array_equal(perm[b.permutation], a.permutation)
+    assert (a.max_error, a.median_error, a.u_error) == (b.max_error, b.median_error, b.u_error)
+
+
 def test_align_shape_mismatch():
     with pytest.raises(ValueError, match="matching shapes"):
         align(np.eye(2), np.eye(3))
+    with pytest.raises(ValueError, match="non-finite"):
+        align(np.array([[1.0, np.nan], [0.0, 1.0]]), np.eye(2))
 
 
 def test_lipschitz_bound_formula():

@@ -84,12 +84,28 @@ def test_stage1_never_returns_fewer_rows_than_asked():
     A2 = params.A2.copy()
     A2[1] = 0.0
     T2 = population_moment_oracle(RnnParams(A1=params.A1, U=params.U, A2=A2), "S2-order3")
-    with pytest.raises(AssumptionError, match="stage 1: rank deficiency, kept 2 of 3"):
+    with pytest.raises(AssumptionError, match="stage 1: rank deficiency, kept 2 of 3") as info:
         recover_quadratic(T2, 3, seed=0)
+    assert info.value.stage == "stage1"
     cubic = RnnParams(A1=params.A1, U=np.zeros((3, 3)), A2=[[1.0], [0.0], [0.7]], l=3)
     T3 = population_moment_oracle(cubic, "S3-order4-scalar")
     with pytest.raises(AssumptionError, match="rank deficiency"):
         recover_scalar(T3, 3, seed=0)
+
+
+def test_recurrence_rejects_dependent_output_rows():
+    """Output rows with A2[2] = A2[0] - A2[1]/2 pass stage 1 but have rank 2,
+    so the recurrence stage cannot unmix T4 into three unit blocks."""
+    params = _quad_model()
+    A2 = params.A2.copy()
+    A2[2] = A2[0] - 0.5 * A2[1]
+    planted = RnnParams(A1=params.A1, U=params.U, A2=A2)
+    T2 = population_moment_oracle(planted, "S2-order3")
+    T4 = population_moment_oracle(planted, "S4-reshaped-order3", shift=-1)
+    assert recover_quadratic(T2, 3, seed=0).A1.shape == (3, 6)
+    with pytest.raises(AssumptionError, match="recurrence: A2 rank 2 of 3") as info:
+        recover_quadratic(T2, 3, T4=T4, seed=0)
+    assert info.value.stage == "recurrence"
 
 
 def test_stage1_fallback_sweep_cell(monkeypatch):

@@ -61,6 +61,20 @@ def test_stationary_covariance_near_unit_norm():
     assert elapsed < 0.5
 
 
+def test_stationary_covariance_non_normal():
+    # upper-triangular W is far from normal: spectral radius 0.44 at norm 0.95
+    rng = np.random.default_rng(2)
+    W = np.triu(rng.standard_normal((12, 12)))
+    W *= 0.95 / np.linalg.norm(W, 2)
+    spec = MarkovChainSpec(W=W, sigma=0.3)
+    S = stationary_covariance(spec)
+    want = solve_discrete_lyapunov(W, spec.sigma ** 2 * np.eye(12))
+    assert np.allclose(S, want, atol=1e-10)
+    residual = S - W @ S @ W.T - spec.sigma ** 2 * np.eye(12)
+    assert np.linalg.norm(residual) <= 1e-13 * np.linalg.norm(S)
+    assert np.array_equal(S, S.T)
+
+
 def _loop_chain(spec, n, seed):
     """The chain drawn and stepped one time step at a time."""
     rng = np.random.default_rng(seed)
@@ -137,14 +151,15 @@ def test_bounded_input_spec_chi2_quantile_matches_scipy_stats():
             assert spec.sigma == np.sqrt(c * (1.0 - 0.5 ** 2))
 
 
-def test_import_leaves_scipy_stats_unloaded():
+def test_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(spectral_rnn.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, spectral_rnn; print('scipy.stats' in sys.modules)"],
+         "import sys, spectral_rnn, spectral_rnn.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_bounded_input_spec_norm():
