@@ -167,6 +167,13 @@ def _unit_input_rows(params):
     return RnnParams(A1=A1, U=U, A2=Dl[:, None] * params.A2, l=params.l)
 
 
+def _check_quadratic(config: ExperimentConfig, command: str) -> None:
+    """The quadratic commands fit l = 2 units only; any other model.l is a
+    config error, raised before simulating."""
+    if config.l != 2:
+        raise ConfigError(f"model.l: {command} fits quadratic units (l = 2), got {config.l}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -202,6 +209,7 @@ def _cmd_score_check(config, seed, art):
 
 
 def _cmd_moments(config, seed, art):
+    _check_quadratic(config, "moments")
     spec, _, data = _simulate(config, seed)
     T2, T4, _ = quadratic_moments(data, spec, config.d_h,
                                   burn_in=config["estimation.burn_in"], seed=seed)
@@ -227,6 +235,7 @@ def _cmd_decompose(config, seed, art):
 
 def _cmd_train(config, seed, art):
     """Quadratic model; the recurrence is always estimated."""
+    _check_quadratic(config, "train")
     spec, params, data = _simulate(config, seed)
     est = train_quadratic(data, spec, config.d_h,
                           burn_in=config["estimation.burn_in"], seed=seed)
@@ -252,6 +261,7 @@ def _cmd_train_brnn(config, seed, art):
     [A1; B1] and cannot see a swapped forward/backward split; each direction
     is also aligned with its output rows and recurrence, so a large gap
     between the joint and the per-direction errors means the split failed."""
+    _check_quadratic(config, "train-brnn")
     if config.d_y < 2 * config.d_h:
         raise ConfigError(f"train-brnn needs model.d_y >= 2 * model.d_h, got model.d_y="
                           f"{config.d_y} and model.d_h={config.d_h}")
@@ -287,7 +297,7 @@ def _cmd_train_brnn(config, seed, art):
 
 def _cmd_train_scalar(config, seed, art):
     if config.l < 3:
-        raise AssumptionError("scalar output requires l >= 3", stage="train-scalar")
+        raise ConfigError(f"model.l: train-scalar fits units of degree l >= 3, got {config.l}")
     spec, params, data = _simulate(config, seed, "scalar")
     est = train_scalar(data, spec, config.d_h, l=config.l,
                        burn_in=config["estimation.burn_in"], seed=seed)
@@ -351,6 +361,7 @@ def _cmd_eval(config, seed, art):
 
 
 def _cmd_sweep(config, seed, art, workers):
+    _check_quadratic(config, "sweep")
     cell_master = _child_seeds(seed, 1)[0]
 
     def run_cell(n, cell_seed):

@@ -2,11 +2,12 @@
 
 Empirical estimators average y_t (x) S_m(t + shift) over interior positions of a
 single long chain, after a burn-in.  The s^(x)m parts of S_2, S_3 and S_4 are
-output-weighted sums of symmetric polynomials in the score vector s, so one
-kernel accumulates them with BLAS products over the d(d+1)/2 unique pair
-products s_i s_j (i <= j), block by block along the aligned positions, and
-expands the result to every index through a pair-index map.  The order-4
-moment is returned in its reshaped d_y x d_x^2 x d_x^2 form.
+output-weighted sums of the unique monomials s_i1 ... s_im (i1 <= ... <= im)
+of the score vector s, so one kernel sums them with one BLAS product per
+block of positions and expands the sums to every index.  The order-4 moment
+is reshaped to d_y x d^2 x d^2, in the input coordinates or those of
+orthonormal rows B: S_4 is multilinear in s and Lambda, so contracting each
+score mode with B gives S_4 of the scores B s with precision B Lambda B^T.
 
 The population oracle evaluates the same moments in closed form for a known
 model; the polynomial activations have constant high-order derivatives in the
@@ -71,57 +72,50 @@ def _centered_pairs(spec, data, shift, burn_in, scores=None, baseline=None):
     return Y, scores[:, sc]
 
 
-def _compact_positions(d: int, order: int) -> np.ndarray:
-    """Position in the kernel's compact sums of every full index, row-major.
-
-    The compact layouts are pair (order 2), pair x k (order 3) and
-    pair x pair (order 4), with pairs i <= j in np.triu_indices order; the
-    map sends (i, j) and (j, i) to the same pair.
-    """
-    iu, ju = np.triu_indices(d)
-    pair = np.empty((d, d), dtype=np.intp)
-    pair[iu, ju] = pair[ju, iu] = np.arange(iu.size)
-    idx = np.indices((d,) * order).reshape(order, -1)
-    pos = pair[idx[0], idx[1]]
-    if order == 3:
-        pos = pos * d + idx[2]
-    elif order == 4:
-        pos = pos * iu.size + pair[idx[2], idx[3]]
-    return pos
+def _monomials(d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index tuples i1 <= ... <= im in lexicographic order (m x count), and
+    the position among them of every full index, row-major: the position of
+    its sorted tuple.  At m = 2 the tuples are np.triu_indices(d)."""
+    full = np.indices((d,) * m).reshape(m, -1)
+    keep = np.all(full[:-1] <= full[1:], axis=0)
+    rank = np.cumsum(keep) - 1
+    return full[:, keep], rank[np.ravel_multi_index(np.sort(full, axis=0), (d,) * m)]
 
 
 def _score_power_means(
-    Y: np.ndarray, S: np.ndarray, order: int,
+    Y: np.ndarray, S: np.ndarray, order: int, basis: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Means over t of Y[:, t] (x) s_t^(x)2 and, for order 3 or 4, of
-    Y[:, t] (x) s_t^(x)order, from one pass over the positions.
+    Y[:, t] (x) s_t^(x)order, from one pass over the positions, with s_t the
+    columns of S or, given basis, of basis @ S (projected block by block).
 
-    Each block forms the unique pair products P = s_i s_j (i <= j) once:
-    Y P^T gives the order-2 sums, and (P * Y_a) R^T per output a gives the
-    higher order, with R = S for order 3 and R = P for order 4.  Both results
-    come back as full d_y x d^m arrays, the order-2 one exactly symmetric in
-    its score indices.  The second result is None for order 2.
+    Each block forms the unique pair products P = s_i s_j (i <= j) once, and
+    Y P^T gives the order-2 sums; the unique higher-order monomials M are
+    gathered as P times s_k (order 3) or P times P (order 4), and Y M^T gives
+    theirs.  Both results come back as full d_y x d^m arrays, exactly
+    symmetric in their score indices; the second is None for order 2.
     """
     d_y, N = Y.shape
-    d = S.shape[0]
-    iu, ju = np.triu_indices(d)
+    d = S.shape[0] if basis is None else basis.shape[0]
+    (iu, ju), pair = _monomials(d, 2)
+    mono, pos = _monomials(d, order)
+    head = pair[mono[0] * d + mono[1]]
+    tail = mono[2] if order == 3 else pair[mono[-2] * d + mono[-1]]
     low = np.zeros((d_y, iu.size))
-    high = np.zeros((d_y, iu.size, d if order == 3 else iu.size))
+    high = np.zeros((d_y, mono.shape[1]))
     for start in range(0, N, _MOMENT_BLOCK):
         Sb = S[:, start:start + _MOMENT_BLOCK]
+        Sb = Sb if basis is None else basis @ Sb
         Yb = Y[:, start:start + _MOMENT_BLOCK]
         P = Sb[iu] * Sb[ju]
         low += Yb @ P.T
         if order > 2:
-            R = Sb if order == 3 else P
-            for a in range(d_y):
-                high[a] += (P * Yb[a]) @ R.T
+            high += Yb @ (P[head] * (Sb if order == 3 else P)[tail]).T
 
-    def expand(sums, m):
-        full = sums.reshape(d_y, -1)[:, _compact_positions(d, m)] / N
-        return full.reshape((d_y,) + (d,) * m)
+    def expand(sums, positions, m):
+        return (sums[:, positions] / N).reshape((d_y,) + (d,) * m)
 
-    return expand(low, 2), (expand(high, order) if order > 2 else None)
+    return expand(low, pair, 2), (expand(high, pos, order) if order > 2 else None)
 
 
 def cross_moment_s1(
@@ -198,28 +192,32 @@ def cross_moment_s4_reshaped(
     baseline: np.ndarray | None = None,
     *,
     scores: np.ndarray | None = None,
+    basis: np.ndarray | None = None,
 ) -> MomentTensor:
     """E[y_t (x) S_4(t + shift)] reshaped to d_y x d_x^2 x d_x^2.
 
     Index grouping: mode 1 is the output, mode 2 flattens score indices (1,2)
     and mode 3 flattens (3,4), both row-major.  The output is centered first
     (E[S_4] = 0 leaves the expectation unchanged).  One kernel pass gives the
-    s^(x)4 average, as output-weighted Gram matrices of the unique pair
-    products s_i s_j (i <= j), and the s (x) s average the Lambda corrections
-    are built from.
+    s^(x)4 average and the s (x) s average the Lambda corrections are built
+    from.
 
     baseline, if given, is a d_y x n array of per-step predictions that depend
     on x_t only; it is subtracted from the output before averaging.  The score
     at t + shift has zero conditional mean given the other positions, so any
     function of x_t alone has zero cross-moment with it and the subtraction
     changes nothing in expectation while removing most of the variance.
-    scores, if given, are centered_scores(spec, data.x).
+    scores, if given, are centered_scores(spec, data.x).  basis, if given, is
+    a k x d_x matrix B with orthonormal rows; the result is then the moment
+    with every score mode contracted with B, d_y x k^2 x k^2.
     """
     Lam = precision_matrix(spec)
+    if basis is not None:
+        Lam = basis @ Lam @ basis.T
     Y, S = _centered_pairs(spec, data, shift, burn_in, scores=scores, baseline=baseline)
     d_y, N = Y.shape
-    d = S.shape[0]
-    M, T = _score_power_means(Y, S, 4)  # M = E[(y - mean) (x) s (x) s]
+    d = Lam.shape[0]
+    M, T = _score_power_means(Y, S, 4, basis)  # M = E[(y - mean) (x) s (x) s]
 
     # The centered output makes the Lambda (x) Lambda terms vanish, so only
     # the six s (x) s placements remain.
@@ -249,11 +247,11 @@ def toeplitz_blocks(
 # ---------------------------------------------------------------------------
 
 
-def _pair_sym4(H: np.ndarray) -> np.ndarray:
-    """H_ij H_kl + H_ik H_jl + H_il H_jk for a symmetric matrix H."""
-    return (np.einsum("ij,kl->ijkl", H, H)
-            + np.einsum("ik,jl->ijkl", H, H)
-            + np.einsum("il,jk->ijkl", H, H))
+def _pair_sym4(Ha: np.ndarray, Hb: np.ndarray) -> np.ndarray:
+    """Ha_ij Hb_kl + Ha_ik Hb_jl + Ha_il Hb_jk for symmetric matrices Ha, Hb."""
+    return (np.einsum("ij,kl->ijkl", Ha, Hb)
+            + np.einsum("ik,jl->ijkl", Ha, Hb)
+            + np.einsum("il,jk->ijkl", Ha, Hb))
 
 
 def population_moment_oracle(
@@ -300,7 +298,7 @@ def population_moment_oracle(
         out = np.zeros((d_y, d, d, d, d))
         for k in range(R.shape[0]):
             H = 2.0 * np.einsum("j,ji,jl->il", R[k], rows, rows)
-            out += np.multiply.outer(A2[k], 2.0 * _pair_sym4(H))
+            out += np.multiply.outer(A2[k], 2.0 * _pair_sym4(H, H))
         return out.reshape(d_y, d * d, d * d)
 
     if kind == "S3-order4":

@@ -6,11 +6,14 @@ to read off the input rows a_k (unit norm by convention) and the output rows
 A2[k] with their scale.  Stage 2 always fits the recurrence, row by row by
 least squares (recover_recurrence), from a shifted reshaped fourth-order
 cross-moment whose unmixed per-unit blocks are pair-symmetrizations of
-H_k = 2 sum_j U_kj a_j a_j^T.  Both quadratic families run these two stages;
-the bidirectional model fits forward units from the backward shift and
-backward units from the forward shift.  Cubic units (scalar output only) use
-the symmetric third-order moment instead; the linear model is handled in
-closed form from lagged first-order blocks, given its input map.
+H_k = 2 sum_j U_kj a_j a_j^T.  These blocks lie in the span of the stage-1
+input rows, so the data pipelines take the moment and the rows in the
+coordinates of an orthonormal basis of that span.  Both quadratic families
+run these two stages; the bidirectional model fits forward units from the
+backward shift and backward units from the forward shift.  Cubic units
+(scalar output only) use the symmetric third-order moment instead; the
+linear model is handled in closed form from lagged first-order blocks,
+given its input map.
 
 Row signs of even-degree units are not identifiable (flipping an input row
 together with its recurrence row leaves the unit invariant), so recovered rows
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cp_decomp import CpDecomposition, decompose, decompose_symmetric
+from .moments import _pair_sym4
 from .sequence_models import AssumptionError
 from .tensor_core import pinv
 
@@ -81,15 +85,6 @@ def _unit_blocks(T4: np.ndarray, A2: np.ndarray) -> np.ndarray:
     return Q.reshape(k, D, D)
 
 
-def _pairings(Ha: np.ndarray, Hb: np.ndarray) -> np.ndarray:
-    """Three index pairings of two symmetric matrices, flattened to d^2 x d^2."""
-    d = Ha.shape[0]
-    P = (np.einsum("ij,kl->ijkl", Ha, Hb)
-         + np.einsum("ik,jl->ijkl", Ha, Hb)
-         + np.einsum("il,jk->ijkl", Ha, Hb))
-    return P.reshape(d * d, d * d)
-
-
 def fit_recurrence_row(Q_k: np.ndarray, A1: np.ndarray) -> np.ndarray:
     """One recurrence row from its fourth-order block, given the input rows.
 
@@ -100,22 +95,16 @@ def fit_recurrence_row(Q_k: np.ndarray, A1: np.ndarray) -> np.ndarray:
     """
     k = A1.shape[0]
     H = [2.0 * np.outer(A1[p], A1[p]) for p in range(k)]
-    cols = []
-    index = []
-    for p in range(k):
-        for q in range(p, k):
-            if p == q:
-                block = 2.0 * _pairings(H[p], H[p])
-            else:
-                block = 2.0 * (_pairings(H[p], H[q]) + _pairings(H[q], H[p]))
-            cols.append(block.ravel())
-            index.append((p, q))
-    G = np.stack(cols, axis=1)
-    coef = np.linalg.lstsq(G, Q_k.ravel(), rcond=None)[0]
+
+    def column(p, q):  # the block of u_p u_q + u_q u_p (of u_p^2 at p = q)
+        block = _pair_sym4(H[p], H[q])
+        return 2.0 * (block if p == q else block + _pair_sym4(H[q], H[p])).ravel()
+
+    index = [(p, q) for p in range(k) for q in range(p, k)]
+    G = np.stack([column(p, q) for p, q in index], axis=1)
     X = np.zeros((k, k))
-    for (p, q), c in zip(index, coef):
-        X[p, q] = c
-        X[q, p] = c
+    for (p, q), c in zip(index, np.linalg.lstsq(G, Q_k.ravel(), rcond=None)[0]):
+        X[p, q] = X[q, p] = c
     vals, vecs = np.linalg.eigh(X)
     i = int(np.argmax(np.abs(vals)))
     return np.sqrt(abs(vals[i])) * vecs[:, i]
@@ -126,15 +115,19 @@ def recover_recurrence(
     A1: np.ndarray,
     A2: np.ndarray,
     units,
+    basis: np.ndarray | None = None,
 ) -> np.ndarray:
     """Recurrence rows of one direction from a reshaped fourth-order moment.
 
     T4 is unmixed against all stage-1 output rows A2 once; the blocks of the
     direction's units (indices into A2, ordered as the rows of A1) are each
-    fit by least squares (fit_recurrence_row).  Row signs are indeterminate.
+    fit by least squares (fit_recurrence_row).  basis, if given, has
+    orthonormal rows spanning those of A1, and T4 is in its coordinates
+    (cross_moment_s4_reshaped(..., basis=basis)).  Row signs are indeterminate.
     """
+    rows = A1 if basis is None else A1 @ basis.T
     Q = _unit_blocks(T4, A2)
-    return np.stack([fit_recurrence_row(Q[r], A1) for r in units])
+    return np.stack([fit_recurrence_row(Q[r], rows) for r in units])
 
 
 def recover_quadratic(
@@ -144,14 +137,15 @@ def recover_quadratic(
     seed: int = 0,
     *,
     stage1: CpDecomposition | None = None,
+    basis: np.ndarray | None = None,
 ) -> RnnEstimate:
     """Recover quadratic-unit model parameters from score cross-moments.
 
     stage1, if given, is decompose(T2, k=d_h, seed=seed) computed earlier;
-    it is used instead of decomposing again.
+    it is used instead of decomposing again.  basis is as in recover_recurrence.
     """
     A1, A2, _ = _stage1_factors(T2, d_h, seed, stage1)
-    U = None if T4 is None else recover_recurrence(T4, A1, A2, range(d_h))
+    U = None if T4 is None else recover_recurrence(T4, A1, A2, range(d_h), basis)
     return RnnEstimate(A1=A1, A2=A2, U=U)
 
 
@@ -177,6 +171,7 @@ def recover_brnn(
     seed: int = 0,
     *,
     stage1: CpDecomposition | None = None,
+    basis: np.ndarray | None = None,
 ) -> BrnnEstimate:
     """Recover a bidirectional quadratic model.
 
@@ -187,6 +182,7 @@ def recover_brnn(
     weight order).  recover_recurrence then fits each direction from its
     shift; a shift not given leaves its recurrence None.  stage1, if given,
     is decompose(T2, k=2 * d_h, seed=seed), used instead of decomposing again.
+    basis, spanning all 2*d_h rows, is as in recover_recurrence.
     """
     if T2.shape[0] < 2 * d_h:
         raise ValueError("output dimension insufficient for BRNN identifiability")
@@ -201,8 +197,8 @@ def recover_brnn(
     fwd = np.sort(order[:d_h])
     bwd = np.sort(order[d_h:])
     A1, B1 = C[fwd], C[bwd]
-    U = None if T4_back is None else recover_recurrence(T4_back, A1, A2, fwd)
-    V = None if T4_fwd is None else recover_recurrence(T4_fwd, B1, A2, bwd)
+    U = None if T4_back is None else recover_recurrence(T4_back, A1, A2, fwd, basis)
+    V = None if T4_fwd is None else recover_recurrence(T4_fwd, B1, A2, bwd, basis)
     return BrnnEstimate(A1=A1, B1=B1, A2=np.vstack([A2[fwd], A2[bwd]]), U=U, V=V)
 
 
@@ -229,13 +225,15 @@ def recover_linear(
 # ---------------------------------------------------------------------------
 
 
-def _moments(data, spec, k, shifts, burn_in, seed):
-    """(T2, {shift: T4}, stage1) of a quadratic model with k units in all.
+def _moments(data, spec, k, shifts, burn_in, seed, in_span):
+    """(T2, {shift: T4}, stage1, basis) of a quadratic model with k units in all.
 
-    stage1 is decompose(T2, k=k, seed=seed).  Each T4 subtracts the
-    no-recurrence prediction implied by the stage-1 input and output weights.
-    That prediction depends on the current input only, so its cross-moment
-    with a shifted score is zero and the subtraction only reduces variance.
+    stage1 is decompose(T2, k=k, seed=seed).  With in_span, each T4 is in the
+    coordinates of basis, orthonormal rows spanning the stage-1 input rows;
+    otherwise basis is None.  Each T4 subtracts the no-recurrence prediction
+    of the stage-1 weights.  That prediction depends on the current input
+    only, so its cross-moment with a shifted score is zero and the
+    subtraction only reduces variance.
     """
     from .moments import cross_moment_s2, cross_moment_s4_reshaped
     from .score import centered_scores
@@ -243,32 +241,35 @@ def _moments(data, spec, k, shifts, burn_in, seed):
     s = centered_scores(spec, data.x)
     T2 = cross_moment_s2(spec, data, burn_in=burn_in, scores=s).value
     A1, A2, cp = _stage1_factors(T2, k, seed)
+    basis = np.linalg.qr(A1.T)[0].T if in_span else None
     baseline = A2.T @ (A1 @ data.x) ** 2
     T4 = {shift: cross_moment_s4_reshaped(spec, data, shift=shift, burn_in=burn_in,
-                                          baseline=baseline, scores=s).value
+                                          baseline=baseline, scores=s, basis=basis).value
           for shift in shifts}
-    return T2, T4, cp
+    return T2, T4, cp, basis
 
 
 def quadratic_moments(data, spec, d_h, burn_in=10, seed=0, with_recurrence=True):
-    """(T2, T4, stage1) of a quadratic model: _moments at shift -1, with T4
-    None without the recurrence."""
-    T2, T4, cp = _moments(data, spec, d_h, (-1,) if with_recurrence else (),
-                          burn_in, seed)
+    """(T2, T4, stage1) of a quadratic model in the input coordinates:
+    _moments at shift -1, with T4 None without the recurrence."""
+    T2, T4, cp, _ = _moments(data, spec, d_h, (-1,) if with_recurrence else (),
+                             burn_in, seed, in_span=False)
     return T2, T4.get(-1), cp
 
 
 def train_quadratic(data, spec, d_h, burn_in=10, seed=0,
                     with_recurrence=True) -> RnnEstimate:
-    """Full quadratic pipeline from a sequence: quadratic_moments then recovery."""
-    T2, T4, cp = quadratic_moments(data, spec, d_h, burn_in, seed, with_recurrence)
-    return recover_quadratic(T2, d_h, T4=T4, seed=seed, stage1=cp)
+    """Quadratic pipeline from a sequence: _moments in the stage-1 span, then recovery."""
+    T2, T4, cp, basis = _moments(data, spec, d_h, (-1,) if with_recurrence else (),
+                                 burn_in, seed, in_span=True)
+    return recover_quadratic(T2, d_h, T4=T4.get(-1), seed=seed, stage1=cp, basis=basis)
 
 
 def train_brnn(data, spec, d_h, burn_in=10, seed=0) -> BrnnEstimate:
-    """Full bidirectional pipeline from a sequence: _moments then recover_brnn."""
-    T2, T4, cp = _moments(data, spec, 2 * d_h, (-1, +1), burn_in, seed)
-    return recover_brnn(T2, d_h, T4_back=T4[-1], T4_fwd=T4[+1], seed=seed, stage1=cp)
+    """Bidirectional pipeline: _moments in the span of all 2*d_h rows, then recovery."""
+    T2, T4, cp, basis = _moments(data, spec, 2 * d_h, (-1, +1), burn_in, seed, in_span=True)
+    return recover_brnn(T2, d_h, T4_back=T4[-1], T4_fwd=T4[+1], seed=seed, stage1=cp,
+                        basis=basis)
 
 
 def train_scalar(data, spec, d_h, l=3, burn_in=10, seed=0) -> RnnEstimate:

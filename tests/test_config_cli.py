@@ -165,9 +165,27 @@ def _exit_record(capsys):
 def test_cli_scalar_degree_guard_exit_code(tmp_path, capsys):
     code, _ = _run(tmp_path, "train-scalar",
                    extra_cfg={"model.l": "2", "estimation.n": "100"})
-    assert code == 3
-    assert _exit_record(capsys) == {"error": "numerical", "stage": "train-scalar",
-                                    "message": "scalar output requires l >= 3"}
+    assert code == 2
+    assert _exit_record(capsys) == {
+        "error": "config", "message": "model.l: train-scalar fits units of degree l >= 3, got 2"}
+
+
+@pytest.mark.parametrize("command", ["train", "moments", "sweep", "train-brnn"])
+@pytest.mark.parametrize("degree", [1, 3])
+def test_cli_quadratic_commands_reject_other_degrees(tmp_path, capsys, monkeypatch,
+                                                     command, degree):
+    """These commands fit quadratic units only, so another model.l is a
+    config error before anything is simulated or written."""
+    simulated = []
+    monkeypatch.setattr(cli, "_simulate", lambda *args, **kw: simulated.append(args))
+    code, out = _run(tmp_path, command, extra_cfg={"model.l": str(degree),
+                                                   "estimation.n": "100"})
+    assert code == 2
+    assert _exit_record(capsys) == {
+        "error": "config",
+        "message": f"model.l: {command} fits quadratic units (l = 2), got {degree}"}
+    assert simulated == []
+    assert sorted(os.listdir(out)) == ["config.resolved"]
 
 
 def test_cli_rank_deficient_output_rows_exit_code(tmp_path, capsys):

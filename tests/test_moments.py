@@ -1,9 +1,14 @@
 """Cross-moment estimators against closed-form and derivative-based oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spectral_rnn.moments import (_MOMENT_BLOCK, DEFAULT_BURN_IN,
+                                  _score_power_means,
                                   cross_moment_s1, cross_moment_s2,
                                   cross_moment_s3, cross_moment_s3_scalar,
                                   cross_moment_s4_reshaped,
@@ -317,3 +322,78 @@ def test_scores_argument_matches_computed_scores():
         cross_moment_s2(spec, data, scores=s[:, :-1])
     with pytest.raises(ValueError, match="shape of x"):
         cross_moment_s4_reshaped(spec, data, scores=s[:2])
+
+
+def _assert_symmetric(T):
+    """Exactly equal under every permutation of the score indices."""
+    for perm in itertools.permutations(range(1, T.ndim)):
+        assert np.array_equal(T, T.transpose((0,) + perm)), perm
+
+
+_KERNEL_PROPERTY = settings(derandomize=True, max_examples=5, deadline=None)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("d", range(1, 8))
+@_KERNEL_PROPERTY
+@given(d_y=st.integers(1, 3), N=st.integers(1, 2 * _MOMENT_BLOCK + 7),
+       seed=st.integers(0, 2**32 - 1))
+@example(d_y=3, N=2 * _MOMENT_BLOCK + 7, seed=0)  # a partial last block
+def test_score_power_means_matches_einsum(d, order, d_y, N, seed):
+    """The monomial kernel against brute-force means of y (x) s^(x)m."""
+    rng = np.random.default_rng(seed)
+    Y = rng.standard_normal((d_y, N))
+    S = rng.standard_normal((d, N))
+    low, high = _score_power_means(Y, S, order)
+
+    def brute(m):
+        modes = "ijkl"[:m]
+        spec = "at," + ",".join(c + "t" for c in modes) + "->a" + modes
+        return np.einsum(spec, Y, *[S] * m) / N
+
+    _assert_kernel_close(low, brute(2))
+    _assert_symmetric(low)
+    if order == 2:
+        assert high is None
+    else:
+        _assert_kernel_close(high, brute(order))
+        _assert_symmetric(high)
+
+
+def _contract(T4, B):
+    """A reshaped order-4 moment with every score mode contracted with B's rows."""
+    k, d = B.shape
+    full = T4.reshape((T4.shape[0],) + (d,) * 4)
+    out = np.einsum("aijkl,pi,qj,rk,sl->apqrs", full, B, B, B, B, optimize=True)
+    return out.reshape(T4.shape[0], k * k, k * k)
+
+
+@pytest.mark.parametrize("rows", ["k < d_x", "k = d_x", "brnn 2 d_h"])
+def test_s4_in_basis_is_contracted_moment(rows):
+    """S_4 is multilinear in s and Lambda, so the moment of the projected
+    scores B s with precision B Lambda B^T is the full moment contracted
+    with B on every score mode."""
+    d_x = 6
+    spec = bounded_input_spec(d_x, 0.5, seed=50)
+    x = sample_markov_chain(spec, 20000, seed=51)
+    rng = np.random.default_rng(52)
+    if rows == "brnn 2 d_h":
+        p = BrnnParams(A1=np.linalg.qr(rng.standard_normal((d_x, 2)))[0].T,
+                       B1=np.linalg.qr(rng.standard_normal((d_x, 2)))[0].T,
+                       U=0.25 * np.linalg.qr(rng.standard_normal((2, 2)))[0],
+                       V=0.2 * np.linalg.qr(rng.standard_normal((2, 2)))[0],
+                       A2=rng.standard_normal((4, 5)), l=2)
+        data, C = brnn_forward(p, x), np.vstack([p.A1, p.B1])
+    else:
+        p = _quad_params(seed=53, d_x=d_x, d_h=3 if rows == "k < d_x" else d_x, d_y=4)
+        data, C = rnn_forward(p, x), p.A1
+    basis = np.linalg.qr(C.T)[0].T
+    k = basis.shape[0]
+    baseline = p.A2.T @ (C @ x) ** 2
+    for shift in (-1, 1):
+        full = cross_moment_s4_reshaped(spec, data, shift=shift, baseline=baseline)
+        proj = cross_moment_s4_reshaped(spec, data, shift=shift, baseline=baseline,
+                                        basis=basis)
+        assert proj.value.shape == (data.y.shape[0], k * k, k * k)
+        assert proj.n_used == full.n_used
+        _assert_kernel_close(proj.value, _contract(full.value, basis))

@@ -289,9 +289,16 @@ def test_train_computes_scores_and_stage1_once(monkeypatch, family):
     assert len(decomps) == 1
 
 
+def _row_basis(rows):
+    """Orthonormal basis (rows) of the span of the given rows, as the data
+    pipelines take it."""
+    return np.linalg.qr(rows.T)[0].T
+
+
 def test_train_quadratic_equals_recover_quadratic_bitwise():
     """Reusing the stage-1 decomposition leaves the estimate bit for bit
-    equal to recovering from the same moments with a fresh decomposition."""
+    equal to recovering from the same moments with a fresh decomposition:
+    T2, then T4 in the coordinates of a basis of the stage-1 input rows."""
     params = _quad_model(seed=23, d_x=4, d_h=2, d_y=3)
     spec = bounded_input_spec(4, 0.5, seed=24)
     data = rnn_forward(params, sample_markov_chain(spec, 30000, seed=25))
@@ -299,16 +306,20 @@ def test_train_quadratic_equals_recover_quadratic_bitwise():
     est = train_quadratic(data, spec, 2, seed=seed)
     T2 = cross_moment_s2(spec, data).value
     first = recover_quadratic(T2, 2, seed=seed)
+    basis = _row_basis(first.A1)
     baseline = first.A2.T @ (first.A1 @ data.x) ** 2
-    T4 = cross_moment_s4_reshaped(spec, data, shift=-1, baseline=baseline).value
-    ref = recover_quadratic(T2, 2, T4=T4, seed=seed)
+    T4 = cross_moment_s4_reshaped(spec, data, shift=-1, baseline=baseline,
+                                  basis=basis).value
+    assert T4.shape == (3, 4, 4)
+    ref = recover_quadratic(T2, 2, T4=T4, seed=seed, basis=basis)
     for name in ("A1", "A2", "U"):
         assert np.array_equal(getattr(est, name), getattr(ref, name)), name
 
 
 def test_train_brnn_equals_recover_brnn_bitwise():
     """train_brnn recovers from the moments one would assemble by hand: T2,
-    then both shifted T4s minus the baseline of the stage-1 weights."""
+    then both shifted T4s minus the baseline of the stage-1 weights, in the
+    coordinates of a basis of all four stage-1 input rows."""
     rng = np.random.default_rng(29)
     params = BrnnParams(A1=np.linalg.qr(rng.standard_normal((4, 2)))[0].T,
                         B1=np.linalg.qr(rng.standard_normal((4, 2)))[0].T,
@@ -322,25 +333,114 @@ def test_train_brnn_equals_recover_brnn_bitwise():
     T2 = cross_moment_s2(spec, data).value
     first = recover_brnn(T2, 2, seed=seed)  # no shifts: stage-1 (weight) order
     C = np.vstack([first.A1, first.B1])
+    basis = _row_basis(C)
     baseline = first.A2.T @ (C @ data.x) ** 2
-    T4b, T4f = (cross_moment_s4_reshaped(spec, data, shift=shift, baseline=baseline).value
+    T4b, T4f = (cross_moment_s4_reshaped(spec, data, shift=shift, baseline=baseline,
+                                         basis=basis).value
                 for shift in (-1, +1))
-    ref = recover_brnn(T2, 2, T4_back=T4b, T4_fwd=T4f, seed=seed)
+    ref = recover_brnn(T2, 2, T4_back=T4b, T4_fwd=T4f, seed=seed, basis=basis)
     for name in ("A1", "B1", "A2", "U", "V"):
         assert np.array_equal(getattr(est, name), getattr(ref, name)), name
 
 
 def test_quadratic_moments_match_train_quadratic_bitwise():
-    """train_quadratic recovers from exactly the tensors quadratic_moments
-    returns; without the recurrence T4 is None and stage 1 is unchanged."""
+    """train_quadratic recovers from quadratic_moments' T2 and stage 1, and
+    from its T4 taken in the basis of the stage-1 input rows; without the
+    recurrence T4 is None and stage 1 is unchanged."""
     params = _quad_model(seed=26, d_x=4, d_h=2, d_y=3)
     spec = bounded_input_spec(4, 0.5, seed=27)
     data = rnn_forward(params, sample_markov_chain(spec, 20000, seed=28))
     T2, T4, stage1 = quadratic_moments(data, spec, 2, seed=5)
+    assert T4.shape == (3, 16, 16)
     est = train_quadratic(data, spec, 2, seed=5)
-    ref = recover_quadratic(T2, 2, T4=T4, seed=5)
+    first = recover_quadratic(T2, 2, seed=5, stage1=stage1)
+    basis = _row_basis(first.A1)
+    baseline = first.A2.T @ (first.A1 @ data.x) ** 2
+    T4p = cross_moment_s4_reshaped(spec, data, shift=-1, baseline=baseline,
+                                   basis=basis).value
+    ref = recover_quadratic(T2, 2, T4=T4p, seed=5, stage1=stage1, basis=basis)
     for name in ("A1", "A2", "U"):
         assert np.array_equal(getattr(est, name), getattr(ref, name)), name
     T2n, T4n, stage1n = quadratic_moments(data, spec, 2, seed=5, with_recurrence=False)
     assert T4n is None
     assert np.array_equal(T2n, T2) and np.array_equal(stage1n.factor, stage1.factor)
+
+
+def _brnn_model(seed, d_x=4, d_y=5):
+    rng = np.random.default_rng(seed)
+    return BrnnParams(A1=np.linalg.qr(rng.standard_normal((d_x, 2)))[0].T,
+                      B1=np.linalg.qr(rng.standard_normal((d_x, 2)))[0].T,
+                      U=0.25 * np.linalg.qr(rng.standard_normal((2, 2)))[0],
+                      V=0.2 * np.linalg.qr(rng.standard_normal((2, 2)))[0],
+                      A2=rng.standard_normal((4, d_y)), l=2)
+
+
+def _assert_rel_close(got, ref, rtol=1e-12):
+    assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref))
+
+
+def test_train_recurrence_in_span_matches_full_moment():
+    """The fit in the stage-1 span gives the recurrence that the same fit
+    gives from the full d_x-coordinate moment, up to rounding."""
+    params = _quad_model(seed=32, d_x=6, d_h=3, d_y=4)
+    spec = bounded_input_spec(6, 0.5, seed=33)
+    data = rnn_forward(params, sample_markov_chain(spec, 30000, seed=34))
+    est = train_quadratic(data, spec, 3, seed=7)
+    T2, T4, stage1 = quadratic_moments(data, spec, 3, seed=7)
+    ref = recover_quadratic(T2, 3, T4=T4, seed=7, stage1=stage1)
+    assert np.array_equal(est.A1, ref.A1) and np.array_equal(est.A2, ref.A2)
+    _assert_rel_close(est.U, ref.U)
+
+    bparams = _brnn_model(35, d_x=6)
+    data = brnn_forward(bparams, sample_markov_chain(spec, 30000, seed=36))
+    est = train_brnn(data, spec, 2, seed=8)
+    T2, T4, stage1, basis = recovery._moments(data, spec, 4, (-1, 1), 10, 8, in_span=False)
+    assert basis is None and T4[-1].shape == (5, 36, 36)
+    ref = recover_brnn(T2, 2, T4_back=T4[-1], T4_fwd=T4[1], seed=8, stage1=stage1)
+    for name in ("A1", "B1", "A2"):
+        assert np.array_equal(getattr(est, name), getattr(ref, name)), name
+    _assert_rel_close(est.U, ref.U)
+    _assert_rel_close(est.V, ref.V)
+
+
+@pytest.mark.parametrize("family", ["quadratic", "brnn"])
+def test_training_path_takes_moment_in_span(monkeypatch, family):
+    """train_* ask cross_moment_s4_reshaped for the k-dimensional moment,
+    d_y x k^2 x k^2 with k the number of stage-1 rows, never d_x^4."""
+    spec = bounded_input_spec(6, 0.5, seed=37)
+    x = sample_markov_chain(spec, 20000, seed=38)
+    if family == "quadratic":
+        data, k, shifts = rnn_forward(_quad_model(seed=39, d_x=6, d_h=2, d_y=3), x), 2, [-1]
+    else:
+        data, k, shifts = brnn_forward(_brnn_model(40, d_x=6), x), 4, [-1, 1]
+    shapes = []
+
+    def wrapped(*args, **kwargs):
+        result = cross_moment_s4_reshaped(*args, **kwargs)
+        shapes.append((result.shift, result.value.shape))
+        return result
+
+    monkeypatch.setattr(moments, "cross_moment_s4_reshaped", wrapped)
+    (train_quadratic if family == "quadratic" else train_brnn)(data, spec, 2, seed=1)
+    assert shapes == [(shift, (data.y.shape[0], k * k, k * k)) for shift in shifts]
+
+
+def test_brnn_split_in_span_pins_a_swapped_dataset():
+    """Chain seed 212 of the brnn_observed model at n=1e5: the block norms of
+    the full d_x-coordinate moments split the units wrongly (per-direction
+    A1/B1 errors 0.97/0.54); their norms in the span of the stage-1 rows,
+    which drop the noise outside it, split them correctly."""
+    spec = bounded_input_spec(d_x=6, w_scale=0.5, seed=1)
+    rng = np.random.default_rng(7)
+    params = BrnnParams(A1=np.linalg.qr(rng.standard_normal((6, 2)))[0].T,
+                        B1=np.linalg.qr(rng.standard_normal((6, 2)))[0].T,
+                        U=0.25 * np.linalg.qr(rng.standard_normal((2, 2)))[0],
+                        V=0.2 * np.linalg.qr(rng.standard_normal((2, 2)))[0],
+                        A2=rng.standard_normal((4, 6)), l=2)
+    data = brnn_forward(params, sample_markov_chain(spec, 100_000, 212))
+    est = train_brnn(data, spec, 2, seed=212)
+    assert align(est.A1, params.A1).max_error < 0.25
+    assert align(est.B1, params.B1).max_error < 0.35
+    T2, T4, stage1, _ = recovery._moments(data, spec, 4, (-1, 1), 10, 212, in_span=False)
+    full = recover_brnn(T2, 2, T4_back=T4[-1], T4_fwd=T4[1], seed=212, stage1=stage1)
+    assert align(full.A1, params.A1).max_error > 0.9
