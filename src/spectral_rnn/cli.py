@@ -108,8 +108,7 @@ def _rotation(d: int, rng: np.random.Generator) -> np.ndarray:
     return np.linalg.qr(rng.standard_normal((d, d)))[0]
 
 
-def _make_rnn(config: ExperimentConfig, seed: int, l: int | None = None,
-              d_y: int | None = None) -> RnnParams:
+def _make_rnn(config: ExperimentConfig, seed: int, d_y: int | None = None) -> RnnParams:
     rng = np.random.default_rng(seed)
     d_x, d_h = config.d_x, config.d_h
     d_y = config.d_y if d_y is None else d_y
@@ -118,7 +117,7 @@ def _make_rnn(config: ExperimentConfig, seed: int, l: int | None = None,
     U = config["model.u_scale"] * _rotation(d_h, rng)
     A2 = rng.standard_normal((d_h, d_y))
     A2 /= np.maximum(np.linalg.norm(A2, axis=1, keepdims=True), 1e-300)
-    return RnnParams(A1=A1, U=U, A2=A2, l=config.l if l is None else l)
+    return RnnParams(A1=A1, U=U, A2=A2, l=config.l)
 
 
 def _make_brnn(config: ExperimentConfig, seed: int) -> BrnnParams:
@@ -140,7 +139,6 @@ def _simulate(config: ExperimentConfig, seed: int, family: str = "rnn"):
         "rnn": (_make_rnn, rnn_forward),
         "brnn": (_make_brnn, brnn_forward),
         "scalar": (lambda c, s: _make_rnn(c, s, d_y=1), scalar_output_forward),
-        "linear": (lambda c, s: _make_rnn(c, s, l=1), rnn_forward),
     }[family]
     spec_seed, chain_seed, model_seed = _child_seeds(seed, 3)
     spec = _input_spec(config, spec_seed)
@@ -167,11 +165,12 @@ def _unit_input_rows(params):
     return RnnParams(A1=A1, U=U, A2=Dl[:, None] * params.A2, l=params.l)
 
 
-def _check_quadratic(config: ExperimentConfig, command: str) -> None:
-    """The quadratic commands fit l = 2 units only; any other model.l is a
-    config error, raised before simulating."""
-    if config.l != 2:
-        raise ConfigError(f"model.l: {command} fits quadratic units (l = 2), got {config.l}")
+def _check_degree(config: ExperimentConfig, command: str, l: int = 2,
+                  units: str = "quadratic") -> None:
+    """A command that fits units of degree l only treats any other model.l as
+    a config error, raised before simulating."""
+    if config.l != l:
+        raise ConfigError(f"model.l: {command} fits {units} units (l = {l}), got {config.l}")
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +208,7 @@ def _cmd_score_check(config, seed, art):
 
 
 def _cmd_moments(config, seed, art):
-    _check_quadratic(config, "moments")
+    _check_degree(config, "moments")
     spec, _, data = _simulate(config, seed)
     T2, T4, _ = quadratic_moments(data, spec, config.d_h,
                                   burn_in=config["estimation.burn_in"], seed=seed)
@@ -235,7 +234,7 @@ def _cmd_decompose(config, seed, art):
 
 def _cmd_train(config, seed, art):
     """Quadratic model; the recurrence is always estimated."""
-    _check_quadratic(config, "train")
+    _check_degree(config, "train")
     spec, params, data = _simulate(config, seed)
     est = train_quadratic(data, spec, config.d_h,
                           burn_in=config["estimation.burn_in"], seed=seed)
@@ -261,7 +260,7 @@ def _cmd_train_brnn(config, seed, art):
     [A1; B1] and cannot see a swapped forward/backward split; each direction
     is also aligned with its output rows and recurrence, so a large gap
     between the joint and the per-direction errors means the split failed."""
-    _check_quadratic(config, "train-brnn")
+    _check_degree(config, "train-brnn")
     if config.d_y < 2 * config.d_h:
         raise ConfigError(f"train-brnn needs model.d_y >= 2 * model.d_h, got model.d_y="
                           f"{config.d_y} and model.d_h={config.d_h}")
@@ -315,7 +314,8 @@ def _cmd_train_scalar(config, seed, art):
 def _cmd_train_linear(config, seed, art):
     """Linear model.  The lagged blocks A2^T U^k A1 identify A2 and U only
     given A1, so the true A1 is passed in as declared side information."""
-    spec, params, data = _simulate(config, seed, "linear")
+    _check_degree(config, "train-linear", 1, "linear")
+    spec, params, data = _simulate(config, seed)
     est = train_linear(data, spec, A1_known=params.A1,
                        burn_in=config["estimation.burn_in"])
     art.write_array("a2_hat", est.A2)
@@ -361,7 +361,7 @@ def _cmd_eval(config, seed, art):
 
 
 def _cmd_sweep(config, seed, art, workers):
-    _check_quadratic(config, "sweep")
+    _check_degree(config, "sweep")
     cell_master = _child_seeds(seed, 1)[0]
 
     def run_cell(n, cell_seed):

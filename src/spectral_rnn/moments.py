@@ -52,6 +52,16 @@ def _output_matrix(data: SequenceData) -> np.ndarray:
     return np.atleast_2d(np.asarray(data.y, dtype=float))
 
 
+def _scores_of(spec, data, scores=None):
+    """scores if given, checked to have the shape of x, else centered_scores(spec, data.x)."""
+    if scores is None:
+        return centered_scores(spec, data.x)
+    scores = np.asarray(scores, dtype=float)
+    if scores.shape != data.x.shape:
+        raise ValueError(f"scores must have the shape of x {data.x.shape}, got {scores.shape}")
+    return scores
+
+
 def _centered_pairs(spec, data, shift, burn_in, scores=None, baseline=None):
     """Centered outputs Y (d_y x N) and the scores S (d_x x N) aligned with them.
 
@@ -59,11 +69,7 @@ def _centered_pairs(spec, data, shift, burn_in, scores=None, baseline=None):
     since E[S_m] = 0, and removes the variance of the mean output against
     score fluctuations.  scores, if given, are centered_scores(spec, data.x).
     """
-    if scores is None:
-        scores = centered_scores(spec, data.x)
-    scores = np.asarray(scores, dtype=float)
-    if scores.shape != data.x.shape:
-        raise ValueError(f"scores must have the shape of x {data.x.shape}, got {scores.shape}")
+    scores = _scores_of(spec, data, scores)
     out, sc = _aligned_slices(data.n, shift, burn_in)
     Y = _output_matrix(data)[:, out]
     if baseline is not None:
@@ -123,10 +129,13 @@ def cross_moment_s1(
     data: SequenceData,
     shift: int = 0,
     burn_in: int = DEFAULT_BURN_IN,
+    *,
+    scores: np.ndarray | None = None,
 ) -> MomentTensor:
-    """E[y_t (x) S_1(t + shift)] as a d_y x d_x matrix."""
+    """E[y_t (x) S_1(t + shift)] as a d_y x d_x matrix.  scores, if given,
+    are centered_scores(spec, data.x), passed so one dataset computes them once."""
     y = _output_matrix(data)
-    s = centered_scores(spec, data.x)
+    s = _scores_of(spec, data, scores)
     out, sc = _aligned_slices(data.n, shift, burn_in)
     Y = y[:, out]
     val = Y @ s[:, sc].T / Y.shape[1]
@@ -237,8 +246,9 @@ def toeplitz_blocks(
     max_lag: int,
     burn_in: int = DEFAULT_BURN_IN,
 ) -> list[MomentTensor]:
-    """[C_0, ..., C_max_lag] with C_k = E[y_t (x) S_1(t - k)]."""
-    return [cross_moment_s1(spec, data, shift=-k, burn_in=burn_in)
+    """[C_0, ..., C_max_lag] with C_k = E[y_t (x) S_1(t - k)], from one score pass."""
+    scores = centered_scores(spec, data.x)
+    return [cross_moment_s1(spec, data, shift=-k, burn_in=burn_in, scores=scores)
             for k in range(max_lag + 1)]
 
 

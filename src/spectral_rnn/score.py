@@ -19,6 +19,8 @@ import numpy as np
 
 from .sequence_models import MarkovChainSpec
 
+_SCORE_BLOCK = 2048  # interior columns per block of centered_scores, so temporaries stay small
+
 
 @dataclass(frozen=True)
 class LocalGaussian:
@@ -141,11 +143,14 @@ def centered_scores(spec: MarkovChainSpec, x: np.ndarray) -> np.ndarray:
     Returns a d_x x n array; boundary columns (t=1 and t=n) are NaN.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    Lam = precision_matrix(spec)
-    s = np.full_like(x, np.nan)
-    interior = slice(1, x.shape[1] - 1)
-    s[:, interior] = (Lam @ x[:, interior]
-                      - (spec.W @ x[:, :-2] + spec.W.T @ x[:, 2:]) / spec.sigma**2)
+    Lam, W = precision_matrix(spec), spec.W
+    n = x.shape[1]
+    s = np.empty_like(x)
+    s[:, :1] = s[:, -1:] = np.nan
+    for a in range(1, n - 1, _SCORE_BLOCK):
+        b = min(n - 1, a + _SCORE_BLOCK)
+        s[:, a:b] = (Lam @ x[:, a:b]
+                     - (W @ x[:, a - 1 : b - 1] + W.T @ x[:, a + 1 : b + 1]) / spec.sigma**2)
     return s
 
 

@@ -7,12 +7,13 @@ function of (parameters, seed).
 
 All simulation runs through two kernels:
 
-- ``_linear_scan`` steps the linear chain as a blocked scan: per block of B
-  steps, one matmul with the block-Toeplitz kernel of powers of W gives the
-  response to the innovations, and one carry pass adds the block's start
-  state.  It works through the chain in fixed-size chunks.  It reorders
-  floating-point sums relative to a step-by-step loop, so the chain agrees
-  with one to rounding (about 1 ulp), not bit for bit.
+- ``_linear_scan`` steps the linear chain as a blocked scan in fixed-size
+  chunks: per block of B steps, one matmul with the block-Toeplitz kernel of
+  powers of W gives the response to the innovations, and one more adds the
+  block's start state.  The start states are a chain with transition W^B,
+  scanned by the same kernel one level down, so no loop runs per block.  It
+  reorders floating-point sums relative to a step-by-step loop, so the chain
+  agrees with one to rounding (about 1 ulp), not bit for bit.
 - ``_unroll`` runs the polynomial recursion parallel in time: chunks of the
   sequence advance together from warm-up states, and a chunk whose start
   state differs from the true one in any bit is re-run until it coalesces.
@@ -157,9 +158,8 @@ def stationary_covariance(spec: MarkovChainSpec) -> np.ndarray:
     raise AssumptionError("stationary covariance: doubling did not converge", stage="simulate")
 
 
-_SCAN_BLOCK = 64     # steps per block of the chain's blocked scan
-_SCAN_WIDTH = 512    # cap on block steps * d_x, the side of the Toeplitz kernel
-_SCAN_CHUNK = 256    # blocks per kernel matmul, so temporaries stay chunk-sized
+_SCAN_BLOCK = 8      # steps per block of the chain's blocked scan
+_SCAN_CHUNK = 2048   # blocks per kernel matmul, so temporaries stay chunk-sized
 
 
 def _linear_scan(W: np.ndarray, x: np.ndarray, eps: np.ndarray) -> None:
@@ -168,12 +168,15 @@ def _linear_scan(W: np.ndarray, x: np.ndarray, eps: np.ndarray) -> None:
     Blocked scan over the n - 1 steps: within a block of B steps the response
     to the innovations from a zero start is one matmul with the block-lower-
     triangular Toeplitz kernel [W^(i-j)]_{j<=i}; the block's start state then
-    adds [W; W^2; ...; W^B] x_prev, carried from block to block.
+    adds [W; W^2; ...; W^B] x_prev.  The start states are the same chain one
+    level down, with transition W^B, so this scan fills them recursively.
     """
     d, steps = eps.shape
-    if steps == 0:
+    if steps <= _SCAN_BLOCK:
+        for t in range(steps):
+            x[:, t + 1] = W @ x[:, t] + eps[:, t]
         return
-    B = max(1, min(_SCAN_BLOCK, _SCAN_WIDTH // d, steps))
+    B = _SCAN_BLOCK
     powers = np.empty((B + 1, d, d))
     powers[0] = np.eye(d)
     for k in range(1, B + 1):
@@ -182,7 +185,6 @@ def _linear_scan(W: np.ndarray, x: np.ndarray, eps: np.ndarray) -> None:
     kernel = np.where((lag >= 0)[:, :, None, None], powers[np.maximum(lag, 0)], 0.0)
     kernel = kernel.transpose(0, 2, 1, 3).reshape(B * d, B * d)
     carry_in = powers[1:].reshape(B * d, d)
-    W_B = powers[B]
     span = B * _SCAN_CHUNK
     for c0 in range(0, steps, span):
         c1 = min(steps, c0 + span)
@@ -192,12 +194,10 @@ def _linear_scan(W: np.ndarray, x: np.ndarray, eps: np.ndarray) -> None:
         E = np.zeros((d, m * B))
         E[:, : c1 - c0] = eps[:, c0:c1]
         R = kernel @ E.reshape(d, m, B).transpose(2, 0, 1).reshape(B * d, m)
-        # carry pass: each block's start state is the previous block's end
+        # start state of block b + 1 = W^B (start of block b) + block b's end response
         starts = np.empty((d, m))
-        prev = x[:, c0]
-        for b in range(m):
-            starts[:, b] = prev
-            prev = R[-d:, b] + W_B @ prev
+        starts[:, 0] = x[:, c0]
+        _linear_scan(powers[B], starts, R[-d:, : m - 1])
         R += carry_in @ starts
         x[:, c0 + 1 : c1 + 1] = R.reshape(B, d, m).transpose(1, 2, 0).reshape(d, m * B)[:, : c1 - c0]
 

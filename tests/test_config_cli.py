@@ -188,6 +188,22 @@ def test_cli_quadratic_commands_reject_other_degrees(tmp_path, capsys, monkeypat
     assert sorted(os.listdir(out)) == ["config.resolved"]
 
 
+@pytest.mark.parametrize("degree", [2, 3])
+def test_cli_train_linear_rejects_other_degrees(tmp_path, capsys, monkeypatch, degree):
+    """train-linear fits linear units only, so another model.l is a config
+    error before anything is simulated or written."""
+    simulated = []
+    monkeypatch.setattr(cli, "_simulate", lambda *args, **kw: simulated.append(args))
+    code, out = _run(tmp_path, "train-linear", extra_cfg={"model.l": str(degree),
+                                                          "estimation.n": "100"})
+    assert code == 2
+    assert _exit_record(capsys) == {
+        "error": "config",
+        "message": f"model.l: train-linear fits linear units (l = 1), got {degree}"}
+    assert simulated == []
+    assert sorted(os.listdir(out)) == ["config.resolved"]
+
+
 def test_cli_rank_deficient_output_rows_exit_code(tmp_path, capsys):
     """Two outputs cannot separate three units: stage 1 still succeeds, and
     the recurrence stage must fail loudly instead of truncating pinv(A2^T)."""
@@ -374,7 +390,7 @@ def test_cli_eval_without_estimate_exit_code(tmp_path):
 
 def test_cli_train_linear(tmp_path):
     cfg = {"estimation.n": "30000", "model.u_scale": "0.4",
-           "model.a1_scale": "0.5"}
+           "model.a1_scale": "0.5", "model.l": "1"}
     code, out = _run(tmp_path, "train-linear", extra_cfg=cfg)
     assert code == 0
     report = json.loads(open(os.path.join(out, "report.json")).read())

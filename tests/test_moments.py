@@ -196,6 +196,8 @@ def test_toeplitz_blocks_empirical():
     for k, want in enumerate([0.5, 0.25, 0.125]):
         assert abs(blocks[k].value[0, 0] - want) < 0.05
         assert blocks[k].shift == -k
+        # one score pass shared by the lags gives each lag's own bits
+        assert np.array_equal(blocks[k].value, cross_moment_s1(spec, data, shift=-k).value)
 
 
 def test_baseline_subtraction_changes_nothing_in_expectation():
@@ -314,6 +316,8 @@ def test_scores_argument_matches_computed_scores():
     s = centered_scores(spec, data.x)
     assert np.array_equal(cross_moment_s2(spec, data, scores=s).value,
                           cross_moment_s2(spec, data).value)
+    assert np.array_equal(cross_moment_s1(spec, data, shift=-1, scores=s).value,
+                          cross_moment_s1(spec, data, shift=-1).value)
     for shift in (-1, 1):
         given = cross_moment_s4_reshaped(spec, data, shift=shift, baseline=baseline, scores=s)
         computed = cross_moment_s4_reshaped(spec, data, shift=shift, baseline=baseline)
@@ -322,6 +326,8 @@ def test_scores_argument_matches_computed_scores():
         cross_moment_s2(spec, data, scores=s[:, :-1])
     with pytest.raises(ValueError, match="shape of x"):
         cross_moment_s4_reshaped(spec, data, scores=s[:2])
+    with pytest.raises(ValueError, match="shape of x"):
+        cross_moment_s1(spec, data, scores=s[:, 1:])
 
 
 def _assert_symmetric(T):

@@ -289,6 +289,16 @@ def test_train_computes_scores_and_stage1_once(monkeypatch, family):
     assert len(decomps) == 1
 
 
+def test_train_linear_computes_scores_once(monkeypatch):
+    params = RnnParams(A1=[[0.5]], U=[[0.5]], A2=[[1.0]], l=1)
+    spec = bounded_input_spec(1, 0.4, seed=23)
+    data = rnn_forward(params, sample_markov_chain(spec, 5000, seed=24))
+    scores = _count_calls(monkeypatch, "centered_scores", score_module.centered_scores,
+                          (score_module, moments))
+    train_linear(data, spec, A1_known=params.A1)
+    assert len(scores) == 1
+
+
 def _row_basis(rows):
     """Orthonormal basis (rows) of the span of the given rows, as the data
     pipelines take it."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from spectral_rnn.score import (QuadraticTest, batch_cross_moment,
+from spectral_rnn.score import (_SCORE_BLOCK, QuadraticTest, batch_cross_moment,
                                 centered_scores, local_gaussian,
                                 precision_matrix, score, score_closed_form,
                                 score_from_local, score_patterns, stein_check)
@@ -132,6 +132,35 @@ def test_centered_scores_layout():
     assert np.isnan(s[0, 0]) and np.isnan(s[0, -1])
     for t in range(2, 6):
         assert np.allclose(s[:, t - 1], score(spec, x, t, 1).value)
+
+
+@pytest.mark.parametrize("n", [3, 5, _SCORE_BLOCK + 1, _SCORE_BLOCK + 2, _SCORE_BLOCK + 3,
+                               3 * _SCORE_BLOCK + 7])
+def test_centered_scores_block_edges(n):
+    """Columns on both sides of every block edge equal the per-position
+    score, and the two boundary columns stay NaN, for n below one block and
+    across several."""
+    spec = bounded_input_spec(3, 0.6, seed=2)
+    x = np.random.default_rng(n).standard_normal((3, n))
+    s = centered_scores(spec, x)
+    assert s.shape == x.shape
+    assert np.isnan(s[:, [0, -1]]).all() and np.isfinite(s[:, 1:-1]).all()
+    edges = {e + k for e in range(1, n - 1, _SCORE_BLOCK) for k in (-1, 0, 1)}
+    for col in sorted(c for c in edges | {n - 2} if 1 <= c <= n - 2):
+        want = score(spec, x, col + 1, 1).value  # 1-based position
+        np.testing.assert_allclose(s[:, col], want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("n", [4, 2 * _SCORE_BLOCK + 5, 40000])
+def test_centered_scores_bitwise_equal_full_array_expression(n):
+    """At d_x = 6 the block-wise fill gives the bits of the expression over
+    the whole interior at once."""
+    spec = bounded_input_spec(6, 0.5, seed=3)
+    x = np.random.default_rng(n).standard_normal((6, n))
+    Lam, W = precision_matrix(spec), spec.W
+    want = np.full_like(x, np.nan)
+    want[:, 1:-1] = Lam @ x[:, 1:-1] - (W @ x[:, :-2] + W.T @ x[:, 2:]) / spec.sigma**2
+    assert np.array_equal(centered_scores(spec, x), want, equal_nan=True)
 
 
 def test_local_gaussian_matches_conditional_moments():

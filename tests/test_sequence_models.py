@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.linalg import solve_discrete_lyapunov
 
@@ -113,8 +115,10 @@ def _assert_same_chain(x, ref):
 
 @pytest.mark.parametrize("kind", ["rotation", "zero_W", "scalar", "near_unit"])
 @pytest.mark.parametrize("init", ["stationary", "zero"])
+# lengths around one block, and 63-65 and 197, whose block starts run
+# through a level of the recursion
 @pytest.mark.parametrize("n", [1, 2, 3, _SCAN_BLOCK - 1, _SCAN_BLOCK,
-                               _SCAN_BLOCK + 1, 3 * _SCAN_BLOCK + 5])
+                               _SCAN_BLOCK + 1, 3 * _SCAN_BLOCK + 5, 63, 64, 65, 197])
 def test_blocked_scan_matches_loop(kind, init, n):
     spec = _chain_spec(kind, init)
     _assert_same_chain(sample_markov_chain(spec, n, seed=5), _loop_chain(spec, n, seed=5))
@@ -122,12 +126,60 @@ def test_blocked_scan_matches_loop(kind, init, n):
 
 @pytest.mark.parametrize("d_x", [3, 12])
 def test_blocked_scan_matches_loop_across_chunks(d_x):
-    # d_x = 12 caps the block below _SCAN_BLOCK steps
+    # d_x = 12 gives the widest Toeplitz kernel here, _SCAN_BLOCK * 12 rows
     rng = np.random.default_rng(d_x)
     spec = MarkovChainSpec(W=0.9 * np.linalg.qr(rng.standard_normal((d_x, d_x)))[0],
                            sigma=0.2)
     n = 2 * _SCAN_BLOCK * _SCAN_CHUNK + 7
     _assert_same_chain(sample_markov_chain(spec, n, seed=3), _loop_chain(spec, n, seed=3))
+
+
+_SPAN = _SCAN_BLOCK * _SCAN_CHUNK  # steps per chunk of the scan
+_DEEP = 4 * _SCAN_BLOCK ** 3     # enough steps for three blocked levels of the recursion
+
+
+def _rotation_of(d, rng):
+    return np.linalg.qr(rng.standard_normal((d, d)))[0]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(d=st.integers(1, 8),
+       n=st.one_of(st.integers(1, 2 * _DEEP), st.integers(2 * _SPAN, 2 * _SPAN + 3 * _SCAN_BLOCK)),
+       norm=st.floats(0.0, 0.99), non_normal=st.booleans(),
+       init=st.sampled_from(["stationary", "zero"]), seed=st.integers(0, 2**16))
+@example(d=2, n=1, norm=0.5, non_normal=False, init="stationary", seed=0)
+@example(d=2, n=_SCAN_BLOCK, norm=0.5, non_normal=False, init="stationary", seed=0)
+@example(d=3, n=_SCAN_BLOCK + 1, norm=0.9, non_normal=False, init="zero", seed=1)
+@example(d=3, n=_SCAN_BLOCK + 2, norm=0.9, non_normal=True, init="stationary", seed=1)
+@example(d=5, n=_DEEP, norm=0.99, non_normal=False, init="stationary", seed=2)
+@example(d=8, n=2 * _SPAN + 2, norm=0.99, non_normal=True, init="stationary", seed=3)
+def test_recursive_scan_matches_loop(d, n, norm, non_normal, init, seed):
+    """The chain, filled by the blocked scan and its recursion over block
+    starts, equals the step loop to rounding for any dimension, length
+    (loop-only, one level, several levels, several chunks) and ||W|| < 1."""
+    rng = np.random.default_rng(seed)
+    W = np.triu(rng.standard_normal((d, d))) if non_normal else _rotation_of(d, rng)
+    W *= norm / max(np.linalg.norm(W, 2), 1e-300)
+    spec = MarkovChainSpec(W=W, sigma=0.3, init=init)
+    _assert_same_chain(sample_markov_chain(spec, n, seed=seed),
+                       _loop_chain(spec, n, seed=seed))
+
+
+def test_recursive_scan_depth(monkeypatch):
+    """Each level scans the block starts of the one above, so _DEEP steps run
+    at least three blocked levels before the step loop."""
+    steps, scan = [], sequence_models._linear_scan
+
+    def traced(W, x, eps):
+        steps.append(eps.shape[1])
+        scan(W, x, eps)
+
+    monkeypatch.setattr(sequence_models, "_linear_scan", traced)
+    spec = MarkovChainSpec(W=0.5 * _rotation_of(3, np.random.default_rng(0)), sigma=0.3)
+    sample_markov_chain(spec, _DEEP, seed=0)
+    assert steps[0] == _DEEP - 1
+    assert sum(s > _SCAN_BLOCK for s in steps) >= 3
+    assert steps[-1] <= _SCAN_BLOCK
 
 
 def test_sample_markov_chain_deterministic_and_stationary():
