@@ -20,7 +20,7 @@ from .moments import (MomentTensor, cross_moment_s1, cross_moment_s2,
                       cross_moment_s3, cross_moment_s3_scalar,
                       cross_moment_s4_reshaped, population_moment_oracle,
                       toeplitz_blocks)
-from .cp_decomp import CpDecomposition, decompose, decompose_symmetric
+from .cp_decomp import CpDecomposition, decompose
 from .recovery import (BrnnEstimate, RnnEstimate, quadratic_moments,
                        recover_brnn, recover_linear, recover_quadratic,
                        recover_recurrence, recover_scalar, train_brnn,

@@ -295,8 +295,7 @@ def _cmd_train_brnn(config, seed, art):
 
 
 def _cmd_train_scalar(config, seed, art):
-    if config.l < 3:
-        raise ConfigError(f"model.l: train-scalar fits units of degree l >= 3, got {config.l}")
+    _check_degree(config, "train-scalar", 3, "cubic")
     spec, params, data = _simulate(config, seed, "scalar")
     est = train_scalar(data, spec, config.d_h, l=config.l,
                        burn_in=config["estimation.burn_in"], seed=seed)

@@ -1,19 +1,18 @@
 """Low-rank CP decomposition of order-3 moment tensors.
 
-Two tensor shapes arise.  The main pipeline produces pair-symmetric tensors
-T = sum_r w_r b_r (x) c_r (x) c_r with modes 2 and 3 sharing the factor c_r;
-the scalar-output cubic model produces fully symmetric tensors
-sum_r w_r c_r^(x)3.
+Every tensor here is pair-symmetric, T = sum_r w_r b_r (x) c_r (x) c_r with
+modes 2 and 3 sharing the factor c_r.  The quadratic pipelines produce it
+with b_r the output row; the scalar-output cubic model produces the fully
+symmetric sum_r w_r c_r^(x)3, which is the case b_r = +-c_r.
 
-Both paths whiten against a definite random slice combination M_theta =
-sum_a theta_a T[a,:,:] = C diag(eta) C^T; after whitening the shared factors
-are orthonormal, so they come out of an eigendecomposition (pair-symmetric
-case) or a tensor power method with restarts and deflation (symmetric case).
-Mode-1 factors and weights are then fit to the original tensor by least
-squares.  When no definite slice combination exists, a
-simultaneous-diagonalization fallback recovers the shared factors from
-eigenvectors of M_1 M_2^-1, with both slices projected onto the top-k
-subspace of the shared mode.
+The shared factors are found by whitening against a definite random slice
+combination M_theta = sum_a theta_a T[a,:,:] = C diag(eta) C^T; after
+whitening they are orthonormal, so they come out of one eigendecomposition
+of a generic whitened slice combination.  Mode-1 factors and weights are
+then fit to the original tensor by least squares.  When no definite slice
+combination exists, a simultaneous-diagonalization fallback recovers the
+shared factors from eigenvectors of M_1 M_2^-1, with both slices projected
+onto the top-k subspace of the shared mode.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .sequence_models import AssumptionError
 from .tensor_core import multilinear
 
 DEFAULT_TRIALS = 64
-DEFAULT_ITERS = 200
 DEFAULT_TOL = 1e-10
 RANK_TOL = 1e-10
 
@@ -35,12 +33,11 @@ RANK_TOL = 1e-10
 class CpDecomposition:
     """Rank-k fit T ~ sum_r weights[r] * mode1[:, r] (x) factor[:, r] (x) factor[:, r].
 
-    Columns of mode1 and factor have unit norm and components are sorted by
-    decreasing |weight|.  For pair-symmetric tensors the weights are
-    nonnegative and mode1 carries signs; for fully symmetric tensors mode1
-    equals factor and the weights are signed.  Each factor column has its
-    first significant entry made positive (the flip is invisible to the
-    squared pair).
+    Columns of mode1 and factor have unit norm, the weights are nonnegative
+    and components are sorted by decreasing weight; mode1 carries the signs.
+    Each factor column has its first significant entry made positive (the
+    flip is invisible to the squared pair).  For a fully symmetric tensor
+    mode1[:, r] = +-factor[:, r], and that sign is the sign of the term.
     """
 
     weights: np.ndarray
@@ -96,49 +93,19 @@ def _find_definite_combo(
     return best
 
 
-def _power_iteration(core, rng, n_restarts):
-    """Best eigenpair of a symmetric order-3 tensor over several starts."""
-    d = core.shape[0]
-    flat = core.reshape(d, d * d)
-    starts = [np.linalg.svd(flat)[0][:, 0]]
-    starts += [rng.standard_normal(d) for _ in range(n_restarts)]
-    best_lam, best_u = 0.0, starts[0]
-    for u in starts:
-        u = u / np.linalg.norm(u)
-        for _ in range(DEFAULT_ITERS):
-            v = np.einsum("ijk,j,k->i", core, u, u)
-            nv = np.linalg.norm(v)
-            if nv < DEFAULT_TOL:
-                break
-            v /= nv
-            if min(np.linalg.norm(v - u), np.linalg.norm(v + u)) < DEFAULT_TOL:
-                u = v
-                break
-            u = v
-        lam = float(np.einsum("ijk,i,j,k->", core, u, u, u))
-        if abs(lam) > abs(best_lam):
-            best_lam, best_u = lam, u
-    return best_lam, best_u
-
-
-def _finalize(weights, mode1, factor, symmetric, rank_tol=RANK_TOL, sig_tol=1e-8):
-    """Sign convention, rank detection, and sorting shared by all paths."""
-    w_mag = np.abs(weights)
-    if w_mag.size == 0 or np.max(w_mag) == 0.0:
+def _finalize(weights, mode1, factor, rank_tol=RANK_TOL, sig_tol=1e-8):
+    """Sign convention, rank detection, and sorting of nonnegative weights."""
+    if weights.size == 0 or np.max(weights) == 0.0:
         d1, d = mode1.shape[0], factor.shape[0]
         return np.zeros(0), np.zeros((d1, 0)), np.zeros((d, 0))
-    keep = w_mag >= rank_tol * np.max(w_mag)
+    keep = weights >= rank_tol * np.max(weights)
     weights, mode1, factor = weights[keep], mode1[:, keep], factor[:, keep]
     for r in range(weights.shape[0]):
         col = factor[:, r]
         sig = np.nonzero(np.abs(col) > sig_tol * np.max(np.abs(col)))[0]
         if sig.size and col[sig[0]] < 0:
             factor[:, r] = -col
-            if symmetric:
-                weights[r] = -weights[r]
-    if symmetric:
-        mode1 = factor
-    order = np.argsort(-np.abs(weights), kind="stable")
+    order = np.argsort(-weights, kind="stable")
     return weights[order], mode1[:, order], factor[:, order]
 
 
@@ -212,49 +179,6 @@ def decompose(
         factor = C / np.linalg.norm(C, axis=0)
 
     weights, mode1 = _fit_mode1(T, factor)
-    weights, mode1, factor = _finalize(weights, mode1, factor, symmetric=False)
+    weights, mode1, factor = _finalize(weights, mode1, factor)
     return CpDecomposition(weights=weights, mode1=mode1, factor=factor)
 
-
-def decompose_symmetric(
-    T: np.ndarray,
-    k: int,
-    seed: int = 0,
-) -> CpDecomposition:
-    """Rank-k decomposition of a fully symmetric tensor sum_r w_r c_r^(x)3.
-
-    Whitens against a definite slice combination, extracts whitened factors
-    by the deflated tensor power method (an SVD start plus 10 k random
-    restarts per component), then refits signed weights to the original
-    tensor.  mode1 equals factor and weights carry the signs.  The
-    whitening search and the power iterations draw from separate streams
-    seeded by seed.
-    """
-    T = np.asarray(T, dtype=float)
-    if T.ndim != 3 or len(set(T.shape)) != 1:
-        raise ValueError("expected a cubical order-3 tensor")
-    d = T.shape[0]
-    if np.linalg.norm(T) == 0.0:
-        return CpDecomposition(weights=np.zeros(0), mode1=np.zeros((d, 0)),
-                               factor=np.zeros((d, 0)))
-    combo = _find_definite_combo(T, k, np.random.default_rng(seed))
-    if combo is None:
-        raise AssumptionError("rank deficiency; check full-rank assumption", stage="stage1")
-    vals, vecs = combo
-    W = vecs * np.abs(vals) ** -0.5
-    work = multilinear(T, W, W, W)
-    rng = np.random.default_rng(seed)
-    us = []
-    for _ in range(k):
-        lam, u = _power_iteration(work, rng, 10 * k)
-        us.append(u)
-        work = work - lam * np.einsum("i,j,k->ijk", u, u, u)
-    unwhiten = W @ np.linalg.inv(W.T @ W)
-    C = unwhiten @ np.stack(us, axis=1)
-    factor = C / np.linalg.norm(C, axis=0)
-
-    G = np.stack([np.einsum("i,j,k->ijk", factor[:, r], factor[:, r],
-                            factor[:, r]).ravel() for r in range(k)], axis=1)
-    w = np.linalg.lstsq(G, T.ravel(), rcond=None)[0]
-    weights, mode1, factor = _finalize(w, factor, factor, symmetric=True)
-    return CpDecomposition(weights=weights, mode1=mode1, factor=factor)

@@ -11,7 +11,9 @@ input rows, so the data pipelines take the moment and the rows in the
 coordinates of an orthonormal basis of that span.  Both quadratic families
 run these two stages; the bidirectional model fits forward units from the
 backward shift and backward units from the forward shift.  Cubic units
-(scalar output only) use the symmetric third-order moment instead; the
+(scalar output only) read stage 1 off the symmetric third-order moment
+6 sum_k a2_k a_k (x) a_k (x) a_k with the same decomposition, keeping the
+lowest-residual of several seeded draws; they have no recurrence stage.  The
 linear model is handled in closed form from lagged first-order blocks,
 given its input map.
 
@@ -27,10 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cp_decomp import CpDecomposition, decompose, decompose_symmetric
+from .cp_decomp import CpDecomposition, decompose
 from .moments import _pair_sym4
 from .sequence_models import AssumptionError
 from .tensor_core import pinv
+
+_SCALAR_DRAWS = 16
 
 
 @dataclass
@@ -152,15 +156,30 @@ def recover_quadratic(
 def recover_scalar(T3: np.ndarray, d_h: int, seed: int = 0) -> RnnEstimate:
     """Recover cubic units with scalar output from the symmetric third-order moment.
 
-    T3 = 6 sum_k a2_k a_k^(x)3, so factors give the input rows and signed
-    weights give the output coefficients.  Odd degree makes row signs
-    identifiable here.
+    T3 = 6 sum_k a2_k a_k^(x)3 is pair-symmetric with mode1_k = +-a_k, so
+    decompose reads it: factors give the input rows, and each weight, signed
+    by <mode1_k, factor_k>, gives an output coefficient.  One draw reads the
+    factors off one random slice combination, so the lowest-residual of
+    _SCALAR_DRAWS draws (seeds seed, seed + 1, ...) is kept; a draw that
+    raises or keeps fewer than d_h components is skipped, and if every draw
+    fails the last error is raised.  Odd degree makes row signs identifiable.
     """
-    cp = decompose_symmetric(T3, k=d_h, seed=seed)
-    _check_rank(cp, d_h)
-    A1 = cp.factor.T
-    a2 = cp.weights / 6.0  # signed weights; third derivative of z^3 is 6
-    return RnnEstimate(A1=A1, A2=a2.reshape(-1, 1), U=None)
+    best, best_residual, error = None, np.inf, None
+    for r in range(_SCALAR_DRAWS):
+        try:
+            cp = decompose(T3, k=d_h, seed=seed + r)
+            _check_rank(cp, d_h)
+        except AssumptionError as exc:
+            error = exc
+            continue
+        residual = cp.residual(T3)
+        if residual < best_residual:
+            best, best_residual = cp, residual
+    if best is None:
+        raise error
+    sign = np.sign(np.sum(best.mode1 * best.factor, axis=0))
+    a2 = sign * best.weights / 6.0  # third derivative of z^3 is 6
+    return RnnEstimate(A1=best.factor.T, A2=a2.reshape(-1, 1), U=None)
 
 
 def recover_brnn(
@@ -275,8 +294,8 @@ def train_brnn(data, spec, d_h, burn_in=10, seed=0) -> BrnnEstimate:
 def train_scalar(data, spec, d_h, l=3, burn_in=10, seed=0) -> RnnEstimate:
     from .moments import cross_moment_s3_scalar
 
-    if l < 3:
-        raise ValueError("scalar output requires l >= 3")
+    if l != 3:
+        raise ValueError(f"train_scalar fits cubic units (l = 3), got {l}")
     T3 = cross_moment_s3_scalar(spec, data, burn_in=burn_in).value
     return recover_scalar(T3, d_h, seed=seed)
 

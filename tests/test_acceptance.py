@@ -242,7 +242,7 @@ def test_criterion_8_scalar_cubic():
     weight = cross_moment_s3_scalar(iid, scalar_output_forward(unit, xg)) \
         .value.ravel()[0]
 
-    with pytest.raises(ValueError, match="l >= 3"):
+    with pytest.raises(ValueError, match=r"^train_scalar fits cubic units \(l = 3\), got 2$"):
         train_scalar(data, spec, 1, l=2)
     ok = direction < 1e-3 and abs(weight - 6.0) < 0.6
     _verdict(8, ok, f"direction gap {direction:.2e}, weight {weight:.3f}, "

@@ -162,12 +162,19 @@ def _exit_record(capsys):
     return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
 
 
-def test_cli_scalar_degree_guard_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("degree", [2, 4, 5])
+def test_cli_scalar_degree_guard_exit_code(tmp_path, capsys, monkeypatch, degree):
+    """train-scalar reads cubic units only (its weight divisor is 3!), so
+    another model.l is a config error before anything is simulated."""
+    simulated = []
+    monkeypatch.setattr(cli, "_simulate", lambda *args, **kw: simulated.append(args))
     code, _ = _run(tmp_path, "train-scalar",
-                   extra_cfg={"model.l": "2", "estimation.n": "100"})
+                   extra_cfg={"model.l": str(degree), "estimation.n": "100"})
     assert code == 2
     assert _exit_record(capsys) == {
-        "error": "config", "message": "model.l: train-scalar fits units of degree l >= 3, got 2"}
+        "error": "config",
+        "message": f"model.l: train-scalar fits cubic units (l = 3), got {degree}"}
+    assert simulated == []
 
 
 @pytest.mark.parametrize("command", ["train", "moments", "sweep", "train-brnn"])

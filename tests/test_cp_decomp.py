@@ -1,11 +1,15 @@
-"""CP decomposition: planted-tensor recovery, whitening, power method."""
+"""CP decomposition: planted-tensor recovery, whitening, the fallback."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spectral_rnn import cp_decomp
-from spectral_rnn.cp_decomp import decompose, decompose_symmetric
-from spectral_rnn.sequence_models import AssumptionError
+from spectral_rnn.cp_decomp import decompose
+from spectral_rnn.moments import population_moment_oracle
+from spectral_rnn.recovery import recover_scalar
+from spectral_rnn.sequence_models import AssumptionError, RnnParams
 
 
 def _planted(d, k, seed, weights=None, orthogonal=False):
@@ -68,27 +72,38 @@ def test_weights_sorted_and_residual():
     assert cp.residual(T) < 1e-10
 
 
+def _signed_weights(cp):
+    """Weights of a fully symmetric fit, signed by <mode1_r, factor_r>."""
+    return np.sign(np.sum(cp.mode1 * cp.factor, axis=0)) * cp.weights
+
+
 def test_symmetric_planted_exact():
+    """A fully symmetric tensor is pair-symmetric with mode1 = +-factor."""
     rng = np.random.default_rng(9)
     B = np.linalg.qr(rng.standard_normal((7, 3)))[0]
     w = np.array([2.0, 1.5, 1.0])
     T = np.einsum("r,ir,jr,kr->ijk", w, B, B, B)
-    cp = decompose_symmetric(T, 3, seed=10)
+    cp = decompose(T, 3, seed=10)
     assert np.linalg.norm(cp.reconstruct() - T) / np.linalg.norm(T) < 1e-10
-    assert np.array_equal(cp.mode1, cp.factor)
+    assert np.allclose(np.abs(np.sum(cp.mode1 * cp.factor, axis=0)), 1.0, atol=1e-10)
 
 
 def test_symmetric_signed_weights():
-    """A negative-weight component is reported with a signed weight (up to the
-    v -> -v, w -> -w symmetry of odd-order rank-1 terms)."""
+    """A negative-weight component shows as mode1 = -factor, so the weight
+    signed by <mode1, factor> is negative (up to the v -> -v, w -> -w
+    symmetry of odd-order rank-1 terms, which the factor sign convention fixes)."""
     rng = np.random.default_rng(11)
     B = np.linalg.qr(rng.standard_normal((6, 2)))[0]
     w = np.array([2.0, -1.2])
     T = np.einsum("r,ir,jr,kr->ijk", w, B, B, B)
-    cp = decompose_symmetric(T, 2, seed=12)
+    cp = decompose(T, 2, seed=12)
     assert np.linalg.norm(cp.reconstruct() - T) / np.linalg.norm(T) < 1e-10
-    assert sorted(np.sign(cp.weights * 1.0).tolist()) == [-1.0, 1.0] or \
-        np.allclose(np.abs(cp.weights), [2.0, 1.2])
+    signed = _signed_weights(cp)
+    rebuilt = np.einsum("r,ir,jr,kr->ijk", signed, cp.factor, cp.factor, cp.factor)
+    assert np.linalg.norm(rebuilt - T) / np.linalg.norm(T) < 1e-10
+    assert np.allclose(np.abs(signed), [2.0, 1.2], atol=1e-10)
+    flips = np.sign(B.T @ cp.factor).diagonal()  # B's columns in weight order
+    assert np.allclose(signed * flips, w, atol=1e-10)
 
 
 def test_zero_tensor_rank_zero():
@@ -105,12 +120,15 @@ def test_rank_detection_drops_tiny_components():
 
 
 def test_rank_deficient_raises():
+    """A rank-1 symmetric tensor asked for rank 3: every draw raises or keeps
+    fewer than 3 components, so the scalar stage 1 fails loudly."""
     rng = np.random.default_rng(15)
     b = rng.standard_normal(5)
     b /= np.linalg.norm(b)
     T = np.einsum("i,j,k->ijk", b, b, b)
-    with pytest.raises(AssumptionError, match="rank"):
-        decompose_symmetric(T, 3, seed=16)
+    with pytest.raises(AssumptionError, match="rank") as info:
+        recover_scalar(T, 3, seed=16)
+    assert info.value.stage == "stage1"
 
 
 def test_whiten_orthogonalizes_components():
@@ -119,21 +137,21 @@ def test_whiten_orthogonalizes_components():
     B /= np.linalg.norm(B, axis=0)
     w = np.array([2.0, 1.4, 1.0])
     T = np.einsum("r,ir,jr,kr->ijk", w, B, B, B)
-    # the components are not orthogonal; only after whitening does the
-    # power method's deflation recover them exactly
-    cp = decompose_symmetric(T, 3, seed=18)
+    # the components are not orthogonal; only after whitening does one
+    # eigendecomposition recover them exactly
+    cp = decompose(T, 3, seed=18)
     assert np.linalg.norm(cp.reconstruct() - T) / np.linalg.norm(T) < 1e-8
     assert _best_column_error(cp.factor, B) < 1e-8
 
 
-def test_power_method_on_odeco_tensor():
+def test_odeco_tensor():
     rng = np.random.default_rng(19)
     Q = np.linalg.qr(rng.standard_normal((4, 4)))[0][:, :3]
     w = np.array([3.0, 2.0, 1.0])
     T = np.einsum("r,ir,jr,kr->ijk", w, Q, Q, Q)
-    cp = decompose_symmetric(T, 3, seed=20)
+    cp = decompose(T, 3, seed=20)
     assert _best_column_error(cp.factor, Q) < 1e-8
-    assert np.allclose(np.sort(np.abs(cp.weights))[::-1], w, atol=1e-8)
+    assert np.allclose(np.abs(_signed_weights(cp)), w, atol=1e-8)
 
 
 def test_reconstruct_shape_and_modes():
@@ -191,3 +209,52 @@ def test_fallback_works_in_the_signal_subspace(monkeypatch):
     assert len(calls) == 47
     assert np.median(errs) < 0.01
     assert max(errs) < 0.05
+
+
+# planted CP recovery on the one path, for both tensor shapes: random sizes,
+# well-conditioned shared factors, weights in [0.5, 1.5] so they can nearly tie
+@st.composite
+def _shape(draw):
+    d = draw(st.integers(2, 7))
+    k = draw(st.integers(1, d))
+    weights = draw(st.lists(st.floats(0.5, 1.5), min_size=k, max_size=k))
+    return d, k, np.array(weights), draw(st.integers(0, 2**32 - 1))
+
+
+def _unit_columns(rng, d, k):
+    """d x k unit columns with smallest singular value at least 0.05."""
+    B = rng.standard_normal((d, k))
+    B /= np.linalg.norm(B, axis=0)
+    assume(np.linalg.svd(B, compute_uv=False)[-1] >= 0.05)
+    return B
+
+
+@settings(max_examples=100)
+@given(shape=_shape(), extra=st.integers(0, 2))
+def test_planted_pair_symmetric_property(shape, extra):
+    d, k, w, seed = shape
+    rng = np.random.default_rng(seed)
+    B = _unit_columns(rng, d, k)
+    A = rng.standard_normal((k + extra, k))
+    A /= np.linalg.norm(A, axis=0)
+    T = np.einsum("r,ar,ir,jr->aij", w, A, B, B)
+    cp = decompose(T, k, seed=seed % 1000)
+    assert cp.rank == k
+    assert cp.residual(T) < 1e-8
+
+
+@settings(max_examples=30)
+@given(shape=_shape(), signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=7, max_size=7))
+def test_planted_cubic_oracle_property(shape, signs):
+    """The scalar cubic oracle 6 sum_k a2_k a_k^(x)3 with signed a2: the
+    recovered (A1, a2) rebuild it, so rows and signed weights are right
+    modulo the (a, a2) -> (-a, -a2) symmetry."""
+    d, k, w, seed = shape
+    rng = np.random.default_rng(seed)
+    A1 = _unit_columns(rng, d, k).T
+    a2 = np.array(signs[:k]) * w
+    T3 = population_moment_oracle(RnnParams(A1=A1, U=np.zeros((k, k)), A2=a2[:, None], l=3),
+                                  "S3-order4-scalar")
+    est = recover_scalar(T3, k, seed=seed % 1000)
+    rebuilt = 6.0 * np.einsum("r,ri,rj,rk->ijk", est.A2[:, 0], est.A1, est.A1, est.A1)
+    assert np.linalg.norm(rebuilt - T3) / np.linalg.norm(T3) < 1e-10

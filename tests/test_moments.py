@@ -336,7 +336,7 @@ def _assert_symmetric(T):
         assert np.array_equal(T, T.transpose((0,) + perm)), perm
 
 
-_KERNEL_PROPERTY = settings(derandomize=True, max_examples=5, deadline=None)
+_KERNEL_PROPERTY = settings(max_examples=5)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])

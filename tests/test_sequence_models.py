@@ -142,7 +142,7 @@ def _rotation_of(d, rng):
     return np.linalg.qr(rng.standard_normal((d, d)))[0]
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=25)
 @given(d=st.integers(1, 8),
        n=st.one_of(st.integers(1, 2 * _DEEP), st.integers(2 * _SPAN, 2 * _SPAN + 3 * _SCAN_BLOCK)),
        norm=st.floats(0.0, 0.99), non_normal=st.booleans(),
