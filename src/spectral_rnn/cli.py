@@ -304,8 +304,9 @@ def _cmd_train_scalar(config, seed, art):
     art.write_array("a2_hat", est.A2)
     art.write_array("a1_true", truth.A1)
     art.write_array("a2_true", truth.A2)
-    report = align(est.A1, truth.A1)
-    art.write_json("report.json", {"max_error": report.max_error})
+    report = align(est.A1, truth.A1, est.A2, truth.A2, degree=3)
+    art.write_json("report.json", {"max_error": report.max_error,
+                                   "median_error": report.median_error})
     print(f"train-scalar: max aligned row error {report.max_error:.4g}")
     return EXIT_OK
 

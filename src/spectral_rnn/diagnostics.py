@@ -1,9 +1,11 @@
 """Evaluation utilities: alignment, error bounds and sweeps.
 
-Recovered parameters are only defined up to a hidden-unit permutation and,
-for even-degree units, a per-unit sign that flips an input row together with
-its recurrence row while leaving the unit's output unchanged.  Alignment
-quotients this group out before computing errors.
+Recovered parameters are only defined up to a hidden-unit permutation and a
+per-unit sign.  For even-degree units the sign flips an input row together
+with its recurrence row and leaves the unit's output unchanged; for odd
+degree it flips the unit's output too, so its output row and its recurrence
+column flip with it.  Alignment quotients this group out before computing
+errors.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ def align(
     A2_true: np.ndarray | None = None,
     U_est: np.ndarray | None = None,
     U_true: np.ndarray | None = None,
+    degree: int = 2,
 ) -> RecoveryReport:
     """Match estimated units to true units and quotient out the symmetry group.
 
@@ -76,8 +79,9 @@ def align(
     goes to the optimum that ``_assignment`` reaches first: true rows join in
     order, and each search step takes the lowest-indexed estimate row among
     those of least reduced cost.  Signs flip aligned A1 rows and the matching
-    U rows; U columns and A2 rows follow the permutation only.  Errors are not
-    scale-invariant: pass the truth in the estimates' unit-input-row convention.
+    U rows; for odd degree they also flip A2 rows and U columns, which
+    otherwise follow the permutation only.  Errors are not scale-invariant:
+    pass the truth in the estimates' unit-input-row convention.
     """
     A1_est = np.asarray(A1_est, dtype=float)
     A1_true = np.asarray(A1_true, dtype=float)
@@ -93,11 +97,12 @@ def align(
     signs = np.sign(cos[np.arange(k), perm])
     signs[signs == 0] = 1.0
 
+    out_signs = signs if degree % 2 else np.ones(k)
     A1a = signs[:, None] * A1_est[perm]
-    A2a = A2_est[perm] if A2_est is not None else None
+    A2a = out_signs[:, None] * A2_est[perm] if A2_est is not None else None
     Ua = None
     if U_est is not None:
-        Ua = signs[:, None] * U_est[np.ix_(perm, perm)]
+        Ua = signs[:, None] * U_est[np.ix_(perm, perm)] * out_signs
 
     per_row = {"A1": np.linalg.norm(A1a - A1_true, axis=1)}
     if A2a is not None and A2_true is not None:

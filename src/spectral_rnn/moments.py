@@ -258,10 +258,11 @@ def toeplitz_blocks(
 
 
 def _pair_sym4(Ha: np.ndarray, Hb: np.ndarray) -> np.ndarray:
-    """Ha_ij Hb_kl + Ha_ik Hb_jl + Ha_il Hb_jk for symmetric matrices Ha, Hb."""
-    return (np.einsum("ij,kl->ijkl", Ha, Hb)
-            + np.einsum("ik,jl->ijkl", Ha, Hb)
-            + np.einsum("il,jk->ijkl", Ha, Hb))
+    """Ha_ij Hb_kl + Ha_ik Hb_jl + Ha_il Hb_jk for symmetric matrices Ha, Hb,
+    or pairwise over stacks of them (leading axes broadcast)."""
+    return (np.einsum("...ij,...kl->...ijkl", Ha, Hb)
+            + np.einsum("...ik,...jl->...ijkl", Ha, Hb)
+            + np.einsum("...il,...jk->...ijkl", Ha, Hb))
 
 
 def population_moment_oracle(

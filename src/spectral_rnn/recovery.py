@@ -8,9 +8,13 @@ least squares (recover_recurrence), from a shifted reshaped fourth-order
 cross-moment whose unmixed per-unit blocks are pair-symmetrizations of
 H_k = 2 sum_j U_kj a_j a_j^T.  These blocks lie in the span of the stage-1
 input rows, so the data pipelines take the moment and the rows in the
-coordinates of an orthonormal basis of that span.  Both quadratic families
-run these two stages; the bidirectional model fits forward units from the
-backward shift and backward units from the forward shift.  Cubic units
+coordinates of an orthonormal basis of that span, and every fit, on the
+full-coordinate oracle moment too, projects its block onto the span of the
+rows it is given: a k^4-row least squares for k rows, never a d^4-row one.
+Projecting with orthonormal rows drops only what no design column can
+reach, so the fit is the same.  Both quadratic families run these two
+stages; the bidirectional model fits forward units from the backward shift
+and backward units from the forward shift.  Cubic units
 (scalar output only) read stage 1 off the symmetric third-order moment
 6 sum_k a2_k a_k (x) a_k (x) a_k with the same decomposition, keeping the
 lowest-residual of several seeded draws; they have no recurrence stage.  The
@@ -96,19 +100,26 @@ def fit_recurrence_row(Q_k: np.ndarray, A1: np.ndarray) -> np.ndarray:
     so it is linear in the outer product u u^T.  Fit that outer product by
     least squares over a symmetric basis, then take the dominant eigenvector.
     The row sign is not determined by the block.
+
+    Every design column lies in span(a_1..a_k)^(x)4, so the fit runs in the
+    coordinates of B, orthonormal rows spanning A1's: (B(x)B) Q_k (B(x)B)^T
+    against the rows A1 B^T, a least squares of m^4 rows (B has m = min(k, d)
+    rows) instead of d^4.  B(x)B has orthonormal rows, so the part of Q_k the
+    design cannot reach drops out and the solution is the same.
     """
-    k = A1.shape[0]
-    H = [2.0 * np.outer(A1[p], A1[p]) for p in range(k)]
-
-    def column(p, q):  # the block of u_p u_q + u_q u_p (of u_p^2 at p = q)
-        block = _pair_sym4(H[p], H[q])
-        return 2.0 * (block if p == q else block + _pair_sym4(H[q], H[p])).ravel()
-
-    index = [(p, q) for p in range(k) for q in range(p, k)]
-    G = np.stack([column(p, q) for p, q in index], axis=1)
+    B = np.linalg.qr(A1.T)[0].T
+    m, d = B.shape
+    BB = (B[:, None, :, None] * B[None, :, None, :]).reshape(m * m, d * d)  # B(x)B
+    rows = A1 @ B.T
+    k = rows.shape[0]
+    H = 2.0 * rows[:, :, None] * rows[:, None, :]
+    p, q = np.triu_indices(k)
+    # column (p, q) is the block of u_p u_q + u_q u_p (of u_p^2 at p = q)
+    G = (_pair_sym4(H[p], H[q]) + _pair_sym4(H[q], H[p])) \
+        * np.where(p == q, 1.0, 2.0)[:, None, None, None, None]
+    c = np.linalg.lstsq(G.reshape(p.size, -1).T, (BB @ Q_k @ BB.T).ravel(), rcond=None)[0]
     X = np.zeros((k, k))
-    for (p, q), c in zip(index, np.linalg.lstsq(G, Q_k.ravel(), rcond=None)[0]):
-        X[p, q] = X[q, p] = c
+    X[p, q] = X[q, p] = c
     vals, vecs = np.linalg.eigh(X)
     i = int(np.argmax(np.abs(vals)))
     return np.sqrt(abs(vals[i])) * vecs[:, i]

@@ -11,7 +11,7 @@ from spectral_rnn.cli import main
 from spectral_rnn.config import (ConfigError, config_hash, from_items,
                                  parse_config, serialize)
 from spectral_rnn.moments import population_moment_oracle
-from spectral_rnn.recovery import BrnnEstimate
+from spectral_rnn.recovery import BrnnEstimate, RnnEstimate
 from spectral_rnn.sequence_models import RnnParams
 
 BASE = {"model.d_x": "4", "model.d_h": "2", "model.d_y": "3"}
@@ -175,6 +175,31 @@ def test_cli_scalar_degree_guard_exit_code(tmp_path, capsys, monkeypatch, degree
         "error": "config",
         "message": f"model.l: train-scalar fits cubic units (l = 3), got {degree}"}
     assert simulated == []
+
+
+SCALAR = {"model.d_x": "6", "model.d_h": "3", "model.d_y": "1", "model.l": "3",
+          "model.a1_scale": "1.0", "estimation.n": "100000"}
+
+
+def test_cli_train_scalar_scores_output_rows(tmp_path, monkeypatch):
+    """report.json covers the A2 rows, aligned with cubic units' sign group,
+    so an estimate with the right input rows and half the output scale
+    (error about 0.5 per row against |a2| = 1) no longer reads as a pass."""
+    code, out = _run(tmp_path, "train-scalar", ("--seed", "3"), SCALAR)
+    assert code == 0
+    report = json.loads(open(os.path.join(out, "report.json")).read())
+    assert sorted(report) == ["max_error", "median_error"]
+    assert report["max_error"] < 0.15
+    train_scalar = cli.train_scalar
+
+    def halved(*args, **kwargs):
+        est = train_scalar(*args, **kwargs)
+        return RnnEstimate(A1=est.A1, A2=0.5 * est.A2, U=est.U)
+
+    monkeypatch.setattr(cli, "train_scalar", halved)
+    code, out = _run(tmp_path, "train-scalar", ("--seed", "3"), SCALAR, out="halved")
+    assert code == 0
+    assert json.loads(open(os.path.join(out, "report.json")).read())["max_error"] >= 0.3
 
 
 @pytest.mark.parametrize("command", ["train", "moments", "sweep", "train-brnn"])

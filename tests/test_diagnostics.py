@@ -57,6 +57,25 @@ def test_align_sign_of_recurrence_ignored():
     assert rep.u_error < 1e-15
 
 
+def test_align_odd_degree_flips_output_rows_and_recurrence_columns():
+    """For odd degree, flipping a unit negates its output, so its A2 row and
+    U column flip with its A1 and U rows: an exact estimate reads 0 at
+    degree 3, while degree 2 keeps the A2 row and reads the flip as error."""
+    A1 = _unit_rows(3, 5, 6)
+    rng = np.random.default_rng(7)
+    A2, U = rng.standard_normal((3, 2)), 0.3 * rng.standard_normal((3, 3))
+    signs = np.array([1.0, -1.0, 1.0])
+    A1_est, A2_est = signs[:, None] * A1, signs[:, None] * A2
+    U_est = signs[:, None] * U * signs
+    odd = align(A1_est, A1, A2_est, A2, U_est, U, degree=3)
+    assert odd.max_error == 0.0 and odd.u_error == 0.0
+    assert np.array_equal(odd.A2, A2) and np.array_equal(odd.U, U)
+    even = align(A1_est, A1, A2_est, A2, U_est, U)
+    assert np.array_equal(even.per_row_errors["A1"], np.zeros(3))
+    assert even.per_row_errors["A2"][1] == pytest.approx(2 * np.linalg.norm(A2[1]))
+    assert even.max_error == align(A1_est, A1, A2_est, A2, U_est, U, degree=2).max_error
+
+
 _PROPERTY = settings(max_examples=60)
 
 # small integer costs make ties common, so the optimum is often not unique

@@ -1,9 +1,12 @@
 """Parameter recovery from exact (oracle) and simulated moments."""
 
 import importlib
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_rnn import cli, cp_decomp, moments, recovery
 from spectral_rnn.config import from_items
@@ -139,6 +142,101 @@ def test_fit_recurrence_row_roundtrip():
     assert np.allclose(np.abs(got), np.abs(u), atol=1e-10)
 
 
+def _fit_recurrence_row_full(Q_k, A1):
+    """The fit in the full d coordinates, kept as the reference: one design
+    column per pair p <= q, built from the three pairings of H_p and H_q, and
+    a d^4-row least squares."""
+    k = A1.shape[0]
+    H = [2.0 * np.outer(A1[p], A1[p]) for p in range(k)]
+
+    def pairings(Ha, Hb):
+        return (np.einsum("ij,kl->ijkl", Ha, Hb) + np.einsum("ik,jl->ijkl", Ha, Hb)
+                + np.einsum("il,jk->ijkl", Ha, Hb))
+
+    def column(p, q):
+        block = pairings(H[p], H[q])
+        return 2.0 * (block if p == q else block + pairings(H[q], H[p])).ravel()
+
+    index = [(p, q) for p in range(k) for q in range(p, k)]
+    G = np.stack([column(p, q) for p, q in index], axis=1)
+    X = np.zeros((k, k))
+    for (p, q), c in zip(index, np.linalg.lstsq(G, Q_k.ravel(), rcond=None)[0]):
+        X[p, q] = X[q, p] = c
+    vals, vecs = np.linalg.eigh(X)
+    i = int(np.argmax(np.abs(vals)))
+    return np.sqrt(abs(vals[i])) * vecs[:, i]
+
+
+def _planted_block(u, rows):
+    """2 * the pairings of H(u) = 2 sum_j u_j r_j r_j^T with itself, d^2 x d^2."""
+    H = 2.0 * np.einsum("j,ji,jl->il", u, rows, rows)
+    d = rows.shape[1]
+    return 2.0 * moments._pair_sym4(H, H).reshape(d * d, d * d)
+
+
+def _rows(rng, k, d, sigma_min):
+    """k x d rows of unit norm, not orthogonal, with singular values >= sigma_min."""
+    while True:
+        rows = rng.standard_normal((k, d)) + 0.5 * rng.standard_normal(d)
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        if np.linalg.svd(rows, compute_uv=False).min() >= sigma_min:
+            return rows
+
+
+def _assert_same_row(got, want, rtol):
+    """Equal up to the row sign, which the block does not fix."""
+    sign = 1.0 if got @ want >= 0 else -1.0
+    assert np.max(np.abs(got - sign * want)) <= rtol * np.max(np.abs(want))
+
+
+def _symmetric_noise(rng, d):
+    """A d^2 x d^2 block symmetric under every permutation of its four indices."""
+    N = rng.standard_normal((d,) * 4)
+    return (sum(N.transpose(p) for p in itertools.permutations(range(4))) / 24.0
+            ).reshape(d * d, d * d)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 5).flatmap(lambda k: st.tuples(st.just(k), st.integers(k, 10))),
+       st.integers(0, 2 ** 32 - 1), st.floats(0.0, 0.05))
+def test_fit_in_span_matches_full_coordinate_fit(kd, seed, noise):
+    """The fit in the span of the input rows solves the same least squares
+    as the d^4-row fit, for non-orthogonal rows and a noisy symmetric block."""
+    k, d = kd
+    rng = np.random.default_rng(seed)
+    rows = _rows(rng, k, d, 0.1)
+    u = rng.uniform(0.2, 0.5) * rng.standard_normal(k) / np.sqrt(k)
+    block = _planted_block(u, rows)
+    block = block + noise * np.max(np.abs(block)) * _symmetric_noise(rng, d)
+    _assert_same_row(fit_recurrence_row(block, rows), _fit_recurrence_row_full(block, rows),
+                     1e-10)
+
+
+def test_fit_recurrence_row_planted_non_orthogonal():
+    """A noiseless block of non-orthogonal rows (d > k) gives back its row."""
+    rng = np.random.default_rng(41)
+    rows = _rows(rng, 4, 9, 0.1)
+    u = np.array([0.3, -0.1, 0.25, 0.05])
+    _assert_same_row(fit_recurrence_row(_planted_block(u, rows), rows), u, 1e-10)
+
+
+def test_fit_recurrence_row_in_brnn_basis_shape():
+    """The BRNN fits each direction's d_h rows in the coordinates of a basis
+    of all 2 d_h stage-1 rows: d_h x 2 d_h rows, which span only half of
+    those coordinates."""
+    rng = np.random.default_rng(42)
+    C = _rows(rng, 4, 6, 0.1)
+    basis = np.linalg.qr(C.T)[0].T
+    rows = C[:2] @ basis.T
+    assert rows.shape == (2, 4)
+    u = np.array([0.2, -0.15])
+    block = _planted_block(u, rows)
+    _assert_same_row(fit_recurrence_row(block, rows), u, 1e-10)
+    block = block + 0.01 * np.max(np.abs(block)) * _symmetric_noise(rng, 4)
+    _assert_same_row(fit_recurrence_row(block, rows), _fit_recurrence_row_full(block, rows),
+                     1e-10)
+
+
 def test_recover_scalar_oracle():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((1, 3))
@@ -181,6 +279,59 @@ def test_recover_brnn_oracle_exact():
     repb = align(est.B1, B1, est.A2[2:], A2[2:], est.V, V)
     assert repf.max_error < 1e-9 and repf.u_error < 1e-9
     assert repb.max_error < 1e-9 and repb.u_error < 1e-9
+
+
+def _orthonormal_rows(rng, k, d):
+    return np.linalg.qr(rng.standard_normal((d, k)))[0].T
+
+
+@st.composite
+def _oracle_models(draw, brnn):
+    """A random small quadratic model: d_x in 2-7, d_h up to min(d_x, 3),
+    d_y in d_h..d_h+2 (a BRNN also needs 2 d_h <= d_x and d_y >= 2 d_h),
+    orthonormal input rows, output rows orthonormal times distinct scales in
+    [1.0, 1.6] and recurrences of norm u_scale in [0.05, 0.4]."""
+    d_x = draw(st.integers(2, 7))
+    d_h = draw(st.integers(1, min(d_x // 2, 2) if brnn else min(d_x, 3)))
+    k = 2 * d_h if brnn else d_h
+    d_y = draw(st.integers(max(d_h, k), d_h + 2))
+    scales = np.array(draw(st.lists(st.floats(1.0, 1.6), min_size=k, max_size=k,
+                                    unique=True)))
+    u_scales = draw(st.lists(st.floats(0.05, 0.4), min_size=2, max_size=2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A2 = _orthonormal_rows(rng, k, d_y) * scales[:, None]
+    U, V = (s * np.linalg.qr(rng.standard_normal((d_h, d_h)))[0] for s in u_scales)
+    if brnn:
+        return BrnnParams(A1=_orthonormal_rows(rng, d_h, d_x),
+                          B1=_orthonormal_rows(rng, d_h, d_x), U=U, V=V, A2=A2, l=2)
+    return RnnParams(A1=_orthonormal_rows(rng, d_h, d_x), U=U, A2=A2, l=2)
+
+
+_ORACLE_PROPERTY = settings(max_examples=40)
+
+
+@_ORACLE_PROPERTY
+@given(_oracle_models(brnn=False), st.integers(0, 2 ** 16))
+def test_quadratic_oracle_property(params, seed):
+    T2 = population_moment_oracle(params, "S2-order3")
+    T4 = population_moment_oracle(params, "S4-reshaped-order3", shift=-1)
+    est = recover_quadratic(T2, params.d_h, T4=T4, seed=seed)
+    rep = align(est.A1, params.A1, est.A2, params.A2, est.U, params.U)
+    assert rep.max_error < 1e-8 and rep.u_error < 1e-8
+
+
+@_ORACLE_PROPERTY
+@given(_oracle_models(brnn=True), st.integers(0, 2 ** 16))
+def test_brnn_oracle_property(params, seed):
+    d_h = params.d_h
+    T2 = population_moment_oracle(params, "S2-order3")
+    T4b, T4f = (population_moment_oracle(params, "S4-reshaped-order3", shift=s)
+                for s in (-1, 1))
+    est = recover_brnn(T2, d_h, T4_back=T4b, T4_fwd=T4f, seed=seed)
+    fwd = align(est.A1, params.A1, est.A2[:d_h], params.A2[:d_h], est.U, params.U)
+    bwd = align(est.B1, params.B1, est.A2[d_h:], params.A2[d_h:], est.V, params.V)
+    assert fwd.max_error < 1e-8 and fwd.u_error < 1e-8
+    assert bwd.max_error < 1e-8 and bwd.u_error < 1e-8
 
 
 def test_recover_brnn_needs_wide_output():

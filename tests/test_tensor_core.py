@@ -1,4 +1,4 @@
-"""Dense tensor utilities: outer products, reshaping, contractions, file IO."""
+"""Dense tensor utilities: contractions, the pseudo-inverse, file IO."""
 
 import numpy as np
 import pytest
@@ -6,74 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spectral_rnn.tensor_core import (inverse_reshape, multilinear, outer, pinv,
-                                      reshape)
+from spectral_rnn.tensor_core import multilinear, pinv
 from spectral_rnn.spt1 import Spt1Error, read_tensor, write_tensor
-
-
-def test_outer_two_vectors():
-    assert np.array_equal(outer([np.array([1.0, 0.0]), np.array([0.0, 1.0])]),
-                          np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_outer_three_scalars():
-    T = outer([np.array([2.0]), np.array([3.0]), np.array([4.0])])
-    assert T.shape == (1, 1, 1)
-    assert T[0, 0, 0] == 24.0
-
-
-def test_outer_matches_einsum():
-    rng = np.random.default_rng(0)
-    u, v, w = rng.standard_normal((3, 4))
-    assert np.allclose(outer([u, v, w]), np.einsum("i,j,k->ijk", u, v, w))
-
-
-def test_outer_rejects_bad_input():
-    with pytest.raises(ValueError):
-        outer([])
-    with pytest.raises(ValueError):
-        outer([np.eye(2)])
-    with pytest.raises(ValueError):
-        outer([np.array([1.0, np.inf])])
-
-
-def test_reshape_grouping_entry():
-    T = np.arange(16, dtype=float).reshape(2, 2, 2, 2)
-    M = reshape(T, [[1, 2], [3, 4]])
-    assert M.shape == (4, 4)
-    # 1-based: entry (1, 2, 2, 1) lands at (2, 3)
-    assert M[2 - 1, 3 - 1] == T[0, 1, 1, 0]
-
-
-def test_reshape_matches_matricize():
-    d = 3
-    T = np.arange(d ** 3, dtype=float).reshape(d, d, d)
-    M = reshape(T, [[1], [2, 3]])
-    assert M.shape == (d, d * d)
-    # 1-based mode-1 unfolding: T(i, j, l) = M(i, l + (j - 1) d)
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            for l in range(1, d + 1):
-                assert M[i - 1, (l + (j - 1) * d) - 1] == T[i - 1, j - 1, l - 1]
-
-
-def test_reshape_round_trip():
-    rng = np.random.default_rng(2)
-    T = rng.standard_normal((2, 3, 4, 5))
-    groups = [[3, 1], [4, 2]]
-    M = reshape(T, groups)
-    back = inverse_reshape(M, T.shape, groups)
-    assert np.array_equal(back, T)
-
-
-def test_reshape_rejects_bad_grouping():
-    T = np.zeros((2, 2, 2))
-    with pytest.raises(ValueError):
-        reshape(T, [[1], [2]])          # mode 3 missing
-    with pytest.raises(ValueError):
-        reshape(T, [[1, 1], [2, 3]])    # duplicate
-    with pytest.raises(ValueError):
-        reshape(T, [[1], [2, 3, 4]])    # out of range
 
 
 def test_multilinear_full_contraction():
