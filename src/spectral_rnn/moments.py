@@ -4,10 +4,14 @@ Empirical estimators average y_t (x) S_m(t + shift) over interior positions of a
 single long chain, after a burn-in.  The s^(x)m parts of S_2, S_3 and S_4 are
 output-weighted sums of the unique monomials s_i1 ... s_im (i1 <= ... <= im)
 of the score vector s, so one kernel sums them with one BLAS product per
-block of positions and expands the sums to every index.  The order-4 moment
-is reshaped to d_y x d^2 x d^2, in the input coordinates or those of
+block of positions and expands the sums to every index.  One sweep serves
+several shifts: its blocks sit on one grid anchored at score position
+1 + burn_in, so each shift gets the bits of a sweep for it alone.  The
+order-4 moment is reshaped to d_y x d^2 x d^2, one such block per shift
+stacked along the output mode, in the input coordinates or those of
 orthonormal rows B: S_4 is multilinear in s and Lambda, so contracting each
 score mode with B gives S_4 of the scores B s with precision B Lambda B^T.
+n_used is the number of aligned positions, n - 2 - burn_in - |shift|.
 
 The population oracle evaluates the same moments in closed form for a known
 model; the polynomial activations have constant high-order derivatives in the
@@ -35,7 +39,7 @@ class MomentTensor:
     value: np.ndarray
     kind: str        # "S1-matrix", "S2-order3", "S3-order4-scalar", "S4-reshaped-order3", ...
     n_used: int
-    shift: int = 0
+    shift: int | tuple[int, ...] = 0  # a tuple: value stacks one block per shift
 
 
 def _aligned_slices(n: int, shift: int, burn_in: int) -> tuple[slice, slice]:
@@ -62,22 +66,6 @@ def _scores_of(spec, data, scores=None):
     return scores
 
 
-def _centered_pairs(spec, data, shift, burn_in, scores=None, baseline=None):
-    """Centered outputs Y (d_y x N) and the scores S (d_x x N) aligned with them.
-
-    Centering leaves every S_m cross-moment (m >= 1) unchanged in expectation,
-    since E[S_m] = 0, and removes the variance of the mean output against
-    score fluctuations.  scores, if given, are centered_scores(spec, data.x).
-    """
-    scores = _scores_of(spec, data, scores)
-    out, sc = _aligned_slices(data.n, shift, burn_in)
-    Y = _output_matrix(data)[:, out]
-    if baseline is not None:
-        Y = Y - np.asarray(baseline, dtype=float)[:, out]
-    Y = Y - Y.mean(axis=1, keepdims=True)
-    return Y, scores[:, sc]
-
-
 def _monomials(d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Index tuples i1 <= ... <= im in lexicographic order (m x count), and
     the position among them of every full index, row-major: the position of
@@ -88,40 +76,75 @@ def _monomials(d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return full[:, keep], rank[np.ravel_multi_index(np.sort(full, axis=0), (d,) * m)]
 
 
-def _score_power_means(
-    Y: np.ndarray, S: np.ndarray, order: int, basis: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Means over t of Y[:, t] (x) s_t^(x)2 and, for order 3 or 4, of
-    Y[:, t] (x) s_t^(x)order, from one pass over the positions, with s_t the
-    columns of S or, given basis, of basis @ S (projected block by block).
+def _moment_means(
+    y: np.ndarray,
+    scores: np.ndarray,
+    shifts: tuple[int, ...],
+    burn_in: int,
+    orders: tuple[int, ...],
+    baseline: np.ndarray | None = None,
+    basis: np.ndarray | None = None,
+) -> list[tuple[int, list[np.ndarray]]]:
+    """Per shift, the count N of its aligned positions t and, for each m in
+    orders (each 1 to 4), the mean over them of Y[:, t] (x) s^(x)m, with s the
+    score column t + shift or, given basis, basis @ it (projected block by
+    block).  Each mean is a full d_y x d^m array, exactly symmetric in its
+    score indices.  Y is y minus baseline, centered over the shift's own
+    positions; centering leaves every S_m cross-moment (m >= 1) unchanged in
+    expectation, since E[S_m] = 0, and removes the variance of the mean
+    output against score fluctuations.
 
-    Each block forms the unique pair products P = s_i s_j (i <= j) once, and
-    Y P^T gives the order-2 sums; the unique higher-order monomials M are
-    gathered as P times s_k (order 3) or P times P (order 4), and Y M^T gives
-    theirs.  Both results come back as full d_y x d^m arrays, exactly
-    symmetric in their score indices; the second is None for order 2.
+    One sweep walks the union of the shifts' score windows in blocks of
+    _MOMENT_BLOCK positions.  Each block forms the unique pair products
+    P = s_i s_j (i <= j) once and the higher-order monomials M as P times s_k
+    (order 3) or P times P (order 4); each shift then centers its block of Y
+    and takes Y P^T and Y M^T over the columns its window covers.  Only the
+    baseline-subtracted output is held at full length, and without a
+    baseline it is a view of y.
     """
-    d_y, N = Y.shape
-    d = S.shape[0] if basis is None else basis.shape[0]
-    (iu, ju), pair = _monomials(d, 2)
-    mono, pos = _monomials(d, order)
-    head = pair[mono[0] * d + mono[1]]
-    tail = mono[2] if order == 3 else pair[mono[-2] * d + mono[-1]]
-    low = np.zeros((d_y, iu.size))
-    high = np.zeros((d_y, mono.shape[1]))
-    for start in range(0, N, _MOMENT_BLOCK):
-        Sb = S[:, start:start + _MOMENT_BLOCK]
+    windows = [_aligned_slices(y.shape[1], shift, burn_in) for shift in shifts]
+    first = min(out.start for out, _ in windows)
+    last = max(out.stop for out, _ in windows)
+    Y = y[:, first:last] if baseline is None else y[:, first:last] - baseline[:, first:last]
+    means = [Y[:, out.start - first:out.stop - first].mean(axis=1, keepdims=True)
+             for out, _ in windows]
+
+    d = scores.shape[0] if basis is None else basis.shape[0]
+    high = [m for m in orders if m > 2]
+    mono = {m: _monomials(d, m) for m in {2, *orders, *(m - 2 for m in high)}}
+    (iu, ju), pair = mono[2]
+    # order m > 2 monomials: a pair (index into P) times an order m - 2 monomial
+    split = [(m, pair[mono[m][0][0] * d + mono[m][0][1]],
+              mono[m - 2][1][np.ravel_multi_index(mono[m][0][2:], (d,) * (m - 2))])
+             for m in high]
+    sums = [[np.zeros((y.shape[0], mono[m][0].shape[1])) for m in orders] for _ in shifts]
+
+    lo = min(sc.start for _, sc in windows)
+    hi = max(sc.stop for _, sc in windows)
+    anchor = 1 + burn_in
+    for start in range(anchor + (lo - anchor) // _MOMENT_BLOCK * _MOMENT_BLOCK, hi,
+                       _MOMENT_BLOCK):
+        a, b = max(start, lo), min(start + _MOMENT_BLOCK, hi)
+        Sb = scores[:, a:b]
         Sb = Sb if basis is None else basis @ Sb
-        Yb = Y[:, start:start + _MOMENT_BLOCK]
-        P = Sb[iu] * Sb[ju]
-        low += Yb @ P.T
-        if order > 2:
-            high += Yb @ (P[head] * (Sb if order == 3 else P)[tail]).T
+        blocks = {1: Sb, 2: Sb[iu] * Sb[ju]}
+        for m, head, tail in split:
+            blocks[m] = blocks[2][head] * blocks[m - 2][tail]
+        mats = [blocks[m] for m in orders]
+        for shift, (_, sc), mean, acc in zip(shifts, windows, means, sums):
+            p, q = max(a, sc.start), min(b, sc.stop)
+            if p >= q:
+                continue
+            Yb = Y[:, p - shift - first:q - shift - first] - mean
+            for total, X in zip(acc, mats):
+                total += Yb @ X[:, p - a:q - a].T
 
-    def expand(sums, positions, m):
-        return (sums[:, positions] / N).reshape((d_y,) + (d,) * m)
-
-    return expand(low, pair, 2), (expand(high, pos, order) if order > 2 else None)
+    result = []
+    for (out, _), acc in zip(windows, sums):
+        N = out.stop - out.start
+        result.append((N, [(total[:, mono[m][1]] / N).reshape((y.shape[0],) + (d,) * m)
+                           for m, total in zip(orders, acc)]))
+    return result
 
 
 def cross_moment_s1(
@@ -156,9 +179,9 @@ def cross_moment_s2(
     the Lambda term vanish from the average.  scores, if given, are
     centered_scores(spec, data.x), passed so one dataset computes them once.
     """
-    Y, S = _centered_pairs(spec, data, shift, burn_in, scores=scores)
-    val, _ = _score_power_means(Y, S, 2)
-    return MomentTensor(value=val, kind="S2-order3", n_used=Y.shape[1], shift=shift)
+    [(N, [val])] = _moment_means(_output_matrix(data), _scores_of(spec, data, scores),
+                                 (shift,), burn_in, (2,))
+    return MomentTensor(value=val, kind="S2-order3", n_used=N, shift=shift)
 
 
 def cross_moment_s3(
@@ -169,10 +192,8 @@ def cross_moment_s3(
 ) -> MomentTensor:
     """E[y_t (x) S_3(t + shift)] as a d_y x d_x x d_x x d_x tensor."""
     Lam = precision_matrix(spec)
-    Y, S = _centered_pairs(spec, data, shift, burn_in)
-    N = Y.shape[1]
-    _, val = _score_power_means(Y, S, 3)
-    ys = Y @ S.T / N  # E[y (x) s]
+    [(N, [ys, val])] = _moment_means(_output_matrix(data), _scores_of(spec, data),
+                                     (shift,), burn_in, (1, 3))  # ys = E[y (x) s]
     val -= (np.einsum("ai,jk->aijk", ys, Lam)
             + np.einsum("aj,ik->aijk", ys, Lam)
             + np.einsum("ak,ij->aijk", ys, Lam))
@@ -196,7 +217,7 @@ def cross_moment_s3_scalar(
 def cross_moment_s4_reshaped(
     spec: MarkovChainSpec,
     data: SequenceData,
-    shift: int = -1,
+    shift: int | tuple[int, ...] = -1,
     burn_in: int = DEFAULT_BURN_IN,
     baseline: np.ndarray | None = None,
     *,
@@ -211,6 +232,14 @@ def cross_moment_s4_reshaped(
     s^(x)4 average and the s (x) s average the Lambda corrections are built
     from.
 
+    shift may be a tuple of shifts: one pass over the union of their score
+    windows then gives every shift's moment, stacked along the output mode
+    in the order given (len(shift) * d_y rows), each block bit for bit the
+    moment of a call with that shift alone, since the kernel's blocks sit on
+    one grid anchored at score position 1 + burn_in.  n_used is the number
+    of aligned positions, n - 2 - burn_in - |shift|; for a tuple, the fewest
+    of any of its shifts.
+
     baseline, if given, is a d_y x n array of per-step predictions that depend
     on x_t only; it is subtracted from the output before averaging.  The score
     at t + shift has zero conditional mean given the other positions, so any
@@ -220,24 +249,34 @@ def cross_moment_s4_reshaped(
     a k x d_x matrix B with orthonormal rows; the result is then the moment
     with every score mode contracted with B, d_y x k^2 x k^2.
     """
+    y = _output_matrix(data)
+    if baseline is not None:
+        baseline = np.asarray(baseline, dtype=float)
+        if baseline.shape != y.shape:
+            raise ValueError(f"baseline must have the shape of y {y.shape}, "
+                             f"got {baseline.shape}")
     Lam = precision_matrix(spec)
     if basis is not None:
         Lam = basis @ Lam @ basis.T
-    Y, S = _centered_pairs(spec, data, shift, burn_in, scores=scores, baseline=baseline)
-    d_y, N = Y.shape
     d = Lam.shape[0]
-    M, T = _score_power_means(Y, S, 4, basis)  # M = E[(y - mean) (x) s (x) s]
-
-    # The centered output makes the Lambda (x) Lambda terms vanish, so only
-    # the six s (x) s placements remain.
-    T -= (np.einsum("aij,kl->aijkl", M, Lam)
-          + np.einsum("aik,jl->aijkl", M, Lam)
-          + np.einsum("ail,jk->aijkl", M, Lam)
-          + np.einsum("ajk,il->aijkl", M, Lam)
-          + np.einsum("ajl,ik->aijkl", M, Lam)
-          + np.einsum("akl,ij->aijkl", M, Lam))
-    val = T.reshape(d_y, d * d, d * d)
-    return MomentTensor(value=val, kind="S4-reshaped-order3", n_used=N, shift=shift)
+    shifts = tuple(int(s) for s in np.atleast_1d(shift))
+    parts = _moment_means(y, _scores_of(spec, data, scores), shifts, burn_in, (2, 4),
+                          baseline, basis)
+    vals = []
+    for _, (M, T) in parts:  # M = E[(y - mean) (x) s (x) s]
+        # The centered output makes the Lambda (x) Lambda terms vanish, so
+        # only the six s (x) s placements remain.
+        T -= (np.einsum("aij,kl->aijkl", M, Lam)
+              + np.einsum("aik,jl->aijkl", M, Lam)
+              + np.einsum("ail,jk->aijkl", M, Lam)
+              + np.einsum("ajk,il->aijkl", M, Lam)
+              + np.einsum("ajl,ik->aijkl", M, Lam)
+              + np.einsum("akl,ij->aijkl", M, Lam))
+        vals.append(T.reshape(y.shape[0], d * d, d * d))
+    stacked = np.ndim(shift) > 0
+    return MomentTensor(value=np.concatenate(vals) if stacked else vals[0],
+                        kind="S4-reshaped-order3", n_used=min(N for N, _ in parts),
+                        shift=shifts if stacked else shift)
 
 
 def toeplitz_blocks(

@@ -255,15 +255,16 @@ def recover_linear(
 # ---------------------------------------------------------------------------
 
 
-def _moments(data, spec, k, shifts, burn_in, seed, in_span):
+def _moments(data, spec, k, shift, burn_in, seed, in_span):
     """(T2, {shift: T4}, stage1, basis) of a quadratic model with k units in all.
 
-    stage1 is decompose(T2, k=k, seed=seed).  With in_span, each T4 is in the
-    coordinates of basis, orthonormal rows spanning the stage-1 input rows;
-    otherwise basis is None.  Each T4 subtracts the no-recurrence prediction
-    of the stage-1 weights.  That prediction depends on the current input
-    only, so its cross-moment with a shifted score is zero and the
-    subtraction only reduces variance.
+    stage1 is decompose(T2, k=k, seed=seed).  shift is None (no T4), one
+    shift or a tuple of them, all taken by one cross_moment_s4_reshaped call.
+    With in_span, each T4 is in the coordinates of basis, orthonormal rows
+    spanning the stage-1 input rows; otherwise basis is None.  Each T4
+    subtracts the no-recurrence prediction of the stage-1 weights.  That
+    prediction depends on the current input only, so its cross-moment with a
+    shifted score is zero and the subtraction only reduces variance.
     """
     from .moments import cross_moment_s2, cross_moment_s4_reshaped
     from .score import centered_scores
@@ -272,17 +273,19 @@ def _moments(data, spec, k, shifts, burn_in, seed, in_span):
     T2 = cross_moment_s2(spec, data, burn_in=burn_in, scores=s).value
     A1, A2, cp = _stage1_factors(T2, k, seed)
     basis = np.linalg.qr(A1.T)[0].T if in_span else None
+    if shift is None:
+        return T2, {}, cp, basis
     baseline = A2.T @ (A1 @ data.x) ** 2
-    T4 = {shift: cross_moment_s4_reshaped(spec, data, shift=shift, burn_in=burn_in,
-                                          baseline=baseline, scores=s, basis=basis).value
-          for shift in shifts}
-    return T2, T4, cp, basis
+    T4 = cross_moment_s4_reshaped(spec, data, shift=shift, burn_in=burn_in,
+                                  baseline=baseline, scores=s, basis=basis).value
+    shifts = np.atleast_1d(shift).tolist()
+    return T2, dict(zip(shifts, np.split(T4, len(shifts)))), cp, basis
 
 
 def quadratic_moments(data, spec, d_h, burn_in=10, seed=0, with_recurrence=True):
     """(T2, T4, stage1) of a quadratic model in the input coordinates:
     _moments at shift -1, with T4 None without the recurrence."""
-    T2, T4, cp, _ = _moments(data, spec, d_h, (-1,) if with_recurrence else (),
+    T2, T4, cp, _ = _moments(data, spec, d_h, -1 if with_recurrence else None,
                              burn_in, seed, in_span=False)
     return T2, T4.get(-1), cp
 
@@ -290,13 +293,14 @@ def quadratic_moments(data, spec, d_h, burn_in=10, seed=0, with_recurrence=True)
 def train_quadratic(data, spec, d_h, burn_in=10, seed=0,
                     with_recurrence=True) -> RnnEstimate:
     """Quadratic pipeline from a sequence: _moments in the stage-1 span, then recovery."""
-    T2, T4, cp, basis = _moments(data, spec, d_h, (-1,) if with_recurrence else (),
+    T2, T4, cp, basis = _moments(data, spec, d_h, -1 if with_recurrence else None,
                                  burn_in, seed, in_span=True)
     return recover_quadratic(T2, d_h, T4=T4.get(-1), seed=seed, stage1=cp, basis=basis)
 
 
 def train_brnn(data, spec, d_h, burn_in=10, seed=0) -> BrnnEstimate:
-    """Bidirectional pipeline: _moments in the span of all 2*d_h rows, then recovery."""
+    """Bidirectional pipeline: _moments at both shifts in one kernel pass, in the
+    span of all 2*d_h rows, then recovery."""
     T2, T4, cp, basis = _moments(data, spec, 2 * d_h, (-1, +1), burn_in, seed, in_span=True)
     return recover_brnn(T2, d_h, T4_back=T4[-1], T4_fwd=T4[+1], seed=seed, stage1=cp,
                         basis=basis)

@@ -1,14 +1,15 @@
 """Cross-moment estimators against closed-form and derivative-based oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spectral_rnn.moments import (_MOMENT_BLOCK, DEFAULT_BURN_IN,
-                                  _score_power_means,
+from spectral_rnn import moments
+from spectral_rnn.moments import (_MOMENT_BLOCK, DEFAULT_BURN_IN, _moment_means,
                                   cross_moment_s1, cross_moment_s2,
                                   cross_moment_s3, cross_moment_s3_scalar,
                                   cross_moment_s4_reshaped,
@@ -346,24 +347,92 @@ _KERNEL_PROPERTY = settings(max_examples=5)
        seed=st.integers(0, 2**32 - 1))
 @example(d_y=3, N=2 * _MOMENT_BLOCK + 7, seed=0)  # a partial last block
 def test_score_power_means_matches_einsum(d, order, d_y, N, seed):
-    """The monomial kernel against brute-force means of y (x) s^(x)m."""
+    """The monomial kernel against brute-force means of y (x) s^(x)m, with y
+    centered over the N aligned positions of shift 0 at burn-in 0, for every
+    order up to the given one in one pass."""
     rng = np.random.default_rng(seed)
-    Y = rng.standard_normal((d_y, N))
-    S = rng.standard_normal((d, N))
-    low, high = _score_power_means(Y, S, order)
+    y = rng.standard_normal((d_y, N + 2))
+    S = rng.standard_normal((d, N + 2))
+    orders = tuple(range(1, order + 1))
+    [(n_used, means)] = _moment_means(y, S, (0,), 0, orders)
+    assert n_used == N
+    Y = y[:, 1:-1] - y[:, 1:-1].mean(axis=1, keepdims=True)
 
     def brute(m):
         modes = "ijkl"[:m]
         spec = "at," + ",".join(c + "t" for c in modes) + "->a" + modes
-        return np.einsum(spec, Y, *[S] * m) / N
+        return np.einsum(spec, Y, *[S[:, 1:-1]] * m) / N
 
-    _assert_kernel_close(low, brute(2))
-    _assert_symmetric(low)
-    if order == 2:
-        assert high is None
-    else:
-        _assert_kernel_close(high, brute(order))
-        _assert_symmetric(high)
+    for m, mean in zip(orders, means):
+        _assert_kernel_close(mean, brute(m))
+        _assert_symmetric(mean)
+
+
+@settings(max_examples=40)
+@given(d_x=st.integers(1, 4), d_h=st.integers(1, 3), d_y=st.integers(1, 3),
+       n=st.integers(12, 80), burn_in=st.integers(0, 6), block=st.integers(1, 9),
+       shifts=st.lists(st.integers(-2, 2), min_size=1, max_size=5, unique=True),
+       with_basis=st.booleans(), with_baseline=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_stacked_shifts_equal_single_shift_calls(d_x, d_h, d_y, n, burn_in, block, shifts,
+                                                 with_basis, with_baseline, seed):
+    """One call at a tuple of shifts stacks, along the output mode, the bits of
+    the single-shift calls: the kernel's blocks sit on one grid whatever
+    shifts are asked, here with blocks of a few positions so that every
+    window starts and ends inside one."""
+    params = _quad_params(seed=seed, d_x=d_x, d_h=min(d_h, d_x), d_y=d_y)
+    spec = bounded_input_spec(d_x, 0.5, seed=seed + 1)
+    data = rnn_forward(params, sample_markov_chain(spec, n, seed=seed + 2))
+    kwargs = {"burn_in": burn_in}
+    if with_basis:
+        kwargs["basis"] = np.linalg.qr(params.A1.T)[0].T
+    if with_baseline:
+        kwargs["baseline"] = params.A2.T @ (0.9 * params.A1 @ data.x) ** 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moments, "_MOMENT_BLOCK", block)
+        stacked = cross_moment_s4_reshaped(spec, data, shift=tuple(shifts), **kwargs)
+        single = [cross_moment_s4_reshaped(spec, data, shift=shift, **kwargs)
+                  for shift in shifts]
+    assert stacked.shift == tuple(shifts)
+    assert stacked.n_used == min(m.n_used for m in single)
+    blocks = np.split(stacked.value, len(shifts))
+    for shift, got, want in zip(shifts, blocks, single):
+        assert want.shift == shift and want.n_used == n - 2 - burn_in - abs(shift)
+        assert np.array_equal(got, want.value), shift
+
+
+def test_moment_kernel_holds_no_full_length_output_copies():
+    """The kernel centers each block of the output as it goes: a two-shift
+    S4 with a baseline holds one full-length array, the baseline-subtracted
+    output, and S2 without a baseline none, beyond block-sized scratch."""
+    n, d_x, d_y = 200_000, 6, 4
+    spec = bounded_input_spec(d_x, 0.5, seed=60)
+    x = sample_markov_chain(spec, n, seed=61)
+    rng = np.random.default_rng(62)
+    data = SequenceData(x=x, y=rng.standard_normal((d_y, n)))
+    scores = centered_scores(spec, x)
+    baseline = rng.standard_normal((d_y, n))
+    basis = np.linalg.qr(rng.standard_normal((d_x, 4)))[0].T
+    scratch = 256 * _MOMENT_BLOCK * 8  # 256 rows of one block, in bytes
+    tracemalloc.start()
+    try:
+        cross_moment_s4_reshaped(spec, data, shift=(-1, 1), baseline=baseline,
+                                 scores=scores, basis=basis)
+        _, peak_s4 = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        cross_moment_s2(spec, data, scores=scores)
+        _, peak_s2 = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak_s4 < data.y.nbytes + scratch
+    assert peak_s2 < scratch
+
+
+def test_s4_rejects_a_baseline_not_shaped_like_y():
+    spec, data, baseline = _kernel_case(3, 2, 3000, -1)
+    for bad in (baseline[:1], baseline[:, :-1], baseline[0]):
+        with pytest.raises(ValueError, match="shape of y"):
+            cross_moment_s4_reshaped(spec, data, baseline=bad)
 
 
 def _contract(T4, B):

@@ -579,14 +579,15 @@ def test_train_recurrence_in_span_matches_full_moment():
 
 @pytest.mark.parametrize("family", ["quadratic", "brnn"])
 def test_training_path_takes_moment_in_span(monkeypatch, family):
-    """train_* ask cross_moment_s4_reshaped for the k-dimensional moment,
-    d_y x k^2 x k^2 with k the number of stage-1 rows, never d_x^4."""
+    """train_* ask cross_moment_s4_reshaped, once, for the k-dimensional
+    moment, d_y x k^2 x k^2 with k the number of stage-1 rows, never d_x^4;
+    the BRNN asks for both shifts in one call, stacked along the output."""
     spec = bounded_input_spec(6, 0.5, seed=37)
     x = sample_markov_chain(spec, 20000, seed=38)
     if family == "quadratic":
-        data, k, shifts = rnn_forward(_quad_model(seed=39, d_x=6, d_h=2, d_y=3), x), 2, [-1]
+        data, k, shift = rnn_forward(_quad_model(seed=39, d_x=6, d_h=2, d_y=3), x), 2, -1
     else:
-        data, k, shifts = brnn_forward(_brnn_model(40, d_x=6), x), 4, [-1, 1]
+        data, k, shift = brnn_forward(_brnn_model(40, d_x=6), x), 4, (-1, 1)
     shapes = []
 
     def wrapped(*args, **kwargs):
@@ -596,7 +597,8 @@ def test_training_path_takes_moment_in_span(monkeypatch, family):
 
     monkeypatch.setattr(moments, "cross_moment_s4_reshaped", wrapped)
     (train_quadratic if family == "quadratic" else train_brnn)(data, spec, 2, seed=1)
-    assert shapes == [(shift, (data.y.shape[0], k * k, k * k)) for shift in shifts]
+    rows = np.size(shift) * data.y.shape[0]
+    assert shapes == [(shift, (rows, k * k, k * k))]
 
 
 def test_brnn_split_in_span_pins_a_swapped_dataset():
