@@ -5,14 +5,14 @@ modes 2 and 3 sharing the factor c_r.  The quadratic pipelines produce it
 with b_r the output row; the scalar-output cubic model produces the fully
 symmetric sum_r w_r c_r^(x)3, which is the case b_r = +-c_r.
 
-The shared factors are found by whitening against a definite random slice
-combination M_theta = sum_a theta_a T[a,:,:] = C diag(eta) C^T; after
-whitening they are orthonormal, so they come out of one eigendecomposition
-of a generic whitened slice combination.  Mode-1 factors and weights are
-then fit to the original tensor by least squares.  When no definite slice
-combination exists, a simultaneous-diagonalization fallback recovers the
-shared factors from eigenvectors of M_1 M_2^-1, with both slices projected
-onto the top-k subspace of the shared mode.
+One path: Jennrich's simultaneous diagonalization (Leurgans, Ross & Abel,
+SIAM J. Matrix Anal. Appl. 1993) in the signal subspace.  T is projected
+once onto the top-k left singular vectors V of the shared-mode unfolding, so
+inverses act on k x k matrices and never amplify the d - k noise directions.
+Any two slice combinations M_1, M_2 of that core share the eigenvectors
+V^T c_r, read off M_1 M_2^-1 and mapped back by V; mode-1 factors and
+weights are then fit to T by least squares.  One random pair can be nearly
+degenerate, so several pairs are tried and the lowest-residual fit is kept.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from .sequence_models import AssumptionError
 from .tensor_core import multilinear
 
-DEFAULT_TRIALS = 64
+CANDIDATES = 8
 DEFAULT_TOL = 1e-10
 RANK_TOL = 1e-10
 
@@ -64,35 +64,6 @@ def _slice_matrix(T: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def _find_definite_combo(
-    T: np.ndarray, k: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Search for theta making the top-k spectrum of M_theta one-signed.
-
-    Returns (eigenvalues, eigenvectors) restricted to the best top-k block,
-    or None if every trial produced an indefinite or deficient combination.
-    """
-    d1 = T.shape[0]
-    thetas = [np.ones(d1) / np.sqrt(d1)]
-    thetas += [rng.standard_normal(d1) for _ in range(DEFAULT_TRIALS)]
-    best = None
-    best_score = 0.0
-    for theta in thetas:
-        M = _slice_matrix(T, theta)
-        vals, vecs = np.linalg.eigh(M)
-        order = np.argsort(-np.abs(vals))[:k]
-        top = vals[order]
-        if np.abs(top[-1]) <= DEFAULT_TOL * max(np.abs(top[0]), 1.0):
-            continue
-        if not (np.all(top > 0) or np.all(top < 0)):
-            continue
-        score = np.abs(top[-1]) / np.abs(top[0])
-        if score > best_score:
-            best_score = score
-            best = (top, vecs[:, order])
-    return best
-
-
 def _finalize(weights, mode1, factor, rank_tol=RANK_TOL, sig_tol=1e-8):
     """Sign convention, rank detection, and sorting of nonnegative weights."""
     if weights.size == 0 or np.max(weights) == 0.0:
@@ -124,34 +95,35 @@ def _fit_mode1(T: np.ndarray, factor: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return weights, mode1
 
 
-def _jennrich_factors(T: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Shared factors via eigenvectors of M_theta1 M_theta2^-1 in the signal subspace.
+def _candidate(T: np.ndarray, core: np.ndarray, V: np.ndarray,
+               rng: np.random.Generator) -> CpDecomposition:
+    """One fit from the pencil of two random slice combinations of the core.
 
-    The slices are projected onto the top-k left singular vectors V of the
-    mode-2 unfolding first, so the inverse acts on k x k matrices and never
-    amplifies the d - k noise directions; V maps the eigenvectors back.
+    The shared factors are the eigenvectors of M_1 M_2^-1, mapped back to
+    the shared mode by V; mode-1 factors and weights follow by least squares.
     """
-    d1, d = T.shape[0], T.shape[1]
-    V = np.linalg.svd(T.transpose(1, 0, 2).reshape(d, -1), full_matrices=False)[0][:, :k]
-    core = multilinear(T, None, V, V)
+    d1 = T.shape[0]
     M1 = _slice_matrix(core, rng.standard_normal(d1))
     M2 = _slice_matrix(core, rng.standard_normal(d1))
     C = V @ np.real(np.linalg.eig(M1 @ np.linalg.inv(M2))[1])
     norms = np.linalg.norm(C, axis=0)
     if np.any(norms < DEFAULT_TOL):
         raise AssumptionError("rank deficiency; check full-rank assumption", stage="stage1")
-    return C / norms
+    factor = C / norms
+    weights, mode1 = _fit_mode1(T, factor)
+    return CpDecomposition(*_finalize(weights, mode1, factor))
 
 
-def decompose(
-    T: np.ndarray,
-    k: int,
-    seed: int = 0,
-) -> CpDecomposition:
+def decompose(T: np.ndarray, k: int, seed: int = 0) -> CpDecomposition:
     """Rank-k pair-symmetric CP decomposition of an order-3 tensor.
 
-    Components with weight below 1e-10 of the largest are dropped (a zero
-    tensor yields rank 0).
+    CANDIDATES candidates (_candidate) draw their slice pairs from one
+    default_rng(seed) stream, and the first with the lowest residual(T) is
+    returned, so the result is deterministic given the seed.  A candidate
+    whose pencil is singular or whose factors are rank deficient is skipped;
+    if every one is, AssumptionError (stage "stage1") is raised.  Components
+    with weight below 1e-10 of the largest are dropped (a zero tensor yields
+    rank 0).
     """
     T = np.asarray(T, dtype=float)
     if T.ndim != 3 or T.shape[1] != T.shape[2]:
@@ -162,23 +134,18 @@ def decompose(
     if np.linalg.norm(T) == 0.0:
         return CpDecomposition(weights=np.zeros(0), mode1=np.zeros((d1, 0)),
                                factor=np.zeros((d, 0)))
+    V = np.linalg.svd(T.transpose(1, 0, 2).reshape(d, -1), full_matrices=False)[0][:, :k]
+    core = multilinear(T, None, V, V)
     rng = np.random.default_rng(seed)
-    combo = _find_definite_combo(T, k, rng)
-    if combo is None:
-        factor = _jennrich_factors(T, k, rng)
-    else:
-        vals, vecs = combo
-        W = vecs * np.abs(vals) ** -0.5
-        core = multilinear(T, None, W, W)
-        # core slices share an orthonormal eigenbasis; a generic slice
-        # combination exposes it in one eigendecomposition
-        A = _slice_matrix(core, rng.standard_normal(core.shape[0]))
-        _, Q = np.linalg.eigh(A)
-        unwhiten = vecs * np.abs(vals) ** 0.5  # = W (W^T W)^{-1}
-        C = unwhiten @ Q
-        factor = C / np.linalg.norm(C, axis=0)
-
-    weights, mode1 = _fit_mode1(T, factor)
-    weights, mode1, factor = _finalize(weights, mode1, factor)
-    return CpDecomposition(weights=weights, mode1=mode1, factor=factor)
-
+    fits = []
+    for _ in range(CANDIDATES):
+        try:
+            fits.append(_candidate(T, core, V, rng))
+        except (AssumptionError, np.linalg.LinAlgError):
+            # bind no exception: its traceback would tie the callers' frames,
+            # and their arrays, into a reference cycle
+            continue
+    if not fits:
+        raise AssumptionError(f"rank deficiency: none of {CANDIDATES} candidates fits; "
+                              "check full-rank assumption", stage="stage1")
+    return min(fits, key=lambda cp: cp.residual(T))

@@ -14,12 +14,11 @@ rows it is given: a k^4-row least squares for k rows, never a d^4-row one.
 Projecting with orthonormal rows drops only what no design column can
 reach, so the fit is the same.  Both quadratic families run these two
 stages; the bidirectional model fits forward units from the backward shift
-and backward units from the forward shift.  Cubic units
-(scalar output only) read stage 1 off the symmetric third-order moment
-6 sum_k a2_k a_k (x) a_k (x) a_k with the same decomposition, keeping the
-lowest-residual of several seeded draws; they have no recurrence stage.  The
-linear model is handled in closed form from lagged first-order blocks,
-given its input map.
+and backward units from the forward shift.  Cubic units (scalar output only)
+read stage 1 off the symmetric third-order moment
+6 sum_k a2_k a_k (x) a_k (x) a_k with the same decomposition; they have no
+recurrence stage.  The linear model is handled in closed form from lagged
+first-order blocks, given its input map.
 
 Row signs of even-degree units are not identifiable (flipping an input row
 together with its recurrence row leaves the unit invariant), so recovered rows
@@ -37,9 +36,6 @@ from .cp_decomp import CpDecomposition, decompose
 from .moments import _pair_sym4
 from .sequence_models import AssumptionError
 from .tensor_core import pinv
-
-_SCALAR_DRAWS = 16
-
 
 @dataclass
 class RnnEstimate:
@@ -169,28 +165,14 @@ def recover_scalar(T3: np.ndarray, d_h: int, seed: int = 0) -> RnnEstimate:
 
     T3 = 6 sum_k a2_k a_k^(x)3 is pair-symmetric with mode1_k = +-a_k, so
     decompose reads it: factors give the input rows, and each weight, signed
-    by <mode1_k, factor_k>, gives an output coefficient.  One draw reads the
-    factors off one random slice combination, so the lowest-residual of
-    _SCALAR_DRAWS draws (seeds seed, seed + 1, ...) is kept; a draw that
-    raises or keeps fewer than d_h components is skipped, and if every draw
-    fails the last error is raised.  Odd degree makes row signs identifiable.
+    by <mode1_k, factor_k>, gives an output coefficient.  Odd degree makes
+    row signs identifiable.
     """
-    best, best_residual, error = None, np.inf, None
-    for r in range(_SCALAR_DRAWS):
-        try:
-            cp = decompose(T3, k=d_h, seed=seed + r)
-            _check_rank(cp, d_h)
-        except AssumptionError as exc:
-            error = exc
-            continue
-        residual = cp.residual(T3)
-        if residual < best_residual:
-            best, best_residual = cp, residual
-    if best is None:
-        raise error
-    sign = np.sign(np.sum(best.mode1 * best.factor, axis=0))
-    a2 = sign * best.weights / 6.0  # third derivative of z^3 is 6
-    return RnnEstimate(A1=best.factor.T, A2=a2.reshape(-1, 1), U=None)
+    cp = decompose(T3, k=d_h, seed=seed)
+    _check_rank(cp, d_h)
+    sign = np.sign(np.sum(cp.mode1 * cp.factor, axis=0))
+    a2 = sign * cp.weights / 6.0  # third derivative of z^3 is 6
+    return RnnEstimate(A1=cp.factor.T, A2=a2.reshape(-1, 1), U=None)
 
 
 def recover_brnn(

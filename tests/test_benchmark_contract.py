@@ -26,7 +26,7 @@ CASES = {
     "brnn_observed": (0, 3, {"n": 20_000}),
     # masters 4245 and 4246, each run twice, so the repeated-seed determinism
     # gate sees two masters through the 2-worker pool; a cell of master 4245
-    # has no definite slice combination, so stage 1 takes its fallback
+    # has no definite slice combination, a hard case for stage 1
     "sweep_cli": (4245, 4, {}),
 }
 

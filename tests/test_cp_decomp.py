@@ -1,4 +1,6 @@
-"""CP decomposition: planted-tensor recovery, whitening, the fallback."""
+"""CP decomposition: planted-tensor recovery, candidate selection, failure."""
+
+import gc
 
 import numpy as np
 import pytest
@@ -137,8 +139,8 @@ def test_whiten_orthogonalizes_components():
     B /= np.linalg.norm(B, axis=0)
     w = np.array([2.0, 1.4, 1.0])
     T = np.einsum("r,ir,jr,kr->ijk", w, B, B, B)
-    # the components are not orthogonal; only after whitening does one
-    # eigendecomposition recover them exactly
+    # the components are not orthogonal; the pencil's eigenvectors still
+    # recover them exactly
     cp = decompose(T, 3, seed=18)
     assert np.linalg.norm(cp.reconstruct() - T) / np.linalg.norm(T) < 1e-8
     assert _best_column_error(cp.factor, B) < 1e-8
@@ -164,9 +166,9 @@ def test_reconstruct_shape_and_modes():
 
 def _no_definite_combo(seed, noise):
     """Pair-symmetric rank-3 tensor whose mode-1 vectors have zero in their
-    convex hull, so no slice combination is definite (Gordan) and decompose
-    must take the simultaneous-diagonalization fallback; plus noise of
-    relative size noise, symmetric in the two shared modes."""
+    convex hull, so no slice combination is definite (Gordan) and no
+    whitening by one exists; plus noise of relative size noise, symmetric in
+    the two shared modes."""
     rng = np.random.default_rng(seed)
     P = np.linalg.qr(rng.standard_normal((4, 2)))[0]
     phi = np.array([0.0, 2.1, 4.3]) + rng.uniform(0, 2 * np.pi)
@@ -179,34 +181,23 @@ def _no_definite_combo(seed, noise):
     return T + noise * np.linalg.norm(T) / np.linalg.norm(E) * E, B
 
 
-def _count_fallbacks(monkeypatch):
-    calls = []
-    real = cp_decomp._jennrich_factors
-    monkeypatch.setattr(cp_decomp, "_jennrich_factors",
-                        lambda *a: calls.append(1) or real(*a))
-    return calls
-
-
-def test_fallback_exact_without_noise(monkeypatch):
-    calls = _count_fallbacks(monkeypatch)
+def test_fallback_exact_without_noise():
     for seed in range(8):
         T, B = _no_definite_combo(seed, 0.0)
         cp = decompose(T, 3, seed=0)
         assert _best_column_error(cp.factor, B) < 1e-12
-    assert len(calls) == 8
 
 
-def test_fallback_works_in_the_signal_subspace(monkeypatch):
+def test_fallback_works_in_the_signal_subspace():
     """With 0.1% noise, eigenvectors of M1 pinv(M2) over all six dimensions
     fail with rank deficiency on 7 of these 47 tensors and reach a median
     factor error of 0.9 on the rest; projected onto the top-3 subspace
-    first, the worst error is 0.027."""
-    calls = _count_fallbacks(monkeypatch)
+    first, one pencil read a worst error of 0.027 and the lowest-residual of
+    eight reads 1.3e-3."""
     errs = []
     for seed in range(47):
         T, B = _no_definite_combo(seed, 1e-3)
         errs.append(_best_column_error(decompose(T, 3, seed=0).factor, B))
-    assert len(calls) == 47
     assert np.median(errs) < 0.01
     assert max(errs) < 0.05
 
@@ -258,3 +249,66 @@ def test_planted_cubic_oracle_property(shape, signs):
     est = recover_scalar(T3, k, seed=seed % 1000)
     rebuilt = 6.0 * np.einsum("r,ri,rj,rk->ijk", est.A2[:, 0], est.A1, est.A1, est.A1)
     assert np.linalg.norm(rebuilt - T3) / np.linalg.norm(T3) < 1e-10
+
+
+def _rank_one_cube():
+    """b (x) b (x) b, which has rank 1, for fits asked for rank 3."""
+    rng = np.random.default_rng(15)
+    b = rng.standard_normal(5)
+    b /= np.linalg.norm(b)
+    return np.einsum("i,j,k->ijk", b, b, b), b
+
+
+def test_repeated_factor_is_not_returned():
+    """One random pencil raised here on 4 of these 16 seeds and, at seed 5,
+    returned b twice (the copy with weight 6e-10); the lowest-residual
+    candidate is b alone on every seed."""
+    T, b = _rank_one_cube()
+    for seed in range(16):
+        cp = decompose(T, 3, seed=seed)
+        assert cp.rank == 1
+        assert abs(cp.factor[:, 0] @ b) > 1.0 - 1e-12
+
+
+def test_failed_candidates_leave_no_reference_cycle(monkeypatch):
+    """A kept exception's traceback would tie decompose's frame, and its
+    callers' arrays, into a cycle that only the cyclic collector frees.
+    Some candidates raise on the rank-1 cube at seed 10; every one does on
+    e_1 (x) e_1 (x) e_1, whose slice pencils are all singular."""
+    cube, _ = _rank_one_cube()
+    spike = np.zeros((3, 3, 3))
+    spike[0, 0, 0] = 1.0
+    real = cp_decomp._candidate
+    raised = []
+
+    def counted(*args):
+        try:
+            return real(*args)
+        except AssumptionError:
+            raised.append(1)
+            raise
+
+    monkeypatch.setattr(cp_decomp, "_candidate", counted)
+    stage = message = None
+    gc.collect()
+    gc.disable()
+    try:
+        decompose(cube, 3, seed=10)
+        cube_raised = len(raised)
+        try:
+            decompose(spike, 3, seed=0)
+        except AssumptionError as exc:
+            stage, message = exc.stage, str(exc)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert 0 < cube_raised < cp_decomp.CANDIDATES
+    assert stage == "stage1" and "rank deficiency" in message
+    assert found == 0
+
+
+def test_decompose_is_deterministic_given_its_seed():
+    T, _ = _no_definite_combo(3, 1e-3)
+    first, again = decompose(T, 3, seed=7), decompose(T, 3, seed=7)
+    for name in ("weights", "mode1", "factor"):
+        assert np.array_equal(getattr(first, name), getattr(again, name))
