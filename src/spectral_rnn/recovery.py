@@ -4,13 +4,17 @@ Stage 1 decomposes the second-order cross-moment
     T2 = 2 sum_k A2[k] (x) a_k (x) a_k
 to read off the input rows a_k (unit norm by convention) and the output rows
 A2[k] with their scale.  Stage 2 always fits the recurrence, row by row by
-least squares (recover_recurrence), from a shifted reshaped fourth-order
-cross-moment whose unmixed per-unit blocks are pair-symmetrizations of
-H_k = 2 sum_j U_kj a_j a_j^T.  These blocks lie in the span of the stage-1
-input rows, so the data pipelines take the moment and the rows in the
-coordinates of an orthonormal basis of that span, and every fit, on the
-full-coordinate oracle moment too, projects its block onto the span of the
-rows it is given: a k^4-row least squares for k rows, never a d^4-row one.
+least squares (fit_recurrence_row), from the per-unit blocks of a shifted
+reshaped fourth-order cross-moment, pair-symmetrizations of
+H_k = 2 sum_j U_kj a_j a_j^T.  A2 has full row rank, so M = pinv(A2^T)
+maps the outputs to the units (h = M y): the data pipelines take the moment
+of the k unit outputs M y - (A1 x)^2 directly (_moments), while the tensor
+entry points (recover_*) unmix a given d_y-row moment with M; both then run
+the same fits.  The blocks lie in the span of the stage-1 input rows, so the
+data pipelines take the moment and the rows in the coordinates of an
+orthonormal basis of that span, and every fit, on the full-coordinate
+oracle moment too, projects its block onto the span of the rows it is
+given: a k^4-row least squares for k rows, never a d^4-row one.
 Projecting with orthonormal rows drops only what no design column can
 reach, so the fit is the same.  Both quadratic families run these two
 stages; the bidirectional model fits forward units from the backward shift
@@ -34,7 +38,7 @@ import numpy as np
 
 from .cp_decomp import CpDecomposition, decompose
 from .moments import _pair_sym4
-from .sequence_models import AssumptionError
+from .sequence_models import AssumptionError, SequenceData
 from .tensor_core import pinv
 
 @dataclass
@@ -75,18 +79,23 @@ def _stage1_factors(
     return A1, A2, cp
 
 
-def _unit_blocks(T4: np.ndarray, A2: np.ndarray) -> np.ndarray:
-    """Per-unit d^2 x d^2 blocks Q_k from mode-1 coefficients A2[k], which must
-    have rank k at pinv's relative cut, or the blocks of dependent units mix."""
-    d_y, D, _ = T4.shape
+def _output_map(A2: np.ndarray) -> np.ndarray:
+    """M = pinv(A2^T), which maps the outputs to the units' activations
+    (h = M y).  A2 must have rank k at pinv's relative cut, or the blocks of
+    dependent units mix."""
     k = A2.shape[0]
     sv = np.linalg.svd(A2, compute_uv=False)
     rank = int(np.sum(sv > 1e-10 * sv.max(initial=0.0)))
     if rank < k:
         raise AssumptionError(f"recurrence: A2 rank {rank} of {k}", stage="recurrence")
-    T4mat = T4.reshape(d_y, D * D)
-    Q = pinv(A2.T) @ T4mat
-    return Q.reshape(k, D, D)
+    return pinv(A2.T)
+
+
+def _unit_blocks(T4: np.ndarray, A2: np.ndarray) -> np.ndarray:
+    """Per-unit d^2 x d^2 blocks Q_k of a mixed moment, unmixed by _output_map(A2)."""
+    d_y, D, _ = T4.shape
+    Q = _output_map(A2) @ T4.reshape(d_y, D * D)
+    return Q.reshape(A2.shape[0], D, D)
 
 
 def fit_recurrence_row(Q_k: np.ndarray, A1: np.ndarray) -> np.ndarray:
@@ -121,6 +130,17 @@ def fit_recurrence_row(Q_k: np.ndarray, A1: np.ndarray) -> np.ndarray:
     return np.sqrt(abs(vals[i])) * vecs[:, i]
 
 
+def _recurrence_rows(Q: np.ndarray, A1: np.ndarray, units,
+                     basis: np.ndarray | None = None) -> np.ndarray:
+    """Recurrence rows of one direction from per-unit blocks Q (ordered as the
+    stage-1 rows): the blocks of the direction's units (indices into Q,
+    ordered as the rows of A1) are each fit by least squares
+    (fit_recurrence_row).  basis, if given, has orthonormal rows spanning
+    those of A1, and Q is in its coordinates."""
+    rows = A1 if basis is None else A1 @ basis.T
+    return np.stack([fit_recurrence_row(Q[r], rows) for r in units])
+
+
 def recover_recurrence(
     T4: np.ndarray,
     A1: np.ndarray,
@@ -128,17 +148,12 @@ def recover_recurrence(
     units,
     basis: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Recurrence rows of one direction from a reshaped fourth-order moment.
-
-    T4 is unmixed against all stage-1 output rows A2 once; the blocks of the
-    direction's units (indices into A2, ordered as the rows of A1) are each
-    fit by least squares (fit_recurrence_row).  basis, if given, has
-    orthonormal rows spanning those of A1, and T4 is in its coordinates
-    (cross_moment_s4_reshaped(..., basis=basis)).  Row signs are indeterminate.
+    """Recurrence rows of one direction from a mixed reshaped fourth-order
+    moment (d_y rows), unmixed against all stage-1 output rows A2 once
+    (_unit_blocks), then fit as in _recurrence_rows; with basis, T4 is
+    cross_moment_s4_reshaped(..., basis=basis).  Row signs are indeterminate.
     """
-    rows = A1 if basis is None else A1 @ basis.T
-    Q = _unit_blocks(T4, A2)
-    return np.stack([fit_recurrence_row(Q[r], rows) for r in units])
+    return _recurrence_rows(_unit_blocks(T4, A2), A1, units, basis)
 
 
 def recover_quadratic(
@@ -185,32 +200,43 @@ def recover_brnn(
     stage1: CpDecomposition | None = None,
     basis: np.ndarray | None = None,
 ) -> BrnnEstimate:
-    """Recover a bidirectional quadratic model.
+    """Recover a bidirectional quadratic model from mixed moments (d_y rows).
 
-    Stage 1 yields all 2*d_h direction rows jointly.  Forward units respond
-    to the score one step back, backward units to the score one step ahead,
-    so the d_h units whose unmixed block norm in T4_back most exceeds that
-    in T4_fwd are forward (a stable sort: equal norms, as at a zero T4, give
-    weight order).  recover_recurrence then fits each direction from its
-    shift; a shift not given leaves its recurrence None.  stage1, if given,
-    is decompose(T2, k=2 * d_h, seed=seed), used instead of decomposing again.
-    basis, spanning all 2*d_h rows, is as in recover_recurrence.
+    Stage 1 yields all 2*d_h direction rows jointly, in weight order.  Each
+    given shift is unmixed once (_unit_blocks) and _split_brnn reads the
+    directions and their recurrences off the unit blocks; a shift not given
+    leaves its recurrence None, and with neither the rows stay in weight
+    order.  stage1, if given, is decompose(T2, k=2 * d_h, seed=seed), used
+    instead of decomposing again.  basis, spanning all 2*d_h rows, is as in
+    recover_recurrence.
     """
     if T2.shape[0] < 2 * d_h:
         raise ValueError("output dimension insufficient for BRNN identifiability")
     C, A2, _ = _stage1_factors(T2, 2 * d_h, seed, stage1)
+    Q_back, Q_fwd = (None if T4 is None else _unit_blocks(T4, A2) for T4 in (T4_back, T4_fwd))
+    return _split_brnn(C, A2, Q_back, Q_fwd, basis)
 
-    def block_norms(T4):
-        if T4 is None:
-            return np.zeros(2 * d_h)
-        return np.linalg.norm(_unit_blocks(T4, A2).reshape(2 * d_h, -1), axis=1)
 
-    order = np.argsort(block_norms(T4_fwd) - block_norms(T4_back), kind="stable")
+def _split_brnn(C, A2, Q_back, Q_fwd, basis=None) -> BrnnEstimate:
+    """Split the 2*d_h stage-1 rows C (output rows A2) into directions and fit
+    each from the unit blocks of its shift (None: no recurrence).
+
+    Forward units respond to the score one step back, backward units to the
+    score one step ahead, so the d_h units whose block norm in Q_back most
+    exceeds that in Q_fwd are forward (a stable sort: equal norms, as at a
+    zero moment or with neither shift, give weight order).
+    """
+    d_h = C.shape[0] // 2
+
+    def block_norms(Q):
+        return np.zeros(2 * d_h) if Q is None else np.linalg.norm(Q.reshape(2 * d_h, -1), axis=1)
+
+    order = np.argsort(block_norms(Q_fwd) - block_norms(Q_back), kind="stable")
     fwd = np.sort(order[:d_h])
     bwd = np.sort(order[d_h:])
     A1, B1 = C[fwd], C[bwd]
-    U = None if T4_back is None else recover_recurrence(T4_back, A1, A2, fwd, basis)
-    V = None if T4_fwd is None else recover_recurrence(T4_fwd, B1, A2, bwd, basis)
+    U = None if Q_back is None else _recurrence_rows(Q_back, A1, fwd, basis)
+    V = None if Q_fwd is None else _recurrence_rows(Q_fwd, B1, bwd, basis)
     return BrnnEstimate(A1=A1, B1=B1, A2=np.vstack([A2[fwd], A2[bwd]]), U=U, V=V)
 
 
@@ -237,55 +263,77 @@ def recover_linear(
 # ---------------------------------------------------------------------------
 
 
-def _moments(data, spec, k, shift, burn_in, seed, in_span):
-    """(T2, {shift: T4}, stage1, basis) of a quadratic model with k units in all.
-
-    stage1 is decompose(T2, k=k, seed=seed).  shift is None (no T4), one
-    shift or a tuple of them, all taken by one cross_moment_s4_reshaped call.
-    With in_span, each T4 is in the coordinates of basis, orthonormal rows
-    spanning the stage-1 input rows; otherwise basis is None.  Each T4
-    subtracts the no-recurrence prediction of the stage-1 weights.  That
-    prediction depends on the current input only, so its cross-moment with a
-    shifted score is zero and the subtraction only reduces variance.
-    """
-    from .moments import cross_moment_s2, cross_moment_s4_reshaped
+def _second_moment(data, spec, k, burn_in, seed):
+    """(scores, T2, stage1) of a dataset: its centered scores, the quadratic
+    moment and stage1 = decompose(T2, k=k, seed=seed), for k units in all."""
+    from .moments import cross_moment_s2
     from .score import centered_scores
 
     s = centered_scores(spec, data.x)
     T2 = cross_moment_s2(spec, data, burn_in=burn_in, scores=s).value
-    A1, A2, cp = _stage1_factors(T2, k, seed)
-    basis = np.linalg.qr(A1.T)[0].T if in_span else None
-    if shift is None:
-        return T2, {}, cp, basis
-    baseline = A2.T @ (A1 @ data.x) ** 2
-    T4 = cross_moment_s4_reshaped(spec, data, shift=shift, burn_in=burn_in,
-                                  baseline=baseline, scores=s, basis=basis).value
+    return s, T2, decompose(T2, k=k, seed=seed)
+
+
+def _moments(data, spec, C, A2, shift, burn_in, scores):
+    """(basis, {shift: Q}): the per-unit fourth-order blocks of the k stage-1
+    units (input rows C, output rows A2), from one cross_moment_s4_reshaped
+    call for one shift or a tuple of them.
+
+    The blocks are the moment of the unit outputs Z = M y - (C x)^2, a k x n
+    array with M = _output_map(A2) (h = M y), in the coordinates of basis,
+    orthonormal rows spanning C's: len(shifts) * k x k^2 x k^2 in all, one
+    k-row block per shift.  On noiseless data with the true rows, Z_t is the
+    part of h_t that the recurrence adds.  (C x_t)^2 depends on the current
+    input only, so its cross-moment with a shifted score is zero and
+    subtracting it only reduces variance.
+    """
+    from .moments import cross_moment_s4_reshaped
+
+    Z = _output_map(A2) @ data.y
+    Z -= (C @ data.x) ** 2
+    basis = np.linalg.qr(C.T)[0].T
+    Q = cross_moment_s4_reshaped(spec, SequenceData(x=data.x, y=Z), shift=shift,
+                                 burn_in=burn_in, scores=scores, basis=basis).value
     shifts = np.atleast_1d(shift).tolist()
-    return T2, dict(zip(shifts, np.split(T4, len(shifts)))), cp, basis
+    return basis, dict(zip(shifts, np.split(Q, len(shifts))))
 
 
 def quadratic_moments(data, spec, d_h, burn_in=10, seed=0, with_recurrence=True):
-    """(T2, T4, stage1) of a quadratic model in the input coordinates:
-    _moments at shift -1, with T4 None without the recurrence."""
-    T2, T4, cp, _ = _moments(data, spec, d_h, -1 if with_recurrence else None,
-                             burn_in, seed, in_span=False)
-    return T2, T4.get(-1), cp
+    """(T2, T4, stage1) of a quadratic model in the input coordinates, T4
+    (None without the recurrence) the shift -1 moment of the outputs minus
+    the no-recurrence prediction A2^T (A1 x)^2 of the stage-1 rows."""
+    from .moments import cross_moment_s4_reshaped
+
+    s, T2, cp = _second_moment(data, spec, d_h, burn_in, seed)
+    A1, A2, _ = _stage1_factors(T2, d_h, seed, cp)
+    if not with_recurrence:
+        return T2, None, cp
+    T4 = cross_moment_s4_reshaped(spec, data, shift=-1, burn_in=burn_in,
+                                  baseline=A2.T @ (A1 @ data.x) ** 2, scores=s).value
+    return T2, T4, cp
 
 
 def train_quadratic(data, spec, d_h, burn_in=10, seed=0,
                     with_recurrence=True) -> RnnEstimate:
-    """Quadratic pipeline from a sequence: _moments in the stage-1 span, then recovery."""
-    T2, T4, cp, basis = _moments(data, spec, d_h, -1 if with_recurrence else None,
-                                 burn_in, seed, in_span=True)
-    return recover_quadratic(T2, d_h, T4=T4.get(-1), seed=seed, stage1=cp, basis=basis)
+    """Quadratic pipeline from a sequence: stage 1 (recover_quadratic on T2),
+    then the recurrence rows from the unit blocks of _moments at shift -1."""
+    s, T2, cp = _second_moment(data, spec, d_h, burn_in, seed)
+    est = recover_quadratic(T2, d_h, seed=seed, stage1=cp)
+    if with_recurrence:
+        basis, Q = _moments(data, spec, est.A1, est.A2, -1, burn_in, s)
+        est.U = _recurrence_rows(Q[-1], est.A1, range(d_h), basis)
+    return est
 
 
 def train_brnn(data, spec, d_h, burn_in=10, seed=0) -> BrnnEstimate:
-    """Bidirectional pipeline: _moments at both shifts in one kernel pass, in the
-    span of all 2*d_h rows, then recovery."""
-    T2, T4, cp, basis = _moments(data, spec, 2 * d_h, (-1, +1), burn_in, seed, in_span=True)
-    return recover_brnn(T2, d_h, T4_back=T4[-1], T4_fwd=T4[+1], seed=seed, stage1=cp,
-                        basis=basis)
+    """Bidirectional pipeline: stage 1 (recover_brnn on T2 alone, rows in
+    weight order), then the unit blocks of both shifts from one _moments
+    pass, split and fit by _split_brnn."""
+    s, T2, cp = _second_moment(data, spec, 2 * d_h, burn_in, seed)
+    first = recover_brnn(T2, d_h, seed=seed, stage1=cp)
+    C = np.vstack([first.A1, first.B1])
+    basis, Q = _moments(data, spec, C, first.A2, (-1, +1), burn_in, s)
+    return _split_brnn(C, first.A2, Q[-1], Q[+1], basis)
 
 
 def train_scalar(data, spec, d_h, l=3, burn_in=10, seed=0) -> RnnEstimate:

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from spectral_rnn import cli, spt1
+from spectral_rnn import cli, moments, spt1
 from spectral_rnn.cli import main
 from spectral_rnn.config import (ConfigError, config_hash, from_items,
                                  parse_config, serialize)
@@ -245,6 +245,20 @@ def test_cli_rank_deficient_output_rows_exit_code(tmp_path, capsys):
     assert _exit_record(capsys) == {"error": "numerical", "stage": "recurrence",
                                     "message": "recurrence: A2 rank 2 of 3"}
     assert not os.path.exists(os.path.join(out, "a1_hat.spt1"))
+
+
+def test_rank_deficient_output_rows_fail_before_the_moment_pass(tmp_path, capsys,
+                                                                monkeypatch):
+    """The recurrence stage needs pinv(A2^T) to form the unit outputs, so A2's
+    rank check fails the run before the fourth-order moment kernel runs."""
+    calls = []
+    monkeypatch.setattr(moments, "cross_moment_s4_reshaped",
+                        lambda *args, **kwargs: calls.append(args))
+    code, _ = _run(tmp_path, "train", extra_cfg={
+        "model.d_x": "6", "model.d_h": "3", "model.d_y": "2", "estimation.n": "20000"})
+    assert code == 3
+    assert _exit_record(capsys)["message"] == "recurrence: A2 rank 2 of 3"
+    assert calls == []
 
 
 def test_cli_linalg_error_names_the_command(tmp_path, capsys, monkeypatch):

@@ -19,7 +19,7 @@ from spectral_rnn.recovery import (fit_recurrence_row, quadratic_moments,
                                    recover_scalar, train_brnn, train_linear,
                                    train_quadratic, train_scalar)
 from spectral_rnn.sequence_models import (AssumptionError, BrnnParams, RnnParams,
-                                          bounded_input_spec, brnn_forward,
+                                          SequenceData, bounded_input_spec, brnn_forward,
                                           rnn_forward, sample_markov_chain,
                                           scalar_output_forward)
 from spectral_rnn.tensor_core import pinv
@@ -467,10 +467,30 @@ def _row_basis(rows):
     return np.linalg.qr(rows.T)[0].T
 
 
+def _unit_moment_by_hand(spec, data, C, A2, shifts, burn_in=10):
+    """The training path's moment assembled by hand: the unit outputs
+    Z = pinv(A2^T) y - (C x)^2 in the basis of the rows C, with no baseline.
+    (basis, one k-row block per shift)."""
+    basis = _row_basis(C)
+    Z = pinv(A2.T) @ data.y - (C @ data.x) ** 2
+    Q = cross_moment_s4_reshaped(spec, SequenceData(x=data.x, y=Z), shift=shifts,
+                                 burn_in=burn_in, basis=basis).value
+    return basis, np.split(Q, len(shifts))
+
+
+def _mixed_moment_by_hand(spec, data, C, A2, shifts, burn_in=10, basis=None):
+    """The mixed moment of the outputs minus the baseline A2^T (C x)^2 of
+    stage-1 rows C, one d_y-row block per shift."""
+    T4 = cross_moment_s4_reshaped(spec, data, shift=shifts, burn_in=burn_in,
+                                  baseline=A2.T @ (C @ data.x) ** 2, basis=basis).value
+    return np.split(T4, len(shifts))
+
+
 def test_train_quadratic_equals_recover_quadratic_bitwise():
     """Reusing the stage-1 decomposition leaves the estimate bit for bit
-    equal to recovering from the same moments with a fresh decomposition:
-    T2, then T4 in the coordinates of a basis of the stage-1 input rows."""
+    equal to recovering from the same moments by hand: stage 1 from T2 with a
+    fresh decomposition, then the recurrence from the unit-output moment in
+    the coordinates of a basis of the stage-1 input rows."""
     params = _quad_model(seed=23, d_x=4, d_h=2, d_y=3)
     spec = bounded_input_spec(4, 0.5, seed=24)
     data = rnn_forward(params, sample_markov_chain(spec, 30000, seed=25))
@@ -478,20 +498,17 @@ def test_train_quadratic_equals_recover_quadratic_bitwise():
     est = train_quadratic(data, spec, 2, seed=seed)
     T2 = cross_moment_s2(spec, data).value
     first = recover_quadratic(T2, 2, seed=seed)
-    basis = _row_basis(first.A1)
-    baseline = first.A2.T @ (first.A1 @ data.x) ** 2
-    T4 = cross_moment_s4_reshaped(spec, data, shift=-1, baseline=baseline,
-                                  basis=basis).value
-    assert T4.shape == (3, 4, 4)
-    ref = recover_quadratic(T2, 2, T4=T4, seed=seed, basis=basis)
-    for name in ("A1", "A2", "U"):
-        assert np.array_equal(getattr(est, name), getattr(ref, name)), name
+    basis, [Q] = _unit_moment_by_hand(spec, data, first.A1, first.A2, (-1,))
+    assert Q.shape == (2, 4, 4)
+    U = recovery._recurrence_rows(Q, first.A1, range(2), basis)
+    for name, ref in (("A1", first.A1), ("A2", first.A2), ("U", U)):
+        assert np.array_equal(getattr(est, name), ref), name
 
 
 def test_train_brnn_equals_recover_brnn_bitwise():
     """train_brnn recovers from the moments one would assemble by hand: T2,
-    then both shifted T4s minus the baseline of the stage-1 weights, in the
-    coordinates of a basis of all four stage-1 input rows."""
+    then the unit-output moment of both shifts in the coordinates of a basis
+    of all four stage-1 input rows, split and fit by the shared tail."""
     rng = np.random.default_rng(29)
     params = BrnnParams(A1=np.linalg.qr(rng.standard_normal((4, 2)))[0].T,
                         B1=np.linalg.qr(rng.standard_normal((4, 2)))[0].T,
@@ -505,20 +522,17 @@ def test_train_brnn_equals_recover_brnn_bitwise():
     T2 = cross_moment_s2(spec, data).value
     first = recover_brnn(T2, 2, seed=seed)  # no shifts: stage-1 (weight) order
     C = np.vstack([first.A1, first.B1])
-    basis = _row_basis(C)
-    baseline = first.A2.T @ (C @ data.x) ** 2
-    T4b, T4f = (cross_moment_s4_reshaped(spec, data, shift=shift, baseline=baseline,
-                                         basis=basis).value
-                for shift in (-1, +1))
-    ref = recover_brnn(T2, 2, T4_back=T4b, T4_fwd=T4f, seed=seed, basis=basis)
+    (basis, [Qb]), (_, [Qf]) = (_unit_moment_by_hand(spec, data, C, first.A2, (shift,))
+                                for shift in (-1, +1))
+    ref = recovery._split_brnn(C, first.A2, Qb, Qf, basis)
     for name in ("A1", "B1", "A2", "U", "V"):
         assert np.array_equal(getattr(est, name), getattr(ref, name)), name
 
 
 def test_quadratic_moments_match_train_quadratic_bitwise():
     """train_quadratic recovers from quadratic_moments' T2 and stage 1, and
-    from its T4 taken in the basis of the stage-1 input rows; without the
-    recurrence T4 is None and stage 1 is unchanged."""
+    from the unit-output moment taken in the basis of the stage-1 input rows;
+    without the recurrence T4 is None and stage 1 is unchanged."""
     params = _quad_model(seed=26, d_x=4, d_h=2, d_y=3)
     spec = bounded_input_spec(4, 0.5, seed=27)
     data = rnn_forward(params, sample_markov_chain(spec, 20000, seed=28))
@@ -526,13 +540,10 @@ def test_quadratic_moments_match_train_quadratic_bitwise():
     assert T4.shape == (3, 16, 16)
     est = train_quadratic(data, spec, 2, seed=5)
     first = recover_quadratic(T2, 2, seed=5, stage1=stage1)
-    basis = _row_basis(first.A1)
-    baseline = first.A2.T @ (first.A1 @ data.x) ** 2
-    T4p = cross_moment_s4_reshaped(spec, data, shift=-1, baseline=baseline,
-                                   basis=basis).value
-    ref = recover_quadratic(T2, 2, T4=T4p, seed=5, stage1=stage1, basis=basis)
-    for name in ("A1", "A2", "U"):
-        assert np.array_equal(getattr(est, name), getattr(ref, name)), name
+    basis, [Q] = _unit_moment_by_hand(spec, data, first.A1, first.A2, (-1,))
+    U = recovery._recurrence_rows(Q, first.A1, range(2), basis)
+    for name, ref in (("A1", first.A1), ("A2", first.A2), ("U", U)):
+        assert np.array_equal(getattr(est, name), ref), name
     T2n, T4n, stage1n = quadratic_moments(data, spec, 2, seed=5, with_recurrence=False)
     assert T4n is None
     assert np.array_equal(T2n, T2) and np.array_equal(stage1n.factor, stage1.factor)
@@ -566,9 +577,12 @@ def test_train_recurrence_in_span_matches_full_moment():
     bparams = _brnn_model(35, d_x=6)
     data = brnn_forward(bparams, sample_markov_chain(spec, 30000, seed=36))
     est = train_brnn(data, spec, 2, seed=8)
-    T2, T4, stage1, basis = recovery._moments(data, spec, 4, (-1, 1), 10, 8, in_span=False)
-    assert basis is None and T4[-1].shape == (5, 36, 36)
-    ref = recover_brnn(T2, 2, T4_back=T4[-1], T4_fwd=T4[1], seed=8, stage1=stage1)
+    _, T2, stage1 = recovery._second_moment(data, spec, 4, 10, 8)
+    first = recover_brnn(T2, 2, seed=8, stage1=stage1)
+    T4b, T4f = _mixed_moment_by_hand(spec, data, np.vstack([first.A1, first.B1]),
+                                     first.A2, (-1, 1))
+    assert T4b.shape == (5, 36, 36)
+    ref = recover_brnn(T2, 2, T4_back=T4b, T4_fwd=T4f, seed=8, stage1=stage1)
     for name in ("A1", "B1", "A2"):
         assert np.array_equal(getattr(est, name), getattr(ref, name)), name
     _assert_rel_close(est.U, ref.U)
@@ -577,9 +591,10 @@ def test_train_recurrence_in_span_matches_full_moment():
 
 @pytest.mark.parametrize("family", ["quadratic", "brnn"])
 def test_training_path_takes_moment_in_span(monkeypatch, family):
-    """train_* ask cross_moment_s4_reshaped, once, for the k-dimensional
-    moment, d_y x k^2 x k^2 with k the number of stage-1 rows, never d_x^4;
-    the BRNN asks for both shifts in one call, stacked along the output."""
+    """train_* ask cross_moment_s4_reshaped, once and with no baseline, for
+    the k-dimensional moment of the k unit outputs, k x k^2 x k^2 with k the
+    number of stage-1 rows, never d_y rows or d_x^4 columns; the BRNN asks
+    for both shifts in one call, stacked along the output."""
     spec = bounded_input_spec(6, 0.5, seed=37)
     x = sample_markov_chain(spec, 20000, seed=38)
     if family == "quadratic":
@@ -590,13 +605,13 @@ def test_training_path_takes_moment_in_span(monkeypatch, family):
 
     def wrapped(*args, **kwargs):
         result = cross_moment_s4_reshaped(*args, **kwargs)
-        shapes.append((result.shift, result.value.shape))
+        shapes.append((result.shift, result.value.shape, kwargs.get("baseline")))
         return result
 
     monkeypatch.setattr(moments, "cross_moment_s4_reshaped", wrapped)
     (train_quadratic if family == "quadratic" else train_brnn)(data, spec, 2, seed=1)
-    rows = np.size(shift) * data.y.shape[0]
-    assert shapes == [(shift, (rows, k * k, k * k))]
+    rows = np.size(shift) * k
+    assert shapes == [(shift, (rows, k * k, k * k), None)]
 
 
 def _brnn_observed_model():
@@ -624,8 +639,11 @@ def test_brnn_split_in_span_pins_a_swapped_dataset():
     est = train_brnn(data, spec, 2, seed=212)
     assert align(est.A1, params.A1).max_error < 0.25
     assert align(est.B1, params.B1).max_error < 0.35
-    T2, T4, stage1, _ = recovery._moments(data, spec, 4, (-1, 1), 10, 212, in_span=False)
-    full = recover_brnn(T2, 2, T4_back=T4[-1], T4_fwd=T4[1], seed=212, stage1=stage1)
+    _, T2, stage1 = recovery._second_moment(data, spec, 4, 10, 212)
+    first = recover_brnn(T2, 2, seed=212, stage1=stage1)
+    T4b, T4f = _mixed_moment_by_hand(spec, data, np.vstack([first.A1, first.B1]),
+                                     first.A2, (-1, 1))
+    full = recover_brnn(T2, 2, T4_back=T4b, T4_fwd=T4f, seed=212, stage1=stage1)
     assert align(full.A1, params.A1).max_error < 0.25
 
 
@@ -654,3 +672,72 @@ def test_train_quadratic_reads_quad_e2e_chain_14():
     est = train_quadratic(data, spec, 3, seed=14)
     rep = align(est.A1, A1, est.A2, A2)
     assert max(rep.per_row_errors["A1"].max(), rep.per_row_errors["A2"].max()) < 0.1
+
+
+def _mixed_assembly(data, spec, d_h, brnn, burn_in, seed):
+    """The estimate of the mixed assembly: stage 1 from T2, then the d_y-row
+    moment of the outputs minus the baseline A2^T (C x)^2 in the basis of the
+    stage-1 rows, unmixed and fit by recover_*."""
+    T2 = cross_moment_s2(spec, data, burn_in=burn_in).value
+    if not brnn:
+        first = recover_quadratic(T2, d_h, seed=seed)
+        basis = _row_basis(first.A1)
+        [T4] = _mixed_moment_by_hand(spec, data, first.A1, first.A2, (-1,), burn_in, basis)
+        return recover_quadratic(T2, d_h, T4=T4, seed=seed, basis=basis)
+    first = recover_brnn(T2, d_h, seed=seed)
+    C = np.vstack([first.A1, first.B1])
+    basis = _row_basis(C)
+    T4b, T4f = _mixed_moment_by_hand(spec, data, C, first.A2, (-1, 1), burn_in, basis)
+    return recover_brnn(T2, d_h, T4_back=T4b, T4_fwd=T4f, seed=seed, basis=basis)
+
+
+@settings(max_examples=12)
+@given(st.booleans().flatmap(lambda brnn: st.tuples(st.just(brnn), _oracle_models(brnn))),
+       st.integers(0, 6), st.sampled_from([-1, 1, (-1, 1)]), st.integers(0, 2 ** 16))
+def test_unit_output_moment_equals_unmixed_mixed_moment(model, burn_in, shift, seed):
+    """The identity the training path rests on: for A2 of full row rank,
+    pinv(A2^T) A2^T = I, so the moment of the unit outputs
+    Z = pinv(A2^T) y - (C x)^2 is the unmixed moment of y - A2^T (C x)^2.
+    Checked on short simulated data of random small models, with the true
+    rows; then train_* give the estimate of the mixed assembly, with the
+    same stage 1 and split and the recurrence up to rounding."""
+    brnn, params = model
+    spec = bounded_input_spec(params.d_x, 0.5, seed=seed)
+    x = sample_markov_chain(spec, 3000, seed=seed + 1)
+    data = brnn_forward(params, x) if brnn else rnn_forward(params, x)
+    C = np.vstack([params.A1, params.B1]) if brnn else params.A1
+    shifts = tuple(np.atleast_1d(shift).tolist())
+    basis, Q = recovery._moments(data, spec, C, params.A2, shift, burn_in,
+                                 score_module.centered_scores(spec, x))
+    mixed = _mixed_moment_by_hand(spec, data, C, params.A2, shifts, burn_in, basis)
+    assert list(Q) == list(shifts)
+    for sh, T4 in zip(shifts, mixed):
+        assert Q[sh].shape == (C.shape[0],) + T4.shape[1:]
+        _assert_rel_close(Q[sh], recovery._unit_blocks(T4, params.A2))
+
+    train = train_brnn if brnn else train_quadratic
+    try:
+        ref = _mixed_assembly(data, spec, params.d_h, brnn, burn_in, seed)
+    except AssumptionError as err:
+        with pytest.raises(AssumptionError) as got:
+            train(data, spec, params.d_h, burn_in=burn_in, seed=seed)
+        assert (got.value.stage, str(got.value)) == (err.stage, str(err))
+        return
+    est = train(data, spec, params.d_h, burn_in=burn_in, seed=seed)
+    for name in ("A1", "B1", "A2") if brnn else ("A1", "A2"):
+        assert np.array_equal(getattr(est, name), getattr(ref, name)), name
+    for name in ("U", "V") if brnn else ("U",):
+        _assert_rel_close(getattr(est, name), getattr(ref, name), 1e-10)
+
+
+def test_brnn_split_unchanged_by_the_unit_output_moment():
+    """On the brnn_observed model at n=3e4, chain seeds 200-219, train_brnn
+    splits the units exactly as the mixed assembly does: A1 and B1 equal bit
+    for bit."""
+    spec, params = _brnn_observed_model()
+    for chain_seed in range(200, 220):
+        data = brnn_forward(params, sample_markov_chain(spec, 30_000, chain_seed))
+        est = train_brnn(data, spec, 2, seed=chain_seed)
+        ref = _mixed_assembly(data, spec, 2, True, 10, chain_seed)
+        assert np.array_equal(est.A1, ref.A1), chain_seed
+        assert np.array_equal(est.B1, ref.B1), chain_seed
