@@ -73,14 +73,12 @@ class _Artifacts:
         return self.write_text(name, json.dumps(record, indent=2, sort_keys=True) + "\n")
 
     def manifest(self, config: ExperimentConfig, seed: int) -> None:
-        import scipy  # only for its version; the pipeline does not load it
         record = {
             "config_hash": config_hash(config),
             "seed": seed,
             "versions": {
                 "spectral_rnn": __version__,
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
             },
             "files": self.files,
         }

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import difflib
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -89,7 +90,7 @@ def _validate(values: dict) -> None:
                 f"||A1|| + ||U|| <= 1 is violated (got {total:g})")
     if not 0.0 <= values["input.w_scale"] < 1.0:
         raise ConfigError("input.w_scale: need 0 <= w_scale < 1 for a stable chain")
-    if values["input.sigma"] != "auto" and float(values["input.sigma"]) <= 0:
+    if values["input.sigma"] != "auto" and not 0.0 < float(values["input.sigma"]) < math.inf:
         raise ConfigError("input.sigma: expected 'auto' or a positive number")
     if values["input.init"] not in ("stationary", "zero"):
         raise ConfigError("input.init: expected 'stationary' or 'zero'")

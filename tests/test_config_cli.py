@@ -76,6 +76,12 @@ def test_w_scale_range():
         from_items({**BASE, "input.w_scale": "1.0"})
 
 
+@pytest.mark.parametrize("sigma", ["0", "-1", "nan", "inf"])
+def test_input_sigma_must_be_positive_and_finite(sigma):
+    with pytest.raises(ConfigError, match="input.sigma"):
+        from_items({**BASE, "input.sigma": sigma})
+
+
 def test_serialize_round_trip(tmp_path):
     config = from_items({**BASE, "estimation.seeds": "3,4,5"})
     path = tmp_path / "ser.cfg"

@@ -195,12 +195,49 @@ def test_sample_markov_chain_deterministic_and_stationary():
     assert abs(r - 0.5) < 0.05
 
 
-def test_bounded_input_spec_chi2_quantile_matches_scipy_stats():
-    for d_x in range(1, 20):
+# worst measured distance of the closed-form quantile from scipy's chi2.isf
+# over d_x 1-64 x tail_prob {1e-2, 1e-3, 1e-6}; scipy's isf is itself up to
+# 11 ulp from the true quantile there, the closed form up to 3
+CHI2_ISF_ULPS = 13
+
+
+def test_bounded_input_spec_chi2_quantile_within_ulps_of_scipy_isf():
+    for d_x in range(1, 65):
         for tail_prob in (1e-2, 1e-3, 1e-6):
+            q = sequence_models._chi2_upper_quantile(d_x, tail_prob)
+            ref = stats.chi2.isf(tail_prob, d_x)
+            assert abs(q - ref) <= CHI2_ISF_ULPS * np.spacing(ref), (d_x, tail_prob)
             spec = bounded_input_spec(d_x, 0.5, tail_prob=tail_prob)
-            c = 1.0 / stats.chi2.ppf(1.0 - tail_prob, df=d_x)
-            assert spec.sigma == np.sqrt(c * (1.0 - 0.5 ** 2))
+            assert spec.sigma == np.sqrt((1.0 / q) * (1.0 - 0.5 ** 2))
+
+
+@pytest.mark.parametrize("d_x", [100, 1000, 5000])
+def test_bounded_input_spec_chi2_quantile_at_high_dimension(d_x):
+    # e^{-x/2} underflows past x = 1490, so this needs the log-space terms
+    for tail_prob in (1e-2, 1e-3, 1e-6):
+        q = sequence_models._chi2_upper_quantile(d_x, tail_prob)
+        ref = stats.chi2.isf(tail_prob, d_x)
+        assert abs(q - ref) <= 1e-12 * ref, (d_x, tail_prob)
+
+
+@pytest.mark.parametrize("build, name", [
+    pytest.param(lambda: bounded_input_spec(6, 0.5, tail_prob=1.5), "tail_prob", id="tail_prob=1.5"),
+    pytest.param(lambda: bounded_input_spec(6, 0.5, tail_prob=-0.1), "tail_prob", id="tail_prob=-0.1"),
+    pytest.param(lambda: bounded_input_spec(6, 0.5, tail_prob=float("nan")), "tail_prob",
+                 id="tail_prob=nan"),
+    pytest.param(lambda: bounded_input_spec(6, 0.5, tail_prob=1.0), "tail_prob", id="tail_prob=1"),
+    pytest.param(lambda: bounded_input_spec(6, 0.5, tail_prob=0.0), "tail_prob", id="tail_prob=0"),
+    pytest.param(lambda: bounded_input_spec(0, 0.5), "d_x", id="d_x=0"),
+    pytest.param(lambda: MarkovChainSpec(W=0.5 * np.eye(2), sigma=float("nan")), "sigma",
+                 id="sigma=nan"),
+    pytest.param(lambda: MarkovChainSpec(W=0.5 * np.eye(2), sigma=float("inf")), "sigma",
+                 id="sigma=inf"),
+])
+def test_out_of_range_chain_input_rejected_by_name(build, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=name):
+            build()
 
 
 def test_import_loads_no_scipy():
@@ -208,10 +245,16 @@ def test_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, spectral_rnn, spectral_rnn.cli; "
+         "import sys, tempfile, spectral_rnn, spectral_rnn.cli\n"
+         "spectral_rnn.bounded_input_spec(6, 0.5)\n"
+         "with tempfile.TemporaryDirectory() as out:\n"
+         "    code = spectral_rnn.cli.main(['generate', '--out', out, '--set', 'model.d_x=6',\n"
+         "                                  '--set', 'model.d_h=3', '--set', 'model.d_y=4',\n"
+         "                                  '--set', 'input.sigma=auto', '--set', 'estimation.n=500'])\n"
+         "assert code == 0, code\n"
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_bounded_input_spec_norm():
