@@ -217,7 +217,9 @@ def _cmd_moments(config, seed, art):
 
 
 def _cmd_decompose(config, seed, art):
-    """Stage 1 of train on a moments run's T2, with the same rank check."""
+    """Stage 1 of train on a moments run's T2, with the same rank check; its
+    cp_report.json gives the kept candidate's residual against T2 and how
+    many candidates failed."""
     path = os.path.join(art.out_dir, "t2.spt1")
     if not os.path.exists(path):
         raise FileNotFoundError(f"expected moment tensor at {path}; run the moments subcommand first")
@@ -226,6 +228,8 @@ def _cmd_decompose(config, seed, art):
     art.write_array("cp_weights", cp.weights.reshape(1, -1))
     art.write_array("cp_mode1", cp.mode1)
     art.write_array("cp_factor", cp.factor)
+    art.write_json("cp_report.json", {"rank": cp.rank, "residual": cp.residual(T2),
+                                      "candidates_failed": cp.failed})
     print(f"rank-{cp.rank} decomposition written to {art.out_dir}")
     return EXIT_OK
 

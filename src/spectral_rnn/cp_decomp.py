@@ -13,6 +13,8 @@ Any two slice combinations M_1, M_2 of that core share the eigenvectors
 V^T c_r, read off M_1 M_2^-1 and mapped back by V; mode-1 factors and
 weights are then fit to T by least squares.  One random pair can be nearly
 degenerate, so several pairs are tried and the lowest-residual fit is kept.
+The pairs are small (k x k pencils, d^2 x k designs), so they run as one
+stacked pass of numpy calls rather than one loop iteration each.
 """
 
 from __future__ import annotations
@@ -38,11 +40,13 @@ class CpDecomposition:
     Each factor column has its first significant entry made positive (the
     flip is invisible to the squared pair).  For a fully symmetric tensor
     mode1[:, r] = +-factor[:, r], and that sign is the sign of the term.
+    failed is how many of decompose's candidates were skipped.
     """
 
     weights: np.ndarray
     mode1: np.ndarray
     factor: np.ndarray
+    failed: int = 0
 
     @property
     def rank(self) -> int:
@@ -57,11 +61,6 @@ class CpDecomposition:
         if nT == 0:
             return 0.0
         return float(np.linalg.norm(T - self.reconstruct()) / nT)
-
-
-def _slice_matrix(T: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    M = np.tensordot(theta, T, axes=(0, 0))
-    return 0.5 * (M + M.T)
 
 
 def _finalize(weights, mode1, factor, rank_tol=RANK_TOL, sig_tol=1e-8):
@@ -80,50 +79,23 @@ def _finalize(weights, mode1, factor, rank_tol=RANK_TOL, sig_tol=1e-8):
     return weights[order], mode1[:, order], factor[:, order]
 
 
-def _fit_mode1(T: np.ndarray, factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares mode-1 coefficients of T against the c_r c_r^T basis."""
-    d1 = T.shape[0]
-    k = factor.shape[1]
-    G = np.stack([np.outer(factor[:, r], factor[:, r]).ravel()
-                  for r in range(k)], axis=1)
-    B, _, grank, _ = np.linalg.lstsq(G, T.reshape(d1, -1).T, rcond=None)
-    if grank < k:
-        raise AssumptionError("rank deficiency; check full-rank assumption", stage="stage1")
-    B = B.T  # d1 x k
-    weights = np.linalg.norm(B, axis=0)
-    mode1 = np.divide(B, weights, out=np.zeros_like(B), where=weights > 0)
-    return weights, mode1
-
-
-def _candidate(T: np.ndarray, core: np.ndarray, V: np.ndarray,
-               rng: np.random.Generator) -> CpDecomposition:
-    """One fit from the pencil of two random slice combinations of the core.
-
-    The shared factors are the eigenvectors of M_1 M_2^-1, mapped back to
-    the shared mode by V; mode-1 factors and weights follow by least squares.
-    """
-    d1 = T.shape[0]
-    M1 = _slice_matrix(core, rng.standard_normal(d1))
-    M2 = _slice_matrix(core, rng.standard_normal(d1))
-    C = V @ np.real(np.linalg.eig(M1 @ np.linalg.inv(M2))[1])
-    norms = np.linalg.norm(C, axis=0)
-    if np.any(norms < DEFAULT_TOL):
-        raise AssumptionError("rank deficiency; check full-rank assumption", stage="stage1")
-    factor = C / norms
-    weights, mode1 = _fit_mode1(T, factor)
-    return CpDecomposition(*_finalize(weights, mode1, factor))
-
-
 def decompose(T: np.ndarray, k: int, seed: int = 0) -> CpDecomposition:
     """Rank-k pair-symmetric CP decomposition of an order-3 tensor.
 
-    CANDIDATES candidates (_candidate) draw their slice pairs from one
-    default_rng(seed) stream, and the first with the lowest residual(T) is
-    returned, so the result is deterministic given the seed.  A candidate
-    whose pencil is singular or whose factors are rank deficient is skipped;
-    if every one is, AssumptionError (stage "stage1") is raised.  Components
-    with weight below 1e-10 of the largest are dropped (a zero tensor yields
-    rank 0).
+    All CANDIDATES slice pairs are drawn at once from default_rng(seed), as
+    standard_normal((CANDIDATES, 2, 1, d1)): candidate c's two slice vectors
+    are the stream's draws 2c and 2c + 1, so the result is deterministic
+    given the seed.  The candidates then run as one stacked pass: one product
+    forms every slice matrix (a 1 x d1 row against the d1 x k^2 core each,
+    the product a single slice would make), one inv and one eig give every
+    pencil's factors, and one SVD of the stacked d^2 x k designs fits every
+    mode-1 least squares, with lstsq's rank rule.  A candidate whose pencil
+    is singular or whose factors are rank deficient is skipped, and the
+    result's failed counts the skipped; the first candidate with the lowest
+    residual(T) is returned.  If every candidate is skipped, or a stacked
+    LAPACK call fails, AssumptionError (stage "stage1") is raised.
+    Components with weight below 1e-10 of the largest are dropped (a zero
+    tensor yields rank 0).
     """
     T = np.asarray(T, dtype=float)
     if T.ndim != 3 or T.shape[1] != T.shape[2]:
@@ -136,16 +108,33 @@ def decompose(T: np.ndarray, k: int, seed: int = 0) -> CpDecomposition:
                                factor=np.zeros((d, 0)))
     V = np.linalg.svd(T.transpose(1, 0, 2).reshape(d, -1), full_matrices=False)[0][:, :k]
     core = multilinear(T, None, V, V)
-    rng = np.random.default_rng(seed)
-    fits = []
-    for _ in range(CANDIDATES):
-        try:
-            fits.append(_candidate(T, core, V, rng))
-        except (AssumptionError, np.linalg.LinAlgError):
-            # bind no exception: its traceback would tie the callers' frames,
-            # and their arrays, into a reference cycle
-            continue
-    if not fits:
+    theta = np.random.default_rng(seed).standard_normal((CANDIDATES, 2, 1, d1))
+    M = (theta @ core.reshape(d1, k * k)).reshape(CANDIDATES, 2, k, k)
+    M = 0.5 * (M + M.swapaxes(2, 3))
+    M = M[np.linalg.slogdet(M[:, 1])[0] != 0]  # inv raises exactly where slogdet's sign is 0
+    try:
+        # shared factors: the pencil's eigenvectors, mapped back by V
+        C = V @ np.real(np.linalg.eig(M[:, 0] @ np.linalg.inv(M[:, 1]))[1])
+        norms = np.linalg.norm(C, axis=1)
+        live = np.all(norms >= DEFAULT_TOL, axis=1)
+        factor = C[live] / norms[live, None, :]
+        # mode-1 least squares of T against the c_r c_r^T basis
+        G = (factor[:, :, None, :] * factor[:, None, :, :]).reshape(-1, d * d, k)
+        W, s, Vh = np.linalg.svd(G, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise AssumptionError(f"stage 1: the stacked candidate solve failed: {exc}",
+                              stage="stage1") from None
+    live = np.all(s > np.finfo(float).eps * max(d * d, k) * s[:, :1], axis=1)
+    factor, W, s, Vh = factor[live], W[live], s[live], Vh[live]
+    if not live.any():
         raise AssumptionError(f"rank deficiency: none of {CANDIDATES} candidates fits; "
                               "check full-rank assumption", stage="stage1")
-    return min(fits, key=lambda cp: cp.residual(T))
+    B = (T.reshape(d1, -1) @ W / s[:, None, :]) @ Vh  # c x d1 x k, lstsq's solution
+    weights = np.linalg.norm(B, axis=1)
+    mode1 = np.divide(B, weights[:, None, :], out=np.zeros_like(B),
+                      where=weights[:, None, :] > 0)
+    kept = weights * (weights >= RANK_TOL * weights.max(axis=1, keepdims=True))
+    fit = np.einsum("cr,car,cir,cjr->caij", kept, mode1, factor, factor)
+    best = int(np.argmin(np.linalg.norm((T - fit).reshape(len(B), -1), axis=1)))
+    return CpDecomposition(*_finalize(weights[best], mode1[best], factor[best]),
+                           failed=CANDIDATES - len(B))

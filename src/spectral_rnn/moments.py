@@ -296,14 +296,6 @@ def toeplitz_blocks(
 # ---------------------------------------------------------------------------
 
 
-def _pair_sym4(Ha: np.ndarray, Hb: np.ndarray) -> np.ndarray:
-    """Ha_ij Hb_kl + Ha_ik Hb_jl + Ha_il Hb_jk for symmetric matrices Ha, Hb,
-    or pairwise over stacks of them (leading axes broadcast)."""
-    return (np.einsum("...ij,...kl->...ijkl", Ha, Hb)
-            + np.einsum("...ik,...jl->...ijkl", Ha, Hb)
-            + np.einsum("...il,...jk->...ijkl", Ha, Hb))
-
-
 def population_moment_oracle(
     params: RnnParams | BrnnParams,
     kind: str,
@@ -343,12 +335,15 @@ def population_moment_oracle(
             if shift != -1:
                 raise ValueError("a forward model has no backward fourth-order moment")
             R, rows, A2 = params.U, params.A1, params.A2
-        d = rows.shape[1]
+        k, d = rows.shape
         d_y = A2.shape[1]
-        out = np.zeros((d_y, d, d, d, d))
-        for k in range(R.shape[0]):
-            H = 2.0 * np.einsum("j,ji,jl->il", R[k], rows, rows)
-            out += np.multiply.outer(A2[k], 2.0 * _pair_sym4(H, H))
+        H = 2.0 * np.einsum("kj,ji,jl->kil", R, rows, rows).reshape(k, d * d)
+        # T1[y, i, j, l, m] = sum_k A2[k, y] H_k[i, j] H_k[l, m] in one GEMM; the
+        # other two pairings of the four indices are transposes of it
+        T1 = ((A2[:, :, None] * H[:, None, :]).reshape(k, -1).T @ H).reshape((d_y,) + (d,) * 4)
+        out = T1 + T1.transpose(0, 1, 3, 2, 4)
+        out += T1.transpose(0, 1, 3, 4, 2)
+        out *= 2.0
         return out.reshape(d_y, d * d, d * d)
 
     if kind == "S3-order4":

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cp_decomp import CpDecomposition, decompose
-from .moments import _pair_sym4
 from .sequence_models import AssumptionError, SequenceData
 from .tensor_core import pinv
 
@@ -98,13 +97,28 @@ def _unit_blocks(T4: np.ndarray, A2: np.ndarray) -> np.ndarray:
     return Q.reshape(A2.shape[0], D, D)
 
 
+def _design(rows: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The recurrence fit's design for k rows r_p: one m^2 x m^2 column per
+    pair (p, q), p <= q, the block of u_p u_q + u_q u_p (of u_p^2 at p = q).
+    Each H_p = 2 r_p r_p^T is rank one, so with a = vec(r_p r_p^T),
+    b = vec(r_q r_q^T) and s = vec(r_p r_q^T + r_q r_p^T) the column is
+    4 w (a b^T + b a^T + s s^T), w = 1 at p = q and 2 otherwise: one stacked
+    rank-3 product."""
+    k, m = rows.shape
+    outer = (rows[:, None, :, None] * rows[None, :, None, :]).reshape(k, k, m * m)
+    a, b, s = outer[p, p], outer[q, q], outer[p, q] + outer[q, p]
+    w = 4.0 * np.where(p == q, 1.0, 2.0)[:, None, None]
+    return (w * np.stack([a, b, s], axis=2)) @ np.stack([b, a, s], axis=1)
+
+
 def fit_recurrence_row(Q_k: np.ndarray, A1: np.ndarray) -> np.ndarray:
     """One recurrence row from its fourth-order block, given the input rows.
 
     The block is quadratic in the row u through H(u) = 2 sum_j u_j a_j a_j^T,
     so it is linear in the outer product u u^T.  Fit that outer product by
     least squares over a symmetric basis, then take the dominant eigenvector.
-    The row sign is not determined by the block.
+    The row sign is not determined by the block.  Each H_p is rank one, so
+    the design is formed in closed form (_design).
 
     Every design column lies in span(a_1..a_k)^(x)4, so the fit runs in the
     coordinates of B, orthonormal rows spanning A1's: (B(x)B) Q_k (B(x)B)^T
@@ -117,12 +131,9 @@ def fit_recurrence_row(Q_k: np.ndarray, A1: np.ndarray) -> np.ndarray:
     BB = (B[:, None, :, None] * B[None, :, None, :]).reshape(m * m, d * d)  # B(x)B
     rows = A1 @ B.T
     k = rows.shape[0]
-    H = 2.0 * rows[:, :, None] * rows[:, None, :]
     p, q = np.triu_indices(k)
-    # column (p, q) is the block of u_p u_q + u_q u_p (of u_p^2 at p = q)
-    G = (_pair_sym4(H[p], H[q]) + _pair_sym4(H[q], H[p])) \
-        * np.where(p == q, 1.0, 2.0)[:, None, None, None, None]
-    c = np.linalg.lstsq(G.reshape(p.size, -1).T, (BB @ Q_k @ BB.T).ravel(), rcond=None)[0]
+    c = np.linalg.lstsq(_design(rows, p, q).reshape(p.size, -1).T,
+                        (BB @ Q_k @ BB.T).ravel(), rcond=None)[0]
     X = np.zeros((k, k))
     X[p, q] = X[q, p] = c
     vals, vecs = np.linalg.eigh(X)

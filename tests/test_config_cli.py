@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from spectral_rnn import cli, moments, spt1
+from spectral_rnn import cli, cp_decomp, moments, spt1
 from spectral_rnn.cli import main
 from spectral_rnn.config import (ConfigError, config_hash, from_items,
                                  parse_config, serialize)
@@ -321,6 +321,29 @@ def test_cli_moments_then_decompose(tmp_path):
     weights = spt1.read_tensor(os.path.join(out, "cp_weights.spt1"))
     assert weights.shape == (1, 2)
     assert np.all(np.isfinite(weights))
+
+
+def test_cli_decompose_reports_its_stage1(tmp_path):
+    """cp_report.json explains the kept candidate: its rank, its residual
+    against the moments run's T2 (recomputed here from the written factors)
+    and how many of the candidates failed."""
+    cfg = {"estimation.n": "20000", "model.d_h": "2", "model.d_y": "3"}
+    assert _run(tmp_path, "moments", extra_cfg=cfg)[0] == 0
+    code, out = _run(tmp_path, "decompose", extra_cfg=cfg)
+    assert code == 0
+    report = json.loads(open(os.path.join(out, "cp_report.json")).read())
+    assert sorted(report) == ["candidates_failed", "rank", "residual"]
+    assert report["rank"] == 2
+    assert 0 <= report["candidates_failed"] < cp_decomp.CANDIDATES
+    T2 = spt1.read_tensor(os.path.join(out, "t2.spt1"))
+    read = {name: spt1.read_tensor(os.path.join(out, f"cp_{name}.spt1"))
+            for name in ("weights", "mode1", "factor")}
+    fit = np.einsum("r,ar,ir,jr->aij", read["weights"][0], read["mode1"],
+                    read["factor"], read["factor"])
+    assert report["residual"] == pytest.approx(np.linalg.norm(T2 - fit) / np.linalg.norm(T2),
+                                               rel=1e-9, abs=1e-15)
+    manifest = json.loads(open(os.path.join(out, "manifest.json")).read())
+    assert "cp_report.json" in manifest["files"]
 
 
 def test_cli_train_and_eval(tmp_path):

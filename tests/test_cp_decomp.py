@@ -12,6 +12,7 @@ from spectral_rnn.cp_decomp import decompose
 from spectral_rnn.moments import population_moment_oracle
 from spectral_rnn.recovery import recover_scalar
 from spectral_rnn.sequence_models import AssumptionError, RnnParams
+from spectral_rnn.tensor_core import multilinear
 
 
 def _planted(d, k, seed, weights=None, orthogonal=False):
@@ -270,31 +271,19 @@ def test_repeated_factor_is_not_returned():
         assert abs(cp.factor[:, 0] @ b) > 1.0 - 1e-12
 
 
-def test_failed_candidates_leave_no_reference_cycle(monkeypatch):
+def test_failed_candidates_leave_no_reference_cycle():
     """A kept exception's traceback would tie decompose's frame, and its
     callers' arrays, into a cycle that only the cyclic collector frees.
-    Some candidates raise on the rank-1 cube at seed 10; every one does on
+    Some candidates fail on the rank-1 cube at seed 10; every one does on
     e_1 (x) e_1 (x) e_1, whose slice pencils are all singular."""
     cube, _ = _rank_one_cube()
     spike = np.zeros((3, 3, 3))
     spike[0, 0, 0] = 1.0
-    real = cp_decomp._candidate
-    raised = []
-
-    def counted(*args):
-        try:
-            return real(*args)
-        except AssumptionError:
-            raised.append(1)
-            raise
-
-    monkeypatch.setattr(cp_decomp, "_candidate", counted)
     stage = message = None
     gc.collect()
     gc.disable()
     try:
-        decompose(cube, 3, seed=10)
-        cube_raised = len(raised)
+        cube_failed = decompose(cube, 3, seed=10).failed
         try:
             decompose(spike, 3, seed=0)
         except AssumptionError as exc:
@@ -302,9 +291,108 @@ def test_failed_candidates_leave_no_reference_cycle(monkeypatch):
         found = gc.collect()
     finally:
         gc.enable()
-    assert 0 < cube_raised < cp_decomp.CANDIDATES
+    assert 0 < cube_failed < cp_decomp.CANDIDATES
     assert stage == "stage1" and "rank deficiency" in message
     assert found == 0
+
+
+def _sequential_decompose(T, k, seed):
+    """decompose as one loop iteration per candidate, kept as the reference
+    for the stacked pass: (the kept fit, how many candidates were skipped),
+    or (None, CANDIDATES) when every one is."""
+    T = np.asarray(T, dtype=float)
+    d1, d = T.shape[0], T.shape[1]
+    V = np.linalg.svd(T.transpose(1, 0, 2).reshape(d, -1), full_matrices=False)[0][:, :k]
+    core = multilinear(T, None, V, V)
+    rng = np.random.default_rng(seed)
+
+    def slice_matrix(theta):
+        M = np.tensordot(theta, core, axes=(0, 0))
+        return 0.5 * (M + M.T)
+
+    def candidate():
+        M1 = slice_matrix(rng.standard_normal(d1))
+        M2 = slice_matrix(rng.standard_normal(d1))
+        C = V @ np.real(np.linalg.eig(M1 @ np.linalg.inv(M2))[1])
+        norms = np.linalg.norm(C, axis=0)
+        if np.any(norms < cp_decomp.DEFAULT_TOL):
+            raise AssumptionError("rank deficiency", stage="stage1")
+        factor = C / norms
+        G = np.stack([np.outer(factor[:, r], factor[:, r]).ravel() for r in range(k)], axis=1)
+        B, _, grank, _ = np.linalg.lstsq(G, T.reshape(d1, -1).T, rcond=None)
+        if grank < k:
+            raise AssumptionError("rank deficiency", stage="stage1")
+        B = B.T
+        weights = np.linalg.norm(B, axis=0)
+        mode1 = np.divide(B, weights, out=np.zeros_like(B), where=weights > 0)
+        return cp_decomp.CpDecomposition(*cp_decomp._finalize(weights, mode1, factor))
+
+    fits = []
+    for _ in range(cp_decomp.CANDIDATES):
+        try:
+            fits.append(candidate())
+        except (AssumptionError, np.linalg.LinAlgError):
+            continue
+    failed = cp_decomp.CANDIDATES - len(fits)
+    if not fits:
+        return None, failed
+    return min(fits, key=lambda cp: cp.residual(T)), failed
+
+
+def _assert_matches_sequential(T, k, seed):
+    """decompose skips as many candidates as the reference and keeps its fit:
+    weights, mode1 and factor within 1e-12 relative, up to the order of
+    components whose weights tie to rounding."""
+    want, failed = _sequential_decompose(T, k, seed)
+    if want is None:
+        with pytest.raises(AssumptionError, match="rank deficiency"):
+            decompose(T, k, seed=seed)
+        return
+    got = decompose(T, k, seed=seed)
+    assert got.failed == failed
+    assert got.rank == want.rank
+    a, b = (np.vstack([cp.weights, cp.mode1, cp.factor]) for cp in (got, want))
+    gap = np.max(np.abs(a[:, :, None] - b[:, None, :]), axis=0)  # got x reference columns
+    match = np.argmin(gap, axis=0)
+    assert sorted(match) == list(range(want.rank))
+    assert np.all(gap[match, np.arange(want.rank)] <= 1e-12 * np.max(np.abs(b)))
+
+
+@settings(max_examples=100)
+@given(shape=_shape(), extra=st.integers(0, 2))
+def test_stacked_candidates_match_the_sequential_loop_on_planted(shape, extra):
+    d, k, w, seed = shape
+    rng = np.random.default_rng(seed)
+    B = _unit_columns(rng, d, k)
+    A = rng.standard_normal((k + extra, k))
+    A /= np.linalg.norm(A, axis=0)
+    _assert_matches_sequential(np.einsum("r,ar,ir,jr->aij", w, A, B, B), k, seed % 1000)
+
+
+def test_stacked_candidates_match_the_sequential_loop_on_hard_tensors():
+    """Candidates that fail (the rank-1 cube asked for rank 3) and tensors
+    with no definite slice combination, exact and noisy, where the candidates'
+    fits differ, so matching the reference picks out the kept candidate."""
+    cube, _ = _rank_one_cube()
+    for seed in range(16):
+        _assert_matches_sequential(cube, 3, seed)
+    for seed in range(8):
+        for noise in (0.0, 1e-3):
+            T, _ = _no_definite_combo(seed, noise)
+            _assert_matches_sequential(T, 3, seed)
+
+
+def test_stacked_solve_failure_is_a_stage1_error(monkeypatch):
+    """All candidates share one eig call, so a LAPACK failure there cannot
+    skip one candidate; it fails stage 1 with the stage's name instead."""
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", no_convergence)
+    T, *_ = _planted(6, 3, seed=0)
+    with pytest.raises(AssumptionError, match="did not converge") as info:
+        decompose(T, 3, seed=1)
+    assert info.value.stage == "stage1"
 
 
 def test_decompose_is_deterministic_given_its_seed():

@@ -139,6 +139,13 @@ def test_fit_recurrence_row_roundtrip():
     assert np.allclose(np.abs(got), np.abs(u), atol=1e-10)
 
 
+def _pairings(Ha, Hb):
+    """The three index pairings Ha_ij Hb_kl + Ha_ik Hb_jl + Ha_il Hb_jk, over
+    leading axes."""
+    return (np.einsum("...ij,...kl->...ijkl", Ha, Hb) + np.einsum("...ik,...jl->...ijkl", Ha, Hb)
+            + np.einsum("...il,...jk->...ijkl", Ha, Hb))
+
+
 def _fit_recurrence_row_full(Q_k, A1):
     """The fit in the full d coordinates, kept as the reference: one design
     column per pair p <= q, built from the three pairings of H_p and H_q, and
@@ -146,13 +153,9 @@ def _fit_recurrence_row_full(Q_k, A1):
     k = A1.shape[0]
     H = [2.0 * np.outer(A1[p], A1[p]) for p in range(k)]
 
-    def pairings(Ha, Hb):
-        return (np.einsum("ij,kl->ijkl", Ha, Hb) + np.einsum("ik,jl->ijkl", Ha, Hb)
-                + np.einsum("il,jk->ijkl", Ha, Hb))
-
     def column(p, q):
-        block = pairings(H[p], H[q])
-        return 2.0 * (block if p == q else block + pairings(H[q], H[p])).ravel()
+        block = _pairings(H[p], H[q])
+        return 2.0 * (block if p == q else block + _pairings(H[q], H[p])).ravel()
 
     index = [(p, q) for p in range(k) for q in range(p, k)]
     G = np.stack([column(p, q) for p, q in index], axis=1)
@@ -168,7 +171,7 @@ def _planted_block(u, rows):
     """2 * the pairings of H(u) = 2 sum_j u_j r_j r_j^T with itself, d^2 x d^2."""
     H = 2.0 * np.einsum("j,ji,jl->il", u, rows, rows)
     d = rows.shape[1]
-    return 2.0 * moments._pair_sym4(H, H).reshape(d * d, d * d)
+    return 2.0 * _pairings(H, H).reshape(d * d, d * d)
 
 
 def _rows(rng, k, d, sigma_min):
@@ -207,6 +210,21 @@ def test_fit_in_span_matches_full_coordinate_fit(kd, seed, noise):
     block = block + noise * np.max(np.abs(block)) * _symmetric_noise(rng, d)
     _assert_same_row(fit_recurrence_row(block, rows), _fit_recurrence_row_full(block, rows),
                      1e-10)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_rank_one_design_matches_the_pairings(k, m, seed):
+    """The closed-form design equals the pair-symmetrizations of the
+    rank-one H_p = 2 r_p r_p^T that it replaces."""
+    rows = np.random.default_rng(seed).standard_normal((k, m))
+    H = 2.0 * rows[:, :, None] * rows[:, None, :]
+    p, q = np.triu_indices(k)
+    want = ((_pairings(H[p], H[q]) + _pairings(H[q], H[p]))
+            * np.where(p == q, 1.0, 2.0)[:, None, None, None, None]).reshape(p.size, m * m, m * m)
+    got = recovery._design(rows, p, q)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_fit_recurrence_row_planted_non_orthogonal():
