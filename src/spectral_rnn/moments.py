@@ -1,16 +1,16 @@
 """Cross-moments of observed outputs with sequence score tensors.
 
-Empirical estimators average y_t (x) S_m(t + shift) over interior positions of a
-single long chain, after a burn-in.  The s^(x)m parts of S_2, S_3 and S_4 are
-output-weighted sums of the unique monomials s_i1 ... s_im (i1 <= ... <= im)
-of the score vector s, so one kernel sums them with one BLAS product per
-block of positions and expands the sums to every index.  One sweep serves
-several shifts: its blocks sit on one grid anchored at score position
-1 + burn_in, so each shift gets the bits of a sweep for it alone.  The
-order-4 moment is reshaped to d_y x d^2 x d^2, one such block per shift
-stacked along the output mode, in the input coordinates or those of
-orthonormal rows B: S_4 is multilinear in s and Lambda, so contracting each
-score mode with B gives S_4 of the scores B s with precision B Lambda B^T.
+Empirical estimators average y_t (x) S_m(t + shift) over interior positions of
+a single long chain, after a burn-in.  The s^(x)m parts of S_2, S_3 and S_4 are
+output-weighted sums of the unique monomials s_i1 ... s_im (i1 <= ... <= im) of
+the score vector s.  One kernel forms them block by block, each as a row times
+a run of rows, sums them with one BLAS product per block and expands the sums
+to every index.  One sweep serves several shifts: its blocks sit on one grid
+anchored at score position 1 + burn_in, so each shift gets the bits of a sweep
+for it alone.  The order-4 moment is reshaped to d_y x d^2 x d^2, one such
+block per shift stacked along the output mode, in the input coordinates or
+those of orthonormal rows B: S_4 is multilinear in s and Lambda, so contracting
+each score mode with B gives S_4 of the scores B s with precision B Lambda B^T.
 n_used is the number of aligned positions, n - 2 - burn_in - |shift|.
 
 The population oracle evaluates the same moments in closed form for a known
@@ -29,9 +29,9 @@ from .sequence_models import BrnnParams, MarkovChainSpec, RnnParams, SequenceDat
 
 DEFAULT_BURN_IN = 10
 
-# Aligned positions per block of the moment kernel, so the pair products and
-# their output-weighted copies stay in cache.
-_MOMENT_BLOCK = 1024
+# Aligned positions per block of the moment kernel, and the bytes of monomial
+# rows a block may hold, so they stay in cache.
+_MOMENT_BLOCK, _MOMENT_WORKSPACE = 4096, 2 << 20
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,26 @@ def _monomials(d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return full[:, keep], rank[np.ravel_multi_index(np.sort(full, axis=0), (d,) * m)]
 
 
+def _suffix_plan(d: int, orders: tuple[int, ...]):
+    """(mono, offsets, steps) of the kernel's workspace: rows of the scores,
+    the pairs and each higher order that orders need (m needs m - 2), each in
+    _monomials(d, m) order from row offsets[m] (offsets[0]: the row count).
+    Step (head, tail, dest) sets rows dest to row head times rows tail, a
+    suffix: the order-(m - h) monomials from the head's last index on."""
+    mono = {m: _monomials(d, m)
+            for m in sorted({1, 2}.union(*(range(2 - m % 2, m + 1, 2) for m in orders)))}
+    offsets = dict(zip([*mono, 0], [0, *np.cumsum([mono[m][0].shape[1] for m in mono]).tolist()]))
+    steps = []
+    for m in list(mono)[1:]:
+        h, dest = 1 if m == 2 else 2, offsets[m]
+        firsts, end = mono[m - h][0][0], offsets[m - h] + mono[m - h][0].shape[1]
+        for j, last in enumerate(mono[h][0][-1]):
+            lo = offsets[m - h] + int(np.searchsorted(firsts, last))
+            steps.append((offsets[h] + j, slice(lo, end), slice(dest, dest + end - lo)))
+            dest += end - lo
+    return mono, offsets, steps
+
+
 def _moment_means(
     y: np.ndarray,
     scores: np.ndarray,
@@ -86,7 +106,7 @@ def _moment_means(
     basis: np.ndarray | None = None,
 ) -> list[tuple[int, list[np.ndarray]]]:
     """Per shift, the count N of its aligned positions t and, for each m in
-    orders (each 1 to 4), the mean over them of Y[:, t] (x) s^(x)m, with s the
+    orders (ascending), the mean over them of Y[:, t] (x) s^(x)m, with s the
     score column t + shift or, given basis, basis @ it (projected block by
     block).  Each mean is a full d_y x d^m array, exactly symmetric in its
     score indices.  Y is y minus baseline, centered over the shift's own
@@ -95,12 +115,11 @@ def _moment_means(
     output against score fluctuations.
 
     One sweep walks the union of the shifts' score windows in blocks of
-    _MOMENT_BLOCK positions.  Each block forms the unique pair products
-    P = s_i s_j (i <= j) once and the higher-order monomials M as P times s_k
-    (order 3) or P times P (order 4); each shift then centers its block of Y
-    and takes Y P^T and Y M^T over the columns its window covers.  Only the
-    baseline-subtracted output is held at full length, and without a
-    baseline it is a view of y.
+    _MOMENT_BLOCK positions, halved until their rows fit _MOMENT_WORKSPACE
+    bytes, and fills one workspace per call with the scores and their
+    monomials (_suffix_plan, no gathers); each shift centers its block of Y
+    into a reused buffer and takes one GEMM with the requested orders' rows.
+    Only the baseline-subtracted output is held at full length.
     """
     windows = [_aligned_slices(y.shape[1], shift, burn_in) for shift in shifts]
     first = min(out.start for out, _ in windows)
@@ -110,40 +129,38 @@ def _moment_means(
              for out, _ in windows]
 
     d = scores.shape[0] if basis is None else basis.shape[0]
-    high = [m for m in orders if m > 2]
-    mono = {m: _monomials(d, m) for m in {2, *orders, *(m - 2 for m in high)}}
-    (iu, ju), pair = mono[2]
-    # order m > 2 monomials: a pair (index into P) times an order m - 2 monomial
-    split = [(m, pair[mono[m][0][0] * d + mono[m][0][1]],
-              mono[m - 2][1][np.ravel_multi_index(mono[m][0][2:], (d,) * (m - 2))])
-             for m in high]
-    sums = [[np.zeros((y.shape[0], mono[m][0].shape[1])) for m in orders] for _ in shifts]
+    mono, offsets, steps = _suffix_plan(d, orders)
+    r0 = offsets[orders[0]]  # the rows of every requested order: r0 to the end
+    sums = [np.zeros((y.shape[0], offsets[0] - r0)) for _ in shifts]
 
-    lo = min(sc.start for _, sc in windows)
-    hi = max(sc.stop for _, sc in windows)
-    anchor = 1 + burn_in
-    for start in range(anchor + (lo - anchor) // _MOMENT_BLOCK * _MOMENT_BLOCK, hi,
-                       _MOMENT_BLOCK):
-        a, b = max(start, lo), min(start + _MOMENT_BLOCK, hi)
-        Sb = scores[:, a:b]
-        Sb = Sb if basis is None else basis @ Sb
-        blocks = {1: Sb, 2: Sb[iu] * Sb[ju]}
-        for m, head, tail in split:
-            blocks[m] = blocks[2][head] * blocks[m - 2][tail]
-        mats = [blocks[m] for m in orders]
-        for shift, (_, sc), mean, acc in zip(shifts, windows, means, sums):
+    lo, hi = min(sc.start for _, sc in windows), max(sc.stop for _, sc in windows)
+    block = _MOMENT_BLOCK
+    while block > 1 and offsets[0] * block * 8 > _MOMENT_WORKSPACE:
+        block //= 2
+    work = np.empty((offsets[0], min(block, hi - lo)))
+    Yc, prod = np.empty((y.shape[0], work.shape[1])), np.empty((y.shape[0], offsets[0] - r0))
+    S, full = work[:d], [(work[h], work[t], work[o]) for h, t, o in steps]
+    for start in range(lo - (lo - 1 - burn_in) % block, hi, block):  # grid anchored at 1 + burn_in
+        a, b = max(start, lo), min(start + block, hi)
+        if basis is None:
+            np.copyto(S[:, :b - a], scores[:, a:b])
+        else:
+            np.matmul(basis, scores[:, a:b], out=S[:, :b - a])
+        for x, t, o in full if b - a == work.shape[1] else [
+                (x[:b - a], t[:, :b - a], o[:, :b - a]) for x, t, o in full]:
+            np.multiply(x, t, out=o)
+        for shift, (_, sc), mean, total in zip(shifts, windows, means, sums):
             p, q = max(a, sc.start), min(b, sc.stop)
             if p >= q:
                 continue
-            Yb = Y[:, p - shift - first:q - shift - first] - mean
-            for total, X in zip(acc, mats):
-                total += Yb @ X[:, p - a:q - a].T
+            Yb = np.subtract(Y[:, p - shift - first:q - shift - first], mean, out=Yc[:, :q - p])
+            total += np.matmul(Yb, work[r0:, p - a:q - a].T, out=prod)
 
     result = []
-    for (out, _), acc in zip(windows, sums):
+    for (out, _), total in zip(windows, sums):
         N = out.stop - out.start
-        result.append((N, [(total[:, mono[m][1]] / N).reshape((y.shape[0],) + (d,) * m)
-                           for m, total in zip(orders, acc)]))
+        result.append((N, [(total[:, offsets[m] - r0 + mono[m][1]] / N)
+                           .reshape((y.shape[0],) + (d,) * m) for m in orders]))
     return result
 
 

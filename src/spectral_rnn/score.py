@@ -19,7 +19,7 @@ import numpy as np
 
 from .sequence_models import MarkovChainSpec
 
-_SCORE_BLOCK = 2048  # interior columns per block of centered_scores, so temporaries stay small
+_SCORE_BLOCK = 4096  # interior columns per block of centered_scores, so its scratch stays small
 
 
 @dataclass(frozen=True)
@@ -147,10 +147,13 @@ def centered_scores(spec: MarkovChainSpec, x: np.ndarray) -> np.ndarray:
     n = x.shape[1]
     s = np.empty_like(x)
     s[:, :1] = s[:, -1:] = np.nan
+    prev, nxt = np.empty((2, x.shape[0], min(_SCORE_BLOCK, max(n - 2, 0))))
     for a in range(1, n - 1, _SCORE_BLOCK):
         b = min(n - 1, a + _SCORE_BLOCK)
-        s[:, a:b] = (Lam @ x[:, a:b]
-                     - (W @ x[:, a - 1 : b - 1] + W.T @ x[:, a + 1 : b + 1]) / spec.sigma**2)
+        p = np.matmul(W, x[:, a - 1 : b - 1], out=prev[:, :b - a])
+        p += np.matmul(W.T, x[:, a + 1 : b + 1], out=nxt[:, :b - a])
+        p /= spec.sigma**2
+        np.subtract(np.matmul(Lam, x[:, a:b], out=s[:, a:b]), p, out=s[:, a:b])
     return s
 
 

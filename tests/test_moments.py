@@ -1,7 +1,9 @@
 """Cross-moment estimators against closed-form and derivative-based oracles."""
 
 import itertools
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -290,7 +292,8 @@ def _assert_kernel_close(new, ref):
     assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("N", [_MOMENT_BLOCK // 2, _MOMENT_BLOCK, _MOMENT_BLOCK + 1,
+@pytest.mark.parametrize("N", [512, 1024, 1025, 4099,  # within a block, then just past one
+                               _MOMENT_BLOCK // 2, _MOMENT_BLOCK, _MOMENT_BLOCK + 1,
                                4 * _MOMENT_BLOCK + 3])
 @pytest.mark.parametrize("d_y", [1, 4])
 @pytest.mark.parametrize("d_x", [1, 2, 6])
@@ -413,7 +416,7 @@ def test_moment_kernel_holds_no_full_length_output_copies():
     scores = centered_scores(spec, x)
     baseline = rng.standard_normal((d_y, n))
     basis = np.linalg.qr(rng.standard_normal((d_x, 4)))[0].T
-    scratch = 256 * _MOMENT_BLOCK * 8  # 256 rows of one block, in bytes
+    scratch = 2 << 20  # 2 MiB of block-sized scratch, whatever _MOMENT_BLOCK is
     tracemalloc.start()
     try:
         cross_moment_s4_reshaped(spec, data, shift=(-1, 1), baseline=baseline,
@@ -422,10 +425,74 @@ def test_moment_kernel_holds_no_full_length_output_copies():
         tracemalloc.reset_peak()
         cross_moment_s2(spec, data, scores=scores)
         _, peak_s2 = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        # S3's 83 monomial rows at d_x = 6 would take 2.7 MB at 4096 positions
+        _moment_means(data.y[:1], scores, (0,), 0, (1, 3))
+        _, peak_s3 = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak_s4 < data.y.nbytes + scratch
     assert peak_s2 < scratch
+    assert peak_s3 < scratch
+
+
+def _gathered(S, m):
+    """Order-m monomial rows as fancy-index gathers: s_i * s_j over the pairs,
+    then pair rows times order m - 2 rows, in _monomials(d, m) order."""
+    d = S.shape[0]
+    if m == 1:
+        return S
+    (iu, ju), pair = moments._monomials(d, 2)
+    if m == 2:
+        return S[iu] * S[ju]
+    mono, lower = moments._monomials(d, m)[0], moments._monomials(d, m - 2)[1]
+    head = pair[mono[0] * d + mono[1]]
+    tail = lower[np.ravel_multi_index(mono[2:], (d,) * (m - 2))]
+    return _gathered(S, 2)[head] * _gathered(S, m - 2)[tail]
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+@pytest.mark.parametrize("d", range(1, 8))
+def test_workspace_rows_are_the_gathered_monomials(d, m):
+    """Every order's rows of the workspace, built by the suffix-product steps,
+    carry the bits of the gathered products in _monomials order."""
+    mono, offsets, steps = moments._suffix_plan(d, (m,))
+    S = np.random.default_rng(10 * d + m).standard_normal((d, 37))
+    work = np.full((offsets[0], S.shape[1]), np.nan)
+    work[:d] = S
+    for head, tail, dest in steps:
+        np.multiply(work[head], work[tail], out=work[dest])
+    assert set(mono) == set(range(2 - m % 2, m + 1, 2)) | {1, 2}
+    assert offsets[0] == sum(mono[k][0].shape[1] for k in mono)
+    for k in mono:
+        rows = work[offsets[k]:offsets[k] + mono[k][0].shape[1]]
+        assert np.array_equal(rows, _gathered(S, k)), k
+
+
+def test_moment_kernel_is_reentrant_across_threads():
+    """Two threads running the kernel at once on different data each get the
+    bits of a serial call: the workspace belongs to the call."""
+    cases = []
+    for seed in (70, 71):
+        spec = bounded_input_spec(4, 0.5, seed=seed)
+        x = sample_markov_chain(spec, 3 * _MOMENT_BLOCK + 50, seed=seed)
+        rng = np.random.default_rng(seed)
+        y, baseline = rng.standard_normal((2, 3, x.shape[1]))
+        basis = np.linalg.qr(rng.standard_normal((4, 3)))[0].T
+        cases.append((spec, SequenceData(x=x, y=y),
+                      {"shift": (-1, 1), "baseline": baseline, "basis": basis}))
+    serial = [cross_moment_s4_reshaped(*case[:2], **case[2]).value for case in cases]
+    barrier = threading.Barrier(2)
+
+    def run(case):
+        barrier.wait(timeout=60)
+        return [cross_moment_s4_reshaped(*case[:2], **case[2]).value for _ in range(4)]
+
+    with ThreadPoolExecutor(2) as pool:
+        results = list(pool.map(run, cases, timeout=300))
+    for want, got in zip(serial, results):
+        for value in got:
+            assert np.array_equal(value, want)
 
 
 def test_s4_rejects_a_baseline_not_shaped_like_y():

@@ -134,7 +134,8 @@ def test_centered_scores_layout():
         assert np.allclose(s[:, t - 1], score(spec, x, t, 1).value)
 
 
-@pytest.mark.parametrize("n", [3, 5, _SCORE_BLOCK + 1, _SCORE_BLOCK + 2, _SCORE_BLOCK + 3,
+@pytest.mark.parametrize("n", [3, 5, 2049, 2050, 2051, 6151,
+                               _SCORE_BLOCK + 1, _SCORE_BLOCK + 2, _SCORE_BLOCK + 3,
                                3 * _SCORE_BLOCK + 7])
 def test_centered_scores_block_edges(n):
     """Columns on both sides of every block edge equal the per-position
@@ -151,7 +152,7 @@ def test_centered_scores_block_edges(n):
         np.testing.assert_allclose(s[:, col], want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
-@pytest.mark.parametrize("n", [4, 2 * _SCORE_BLOCK + 5, 40000])
+@pytest.mark.parametrize("n", [4, 4101, 2 * _SCORE_BLOCK + 5, 40000])
 def test_centered_scores_bitwise_equal_full_array_expression(n):
     """At d_x = 6 the block-wise fill gives the bits of the expression over
     the whole interior at once."""
