@@ -408,7 +408,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--set", metavar="K=V", action="append", default=[],
                         help="config override, repeatable")
     parser.add_argument("--workers", type=int, default=None,
-                        help="parallel workers (default: SPECTRAL_RNN_WORKERS or CPU count)")
+                        help="parallel workers (default: SPECTRAL_RNN_WORKERS, else the CPUs "
+                             "this process may run on)")
     parser.add_argument("--format", choices=["spt1", "csv"], default=None)
     return parser
 
@@ -422,6 +423,8 @@ def _resolve_workers(args) -> int:
             return max(1, int(env))
         except ValueError as exc:
             raise ConfigError(f"SPECTRAL_RNN_WORKERS: cannot parse {env!r}") from exc
+    if hasattr(os, "sched_getaffinity"):  # an affinity mask may leave fewer than the host's
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

@@ -10,13 +10,16 @@ All simulation runs through two kernels:
 - ``_linear_scan`` steps the linear chain as a blocked scan in fixed-size
   chunks: per block of B steps, one matmul with the block-Toeplitz kernel of
   powers of W gives the response to the innovations, and one more adds the
-  block's start state.  The start states are a chain with transition W^B,
-  scanned by the same kernel one level down, so no loop runs per block.  It
-  reorders floating-point sums relative to a step-by-step loop, so the chain
-  agrees with one to rounding (about 1 ulp), not bit for bit.
+  block's start state.  The start states, a chain with transition W^B, are
+  scanned the same way one level down (each level's kernel built once per
+  chain), so no loop runs per block.  It reorders floating-point sums
+  relative to a step loop, so the chain agrees with one to about 1 ulp.
 - ``_unroll`` runs the polynomial recursion parallel in time: chunks of the
-  sequence advance together from warm-up states, and a chunk whose start
-  state differs from the true one in any bit is re-run until it coalesces.
+  sequence advance together from warm-up states, and then every chunk whose
+  start differs in any bit from the state before it re-runs from that state,
+  all of them together, in rounds until none does (a bitwise parareal).
+  While re-runs run through their chunks without coalescing, a round re-runs
+  only the first such chunk, as a serial repair would.
   Every state comes from one step function with a fixed order of
   elementwise multiply-adds, so the result equals its sequential loop
   (``_unroll(..., chunks=1)``) bit for bit, for any chunking.
@@ -163,30 +166,41 @@ _SCAN_BLOCK = 8      # steps per block of the chain's blocked scan
 _SCAN_CHUNK = 2048   # blocks per kernel matmul, so temporaries stay chunk-sized
 
 
-def _linear_scan(W: np.ndarray, x: np.ndarray, eps: np.ndarray) -> None:
+def _scan_levels(W: np.ndarray, steps: int) -> list:
+    """(W_j, Toeplitz kernel, carry-in) per level j of a ``steps``-step scan, with
+    W_0 = W and W_(j+1) = W_j^B; the looped last level has no kernel."""
+    B, d = _SCAN_BLOCK, W.shape[0]
+    levels = []
+    while steps > B:
+        powers = np.empty((B + 1, d, d))
+        powers[0] = np.eye(d)
+        for k in range(1, B + 1):
+            powers[k] = W @ powers[k - 1]
+        lag = np.arange(B)[:, None] - np.arange(B)[None, :]
+        kernel = np.where((lag >= 0)[:, :, None, None], powers[np.maximum(lag, 0)], 0.0)
+        levels.append((W, kernel.transpose(0, 2, 1, 3).reshape(B * d, B * d),
+                       powers[1:].reshape(B * d, d)))
+        W, steps = powers[B], -(-min(steps, B * _SCAN_CHUNK) // B) - 1
+    return levels + [(W, None, None)]
+
+
+def _linear_scan(levels: list, x: np.ndarray, eps: np.ndarray) -> None:
     """Fill x[:, t] = W x[:, t-1] + eps[:, t-1] for t >= 1 in place, given x[:, 0].
 
-    Blocked scan over the n - 1 steps: within a block of B steps the response
-    to the innovations from a zero start is one matmul with the block-lower-
-    triangular Toeplitz kernel [W^(i-j)]_{j<=i}; the block's start state then
-    adds [W; W^2; ...; W^B] x_prev.  The start states are the same chain one
-    level down, with transition W^B, so this scan fills them recursively.
+    Blocked scan over the n - 1 steps, W being levels[0]'s: within a block of
+    B steps the response to the innovations from a zero start is one matmul
+    with the block-lower-triangular Toeplitz kernel [W^(i-j)]_{j<=i}; the
+    block's start state then adds [W; W^2; ...; W^B] x_prev.  The start states
+    are the same chain one level down, with transition W^B, so this scan fills
+    them recursively with levels[1:].
     """
+    W, kernel, carry_in = levels[0]
     d, steps = eps.shape
     if steps <= _SCAN_BLOCK:
         for t in range(steps):
             x[:, t + 1] = W @ x[:, t] + eps[:, t]
         return
-    B = _SCAN_BLOCK
-    powers = np.empty((B + 1, d, d))
-    powers[0] = np.eye(d)
-    for k in range(1, B + 1):
-        powers[k] = W @ powers[k - 1]
-    lag = np.arange(B)[:, None] - np.arange(B)[None, :]
-    kernel = np.where((lag >= 0)[:, :, None, None], powers[np.maximum(lag, 0)], 0.0)
-    kernel = kernel.transpose(0, 2, 1, 3).reshape(B * d, B * d)
-    carry_in = powers[1:].reshape(B * d, d)
-    span = B * _SCAN_CHUNK
+    B, span = _SCAN_BLOCK, _SCAN_BLOCK * _SCAN_CHUNK
     for c0 in range(0, steps, span):
         c1 = min(steps, c0 + span)
         m = -(-(c1 - c0) // B)
@@ -198,7 +212,7 @@ def _linear_scan(W: np.ndarray, x: np.ndarray, eps: np.ndarray) -> None:
         # start state of block b + 1 = W^B (start of block b) + block b's end response
         starts = np.empty((d, m))
         starts[:, 0] = x[:, c0]
-        _linear_scan(powers[B], starts, R[-d:, : m - 1])
+        _linear_scan(levels[1:], starts, R[-d:, : m - 1])
         R += carry_in @ starts
         x[:, c0 + 1 : c1 + 1] = R.reshape(B, d, m).transpose(1, 2, 0).reshape(d, m * B)[:, : c1 - c0]
 
@@ -223,7 +237,7 @@ def sample_markov_chain(spec: MarkovChainSpec, n: int, seed: int) -> np.ndarray:
         raise ValueError(f"unknown init {spec.init!r}")
     eps = rng.standard_normal((d, n - 1))
     eps *= spec.sigma
-    _linear_scan(spec.W, x, eps)
+    _linear_scan(_scan_levels(spec.W, n - 1), x, eps)
     return x
 
 
@@ -281,7 +295,7 @@ def bounded_input_spec(d_x: int, w_scale: float, seed: int = 0, tail_prob: float
     return MarkovChainSpec(W=w_scale * Q, sigma=sigma)
 
 
-_CHUNKS = 256         # chunks of the forward recursion advanced together
+_CHUNKS = 1024        # chunks of the forward recursion advanced together
 _WARMUP = 32          # steps each chunk k > 0 runs from a zero state before its start
 _DRIVE_BLOCK = 4096   # steps per block when forming A1 x_t, so temporaries stay small
 
@@ -306,7 +320,7 @@ def _step(prev: np.ndarray, drive: np.ndarray, out: np.ndarray, U: np.ndarray, l
     Each entry is ((drive + U[:, 0] p_0) + U[:, 1] p_1 + ...)^l with the power
     taken by repeated multiplication, element by element, so a column's bits
     do not depend on how many columns are stepped together.  out may be
-    drive; acc (shaped like out) and prods (d_h of them) are scratch.
+    drive or prev; acc (shaped like out) and prods (d_h of them) are scratch.
     """
     np.multiply(U.T[:, :, None], prev[:, None, :], out=prods)  # prods[j] = U[:, j] p_j
     np.add(drive, prods[0], out=acc)
@@ -321,22 +335,33 @@ def _step(prev: np.ndarray, drive: np.ndarray, out: np.ndarray, U: np.ndarray, l
         power = dst
 
 
-def _repair(A1, U, l, x, S, s, end) -> None:
-    """Re-run steps s..end-1 from the true state S[:, s-1] until they coalesce.
+def _differs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Columns of a and b that differ in any bit (-0.0 from +0.0, NaN payloads)."""
+    return (a.view(np.int64) != b.view(np.int64)).any(axis=0)
 
-    Stops at the first step whose new state equals the stored one bit for
-    bit: from there on the stored states are what the true start gives.
+
+def _rerun(A1, U, l, xs, S, C, ks, prev) -> None:
+    """Re-run chunks ks (sorted) together from the states prev, writing S.
+
+    Chunk k covers steps kC .. kC+C-1, the last chunk of S possibly fewer.
+    Each block of steps gathers at most about _DRIVE_BLOCK columns of inputs.
     """
-    d_h = S.shape[0]
-    drive = np.empty((d_h, end - s))
-    _drive(A1, x[:, s:end], drive, np.empty_like(drive))
-    acc, prods = np.empty((d_h, 1)), np.empty((d_h, d_h, 1))
-    for t in range(s, end):
-        state = drive[:, t - s : t - s + 1]
-        _step(S[:, t - 1 : t], state, state, U, l, acc, prods)
-        if state.tobytes() == S[:, t].tobytes():
-            return
-        S[:, t : t + 1] = state
+    d_h, n = S.shape
+    m = ks.size
+    span = min(C, n - ks[-1] * C)  # steps of the last chunk in ks
+    top = C if m > 1 else span
+    edges = sorted({*range(0, top, max(1, _DRIVE_BLOCK // m)), span, top})
+    acc, prods = np.empty((d_h, m)), np.empty((d_h, d_h, m))
+    for i0, i1 in zip(edges, edges[1:]):
+        w = m - (i0 >= span)  # chunks with steps i0 .. i1-1
+        t = ks[:w] * C + np.arange(i0, i1)[:, None]  # (step, chunk) columns
+        D = np.empty((d_h,) + t.shape)
+        _drive(A1, xs[:, t.ravel()], D.reshape(d_h, -1), np.empty((d_h, t.size)))
+        prev, a, p = prev[:, :w], acc[:, :w], prods[:, :, :w]
+        for state in D.transpose(1, 0, 2):  # step by step, (d_h, w) each
+            _step(prev, state, state, U, l, a, p)
+            prev = state
+        S[:, t] = D
 
 
 def _unroll(A1: np.ndarray, U: np.ndarray, l: int, x: np.ndarray,
@@ -348,17 +373,18 @@ def _unroll(A1: np.ndarray, U: np.ndarray, l: int, x: np.ndarray,
     h_t = (A1 x_t + U h_{t+1})^l, over reversed views of x and of the rows,
     which stay in time order.  The boundary state is h0 (zero if None).
 
-    Parallel in time and exact.  The n steps split into at most ``chunks``
-    chunks of C >= _WARMUP steps.  Chunk k > 0 starts from the state that
-    a zero state reaches over the _WARMUP steps before the chunk, and all
-    chunks advance together as one (d_h, chunks) state, each state written
-    in place over its A1 x_t.  Then, chunk by chunk, a start state that
-    differs in any bit from the true state before the chunk is repaired:
-    the chunk re-runs from the true state until it coalesces with what is
-    stored.  Every state comes from ``_step``, whose bits do not depend on
-    the batch, so the result equals the sequential loop (``chunks=1``) bit
-    for bit.  A non-finite state in that result raises AssumptionError
-    naming the first such step.
+    Parallel in time and exact.  The n steps split into K <= ``chunks``
+    chunks of C >= _WARMUP steps.  Chunk k > 0 starts from the state that a
+    zero state reaches over the _WARMUP steps before the chunk, and all
+    chunks advance together, each state written in place over its A1 x_t.
+    Then each repair round re-runs, together, every chunk whose start differs
+    in any bit from the stored state before it, from that state.  The first
+    of them starts exact, so at most K - 1 rounds run; while its re-run ends
+    off the stored states, the next round re-runs only the next chunk, so a
+    chain that never coalesces costs a serial repair.  Every state comes
+    from ``_step``, whose bits do not depend on the batch, so the result
+    equals the sequential loop (``chunks=1``) bit for bit.  A non-finite
+    state in that result raises AssumptionError naming the first such step.
     """
     n = x.shape[1]
     d_h = A1.shape[0]
@@ -378,32 +404,31 @@ def _unroll(A1: np.ndarray, U: np.ndarray, l: int, x: np.ndarray,
         starts = np.zeros((d_h, K))
         if h0 is not None:
             starts[:, 0] = h0
-        if K > 1:
-            # chunks 1..K-1 warm up over the last steps of their predecessors,
-            # before the main pass writes states over those steps' A1 x_t
-            warm, nxt = starts[:, 1:].copy(), np.empty((d_h, K - 1))
+        if K > 1:  # chunks 1..K-1 warm up on the A1 x_t the main pass overwrites
             for i in range(C - _WARMUP, C):
-                _step(warm, S[:, i::C][:, : K - 1], nxt, U, l,
+                _step(starts[:, 1:], S[:, i::C][:, : K - 1], starts[:, 1:], U, l,
                       acc[:, : K - 1], prods[:, :, : K - 1])
-                warm, nxt = nxt, warm
-            starts[:, 1:] = warm
         prev = starts
         for i in range(C):
             cols = S[:, i::C]  # step kC + i of every chunk that has one
             active = cols.shape[1]
             _step(prev[:, :active], cols, cols, U, l, acc[:, :active], prods[:, :, :active])
             prev = cols
-        verified = n
-        for k in range(1, K):
-            before = S[:, k * C - 1]
-            if starts[:, k].tobytes() != before.tobytes():
-                if not np.isfinite(before).all():
-                    verified = k * C  # the blow-up is before this chunk
-                    break
-                _repair(A1, U, l, xs, S, k * C, min(n, k * C + C))
-        finite = np.isfinite(S[:, :verified]).all(axis=0)
-    if not finite.all():
-        s = int(np.argmin(finite))
+        front = -1  # the first chunk the last round re-ran
+        while K > 1:  # repair rounds
+            ks = np.flatnonzero(_differs(starts[:, 1:], S[:, C - 1 :: C][:, : K - 1])) + 1
+            if ks.size == 0:
+                break
+            if ks[0] == front + 1:  # the last round's exact re-run did not coalesce
+                ks = ks[:1]
+            front = ks[0]
+            prev = S[:, ks * C - 1]
+            if not np.isfinite(prev[:, 0]).all():
+                break  # an exact state before chunk ks[0] is non-finite
+            starts[:, ks] = prev
+            _rerun(A1, U, l, xs, S, C, ks, prev)
+    if not np.isfinite(H).all():
+        s = int(np.argmin(np.isfinite(S).all(axis=0)))
         direction = "backward" if backward else "forward"
         raise AssumptionError(f"{direction} state blow-up at step {n - 1 - s if backward else s}",
                               stage="simulate")

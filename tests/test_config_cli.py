@@ -496,6 +496,18 @@ def test_cli_workers_env_var(tmp_path, monkeypatch):
     assert code == 2
 
 
+def test_cli_default_workers_follow_the_affinity_mask(monkeypatch):
+    # a process pinned to fewer CPUs than the host has gets one worker per
+    # usable CPU; without sched_getaffinity the host's count stands
+    monkeypatch.delenv("SPECTRAL_RNN_WORKERS", raising=False)
+    args = cli._build_parser().parse_args(["generate"])
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert cli._resolve_workers(args) == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._resolve_workers(args) == 64
+
+
 def test_cli_resolved_config_written(tmp_path):
     _, out = _run(tmp_path, "generate", extra_cfg={"estimation.n": "50"})
     text = open(os.path.join(out, "config.resolved")).read()

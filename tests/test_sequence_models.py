@@ -19,7 +19,8 @@ from spectral_rnn.diagnostics import sample_sweep
 from spectral_rnn.sequence_models import (_CHUNKS, _SCAN_BLOCK, _SCAN_CHUNK,
                                           _WARMUP, AssumptionError,
                                           BrnnParams, MarkovChainSpec,
-                                          RnnParams, SequenceData, _unroll,
+                                          RnnParams, SequenceData, _differs,
+                                          _unroll,
                                           bounded_input_spec, brnn_forward,
                                           rnn_forward, sample_markov_chain,
                                           scalar_output_forward,
@@ -357,8 +358,10 @@ def _kernel_model(d_x, d_h, u_scale, seed):
 
 
 @pytest.mark.parametrize("l", [1, 2, 3])
-@pytest.mark.parametrize("n", [1, 2, _CHUNKS - 1, _CHUNKS, _CHUNKS + 1,
-                               40 * _CHUNKS + 3])
+# 255-257 and 10243 (= 40 * 256 + 3) are kept from an earlier _CHUNKS of 256
+# as more chunk layouts; 10243 now ends in a 3-step chunk
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 10243, _CHUNKS - 1, _CHUNKS,
+                               _CHUNKS + 1, 40 * _CHUNKS + 3])
 def test_chunked_kernel_equals_sequential(n, l):
     A1, U = _kernel_model(4, 3, 0.3, seed=n)
     x = sample_markov_chain(bounded_input_spec(4, 0.5, seed=1), n, seed=2)
@@ -371,27 +374,113 @@ def test_chunked_kernel_equals_sequential(n, l):
             assert np.array_equal(got, ref)
 
 
-def test_chunked_kernel_repairs_slow_mixing_exactly(monkeypatch):
+def _first_pass_starts(A1, U, l, x, chunks, backward=False):
+    """Each chunk k >= 1's start after its warm-up from zero, and the length
+    C of a chunk, as _unroll lays them out in step order."""
+    xs = x[:, ::-1] if backward else x
+    n = xs.shape[1]
+    C = max(-(-n // chunks), min(_WARMUP, n))
+    return [_unroll(A1, U, l, xs[:, k - _WARMUP : k], chunks=1)[-1]
+            for k in range(C, n, C)], C
+
+
+def test_chunked_kernel_repairs_slow_mixing_exactly():
     # a linear recursion with a near-unit rotation takes hundreds of steps to
     # forget its start state bit for bit, far more than _WARMUP, so most
-    # chunks are repaired: with short chunks a repair runs to the chunk's
-    # end, with four long chunks it coalesces inside
+    # chunks start wrong and are repaired: with short chunks over several
+    # rounds, as a re-run reaches the chunk's end, with four long chunks
+    # inside one round
     A1, U = _kernel_model(4, 3, 0.95, seed=3)
     x = sample_markov_chain(bounded_input_spec(4, 0.5, seed=4), _CHUNKS * _WARMUP,
                             seed=5)
-    repairs = []
-    repair = sequence_models._repair
-    monkeypatch.setattr(sequence_models, "_repair",
-                        lambda *args: repairs.append(args[5]) or repair(*args))
     for l in (1, 2):
         for backward in (False, True):
             ref = _unroll(A1, U, l, x, backward=backward, chunks=1)
+            steps = ref[::-1] if backward else ref
             for chunks in (_CHUNKS, 4):
-                repairs.clear()
                 got = _unroll(A1, U, l, x, backward=backward, chunks=chunks)
                 assert np.array_equal(got, ref)
                 if l == 1:
-                    assert len(repairs) > (chunks - 1) // 2
+                    starts, C = _first_pass_starts(A1, U, l, x, chunks, backward)
+                    wrong = sum(s.tobytes() != steps[k * C - 1].tobytes()
+                                for k, s in enumerate(starts, 1))
+                    assert wrong > (chunks - 1) // 2
+
+
+def test_repair_that_runs_through_its_chunk_needs_a_second_round():
+    # an integrator (l = 1, U = 1) never forgets its start, so a re-run never
+    # coalesces.  Chunk 2's warm-up misses chunk 0's inputs, so its main
+    # pass ends wrong; round 1 makes chunk 2 exact, but chunk 3 re-ran from
+    # that wrong end and stays wrong until round 2
+    A1 = U = np.eye(1)
+    # the last chunk is short, and it too is re-run
+    x = sample_markov_chain(bounded_input_spec(1, 0.5, seed=6), 40 * _WARMUP + 5, seed=7)
+    for backward in (False, True):
+        ref = _unroll(A1, U, 1, x, backward=backward, chunks=1)
+        steps, xs = (ref[::-1], x[:, ::-1]) if backward else (ref, x)
+        C = _WARMUP
+        main2 = _unroll(A1, U, 1, xs[:, 2 * C - _WARMUP : 3 * C], chunks=1)[-1]
+        round1 = _unroll(A1, U, 1, xs[:, 3 * C : 4 * C], h0=main2, chunks=1)[-1]
+        assert main2.tobytes() != steps[3 * C - 1].tobytes()
+        assert round1.tobytes() != steps[4 * C - 1].tobytes()
+        for chunks in (_CHUNKS, 40, 8):
+            assert np.array_equal(_unroll(A1, U, 1, x, backward=backward, chunks=chunks), ref)
+
+
+def test_repair_that_never_coalesces_reruns_each_chunk_about_once(monkeypatch):
+    # after round 1 of an integrator each round makes only its first chunk
+    # exact, so later rounds re-run only that chunk, as a serial repair
+    # would, instead of every mismatched chunk again (about K^2 / 2 re-runs)
+    x = sample_markov_chain(bounded_input_spec(1, 0.5, seed=6), _CHUNKS * _WARMUP, seed=7)
+    widths = []
+    rerun = sequence_models._rerun
+    monkeypatch.setattr(sequence_models, "_rerun",
+                        lambda *args: widths.append(args[6].size) or rerun(*args))
+    for backward in (False, True):
+        widths.clear()
+        got = _unroll(np.eye(1), np.eye(1), 1, x, backward=backward)
+        assert np.array_equal(got, _unroll(np.eye(1), np.eye(1), 1, x, backward=backward,
+                                           chunks=1))
+        # chunk 1's warm-up covers all of chunk 0, so chunks 2 .. K-1 start wrong
+        assert widths[0] == _CHUNKS - 2
+        assert widths[1:] == [1] * (_CHUNKS - 3)
+
+
+def test_mismatch_is_any_bit():
+    # -0.0 and +0.0 differ in the sign bit; a NaN equals only the same bits
+    nan, neg_nan = np.nan, np.copysign(np.nan, -1.0)
+    a = np.array([[0.0, -0.0, nan, nan, 1.0], [1.0, 1.0, 1.0, 1.0, 1.0]])
+    b = np.array([[-0.0, -0.0, nan, neg_nan, 1.0], [1.0, 1.0, 1.0, 1.0, np.nextafter(1.0, 2.0)]])
+    assert _differs(a, b).tolist() == [True, False, False, True, True]
+    # from h0 = -0.0, h_t = x_t + h_{t-1} with x_t = -0.0 stays -0.0, while
+    # every warm-up from +0.0 stays +0.0: the chunks are wrong in the sign
+    # bit alone, and repairing them gives the sequential bits
+    x = np.full((1, 4 * _CHUNKS), -0.0)
+    h0 = np.array([-0.0])
+    ref = _unroll(np.eye(1), np.eye(1), 1, x, h0=h0, chunks=1)
+    assert np.signbit(ref).all()
+    got = _unroll(np.eye(1), np.eye(1), 1, x, h0=h0)
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_blow_up_after_repaired_chunks_names_its_step(backward):
+    # every chunk of an integrator after the first two starts wrong and is
+    # repaired; two inputs of 1.5e308 overflow it far after those chunks
+    n = 8 * _CHUNKS
+    t0 = 5 * _CHUNKS + 3
+    x = np.full((1, n), 0.5)
+    x[0, t0 : t0 + 2] = 1.5e308
+    # the chunks before the spike, laid out as in the full run (C = _WARMUP)
+    starts, C = _first_pass_starts(np.eye(1), np.eye(1), 1, x[:, :t0], _CHUNKS)
+    assert C == _WARMUP
+    assert sum(s[0] != 0.5 * k * C for k, s in enumerate(starts, 1)) > len(starts) // 2
+    step = t0 if backward else t0 + 1
+    direction = "backward" if backward else "forward"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AssumptionError, match=f"^{direction} state blow-up at step {step}$"):
+            _unroll(np.eye(1), np.eye(1), 1, x, backward=backward)
 
 
 def test_forward_blow_up_in_a_later_chunk_names_its_step():
