@@ -23,8 +23,8 @@ from .moments import (MomentTensor, cross_moment_s1, cross_moment_s2,
 from .cp_decomp import CpDecomposition, decompose
 from .recovery import (BrnnEstimate, RnnEstimate, quadratic_moments,
                        recover_brnn, recover_linear, recover_quadratic,
-                       recover_recurrence, recover_scalar, train_brnn,
-                       train_linear, train_quadratic, train_scalar)
+                       recover_scalar, train_brnn, train_linear,
+                       train_quadratic, train_scalar)
 from .diagnostics import (RecoveryReport, SweepResult, align,
                           concentration_bound, lipschitz_bound, sample_sweep)
 from .config import ConfigError, ExperimentConfig, parse_config

@@ -206,12 +206,16 @@ def _cmd_score_check(config, seed, art):
 
 
 def _cmd_moments(config, seed, art):
+    """The moments train fits: t2, and t4, the unit-output moment at shift -1
+    (d_h x d_h^2 x d_h^2) in the coordinates of t4_basis, orthonormal rows
+    spanning the stage-1 input rows."""
     _check_degree(config, "moments")
     spec, _, data = _simulate(config, seed)
-    T2, T4, _ = quadratic_moments(data, spec, config.d_h,
-                                  burn_in=config["estimation.burn_in"], seed=seed)
+    T2, _, _, basis, Q = quadratic_moments(data, spec, config.d_h,
+                                           burn_in=config["estimation.burn_in"], seed=seed)
     art.write_array("t2", T2)
-    art.write_array("t4", T4)
+    art.write_array("t4", Q)
+    art.write_array("t4_basis", basis)
     print(f"moment tensors written to {art.out_dir}")
     return EXIT_OK
 
@@ -224,6 +228,10 @@ def _cmd_decompose(config, seed, art):
     if not os.path.exists(path):
         raise FileNotFoundError(f"expected moment tensor at {path}; run the moments subcommand first")
     T2 = spt1.read_tensor(path)
+    # the moment kernel's T2 unfolds to a column-major d_y x d_x^2 matrix, and
+    # decompose's mode-1 product sums the two layouts in different orders, so
+    # the file's T2 takes that layout to give train's stage 1 bit for bit
+    T2 = np.asfortranarray(T2.reshape(T2.shape[0], -1)).reshape(T2.shape)
     cp = _stage1_factors(T2, config.d_h, seed)[2]
     art.write_array("cp_weights", cp.weights.reshape(1, -1))
     art.write_array("cp_mode1", cp.mode1)
@@ -340,18 +348,18 @@ def _read_pair(art, name):
 
 
 def _cmd_eval(config, seed, art):
-    """Aligns a train run's estimates against the truth it wrote, which is
-    already in the unit-input-row convention."""
+    """Aligns a train run's estimates (A1, and A2 and U where written)
+    against the truth it wrote, which is already in the unit-input-row
+    convention, as the run's report.json aligns them."""
     A1_hat = _read_pair(art, "a1_hat")
     if A1_hat is None:
         raise FileNotFoundError(f"no estimate found in {art.out_dir}; run a train subcommand first")
     A1_true = _read_pair(art, "a1_true")
     if A1_true is None:
         raise ConfigError("ground truth required for alignment")
-    U_hat, U_true = _read_pair(art, "u_hat"), _read_pair(art, "u_true")
-    if U_hat is None or U_true is None:
-        U_hat = U_true = None
-    report = align(A1_hat, A1_true, U_est=U_hat, U_true=U_true)
+    report = align(A1_hat, A1_true, *(_read_pair(art, name) for name in
+                                      ("a2_hat", "a2_true", "u_hat", "u_true")),
+                   degree=config.l)
     art.write_json("eval.json", {
         "max_error": report.max_error,
         "median_error": report.median_error,

@@ -102,31 +102,26 @@ def _moment_means(
     shifts: tuple[int, ...],
     burn_in: int,
     orders: tuple[int, ...],
-    baseline: np.ndarray | None = None,
     basis: np.ndarray | None = None,
 ) -> list[tuple[int, list[np.ndarray]]]:
     """Per shift, the count N of its aligned positions t and, for each m in
     orders (ascending), the mean over them of Y[:, t] (x) s^(x)m, with s the
     score column t + shift or, given basis, basis @ it (projected block by
     block).  Each mean is a full d_y x d^m array, exactly symmetric in its
-    score indices.  Y is y minus baseline, centered over the shift's own
-    positions; centering leaves every S_m cross-moment (m >= 1) unchanged in
+    score indices.  Y is y centered over the shift's own positions;
+    centering leaves every S_m cross-moment (m >= 1) unchanged in
     expectation, since E[S_m] = 0, and removes the variance of the mean
     output against score fluctuations.
 
     One sweep walks the union of the shifts' score windows in blocks of
     _MOMENT_BLOCK positions, halved until their rows fit _MOMENT_WORKSPACE
     bytes, and fills one workspace per call with the scores and their
-    monomials (_suffix_plan, no gathers); each shift centers its block of Y
-    into a reused buffer and takes one GEMM with the requested orders' rows.
-    Only the baseline-subtracted output is held at full length.
+    monomials (_suffix_plan, no gathers); each shift centers its block of y
+    into a reused buffer and takes one GEMM with the requested orders' rows,
+    so no full-length array is formed.
     """
     windows = [_aligned_slices(y.shape[1], shift, burn_in) for shift in shifts]
-    first = min(out.start for out, _ in windows)
-    last = max(out.stop for out, _ in windows)
-    Y = y[:, first:last] if baseline is None else y[:, first:last] - baseline[:, first:last]
-    means = [Y[:, out.start - first:out.stop - first].mean(axis=1, keepdims=True)
-             for out, _ in windows]
+    means = [y[:, out].mean(axis=1, keepdims=True) for out, _ in windows]
 
     d = scores.shape[0] if basis is None else basis.shape[0]
     mono, offsets, steps = _suffix_plan(d, orders)
@@ -153,7 +148,7 @@ def _moment_means(
             p, q = max(a, sc.start), min(b, sc.stop)
             if p >= q:
                 continue
-            Yb = np.subtract(Y[:, p - shift - first:q - shift - first], mean, out=Yc[:, :q - p])
+            Yb = np.subtract(y[:, p - shift:q - shift], mean, out=Yc[:, :q - p])
             total += np.matmul(Yb, work[r0:, p - a:q - a].T, out=prod)
 
     result = []
@@ -236,7 +231,6 @@ def cross_moment_s4_reshaped(
     data: SequenceData,
     shift: int | tuple[int, ...] = -1,
     burn_in: int = DEFAULT_BURN_IN,
-    baseline: np.ndarray | None = None,
     *,
     scores: np.ndarray | None = None,
     basis: np.ndarray | None = None,
@@ -257,28 +251,17 @@ def cross_moment_s4_reshaped(
     of aligned positions, n - 2 - burn_in - |shift|; for a tuple, the fewest
     of any of its shifts.
 
-    baseline, if given, is a d_y x n array of per-step predictions that depend
-    on x_t only; it is subtracted from the output before averaging.  The score
-    at t + shift has zero conditional mean given the other positions, so any
-    function of x_t alone has zero cross-moment with it and the subtraction
-    changes nothing in expectation while removing most of the variance.
     scores, if given, are centered_scores(spec, data.x).  basis, if given, is
     a k x d_x matrix B with orthonormal rows; the result is then the moment
     with every score mode contracted with B, d_y x k^2 x k^2.
     """
     y = _output_matrix(data)
-    if baseline is not None:
-        baseline = np.asarray(baseline, dtype=float)
-        if baseline.shape != y.shape:
-            raise ValueError(f"baseline must have the shape of y {y.shape}, "
-                             f"got {baseline.shape}")
     Lam = precision_matrix(spec)
     if basis is not None:
         Lam = basis @ Lam @ basis.T
     d = Lam.shape[0]
     shifts = tuple(int(s) for s in np.atleast_1d(shift))
-    parts = _moment_means(y, _scores_of(spec, data, scores), shifts, burn_in, (2, 4),
-                          baseline, basis)
+    parts = _moment_means(y, _scores_of(spec, data, scores), shifts, burn_in, (2, 4), basis)
     vals = []
     for _, (M, T) in parts:  # M = E[(y - mean) (x) s (x) s]
         # The centered output makes the Lambda (x) Lambda terms vanish, so

@@ -10,7 +10,9 @@ H_k = 2 sum_j U_kj a_j a_j^T.  A2 has full row rank, so M = pinv(A2^T)
 maps the outputs to the units (h = M y): the data pipelines take the moment
 of the k unit outputs M y - (A1 x)^2 directly (_moments), while the tensor
 entry points (recover_*) unmix a given d_y-row moment with M; both then run
-the same fits.  The blocks lie in the span of the stage-1 input rows, so the
+the same fits.  train_quadratic is quadratic_moments (scores, T2, stage 1
+and that unit-output moment, which the moments command writes) followed by
+the row fits.  The blocks lie in the span of the stage-1 input rows, so the
 data pipelines take the moment and the rows in the coordinates of an
 orthonormal basis of that span, and every fit, on the full-coordinate
 oracle moment too, projects its block onto the span of the rows it is
@@ -152,21 +154,6 @@ def _recurrence_rows(Q: np.ndarray, A1: np.ndarray, units,
     return np.stack([fit_recurrence_row(Q[r], rows) for r in units])
 
 
-def recover_recurrence(
-    T4: np.ndarray,
-    A1: np.ndarray,
-    A2: np.ndarray,
-    units,
-    basis: np.ndarray | None = None,
-) -> np.ndarray:
-    """Recurrence rows of one direction from a mixed reshaped fourth-order
-    moment (d_y rows), unmixed against all stage-1 output rows A2 once
-    (_unit_blocks), then fit as in _recurrence_rows; with basis, T4 is
-    cross_moment_s4_reshaped(..., basis=basis).  Row signs are indeterminate.
-    """
-    return _recurrence_rows(_unit_blocks(T4, A2), A1, units, basis)
-
-
 def recover_quadratic(
     T2: np.ndarray,
     d_h: int,
@@ -178,11 +165,15 @@ def recover_quadratic(
 ) -> RnnEstimate:
     """Recover quadratic-unit model parameters from score cross-moments.
 
-    stage1, if given, is decompose(T2, k=d_h, seed=seed) computed earlier;
-    it is used instead of decomposing again.  basis is as in recover_recurrence.
+    T4, if given, is a mixed reshaped fourth-order moment (d_y rows), unmixed
+    against all stage-1 output rows A2 once (_unit_blocks), then fit as in
+    _recurrence_rows; with basis, T4 is cross_moment_s4_reshaped(...,
+    basis=basis).  Row signs are indeterminate.  stage1, if given, is
+    decompose(T2, k=d_h, seed=seed) computed earlier; it is used instead of
+    decomposing again.
     """
     A1, A2, _ = _stage1_factors(T2, d_h, seed, stage1)
-    U = None if T4 is None else recover_recurrence(T4, A1, A2, range(d_h), basis)
+    U = None if T4 is None else _recurrence_rows(_unit_blocks(T4, A2), A1, range(d_h), basis)
     return RnnEstimate(A1=A1, A2=A2, U=U)
 
 
@@ -219,7 +210,7 @@ def recover_brnn(
     leaves its recurrence None, and with neither the rows stay in weight
     order.  stage1, if given, is decompose(T2, k=2 * d_h, seed=seed), used
     instead of decomposing again.  basis, spanning all 2*d_h rows, is as in
-    recover_recurrence.
+    recover_quadratic.
     """
     if T2.shape[0] < 2 * d_h:
         raise ValueError("output dimension insufficient for BRNN identifiability")
@@ -309,30 +300,23 @@ def _moments(data, spec, C, A2, shift, burn_in, scores):
     return basis, dict(zip(shifts, np.split(Q, len(shifts))))
 
 
-def quadratic_moments(data, spec, d_h, burn_in=10, seed=0, with_recurrence=True):
-    """(T2, T4, stage1) of a quadratic model in the input coordinates, T4
-    (None without the recurrence) the shift -1 moment of the outputs minus
-    the no-recurrence prediction A2^T (A1 x)^2 of the stage-1 rows."""
-    from .moments import cross_moment_s4_reshaped
-
-    s, T2, cp = _second_moment(data, spec, d_h, burn_in, seed)
-    A1, A2, _ = _stage1_factors(T2, d_h, seed, cp)
-    if not with_recurrence:
-        return T2, None, cp
-    T4 = cross_moment_s4_reshaped(spec, data, shift=-1, burn_in=burn_in,
-                                  baseline=A2.T @ (A1 @ data.x) ** 2, scores=s).value
-    return T2, T4, cp
-
-
-def train_quadratic(data, spec, d_h, burn_in=10, seed=0,
-                    with_recurrence=True) -> RnnEstimate:
-    """Quadratic pipeline from a sequence: stage 1 (recover_quadratic on T2),
-    then the recurrence rows from the unit blocks of _moments at shift -1."""
+def quadratic_moments(data, spec, d_h, burn_in=10, seed=0):
+    """(T2, stage1, est, basis, Q), the front half of train_quadratic: the
+    quadratic moment T2, stage1 = decompose(T2, k=d_h, seed=seed), the
+    stage-1 estimate est (recover_quadratic, U None), and the shift -1
+    unit-output moment Q of _moments, d_h x d_h^2 x d_h^2 in the coordinates
+    of basis, orthonormal rows spanning est.A1's."""
     s, T2, cp = _second_moment(data, spec, d_h, burn_in, seed)
     est = recover_quadratic(T2, d_h, seed=seed, stage1=cp)
-    if with_recurrence:
-        basis, Q = _moments(data, spec, est.A1, est.A2, -1, burn_in, s)
-        est.U = _recurrence_rows(Q[-1], est.A1, range(d_h), basis)
+    basis, Q = _moments(data, spec, est.A1, est.A2, -1, burn_in, s)
+    return T2, cp, est, basis, Q[-1]
+
+
+def train_quadratic(data, spec, d_h, burn_in=10, seed=0) -> RnnEstimate:
+    """Quadratic pipeline from a sequence: quadratic_moments, then the
+    recurrence rows fit on its unit blocks (_recurrence_rows)."""
+    _, _, est, basis, Q = quadratic_moments(data, spec, d_h, burn_in, seed)
+    est.U = _recurrence_rows(Q, est.A1, range(d_h), basis)
     return est
 
 

@@ -175,7 +175,7 @@ def test_criterion_6_sample_complexity_shape():
     def cell(n, seed):
         x = sample_markov_chain(spec, int(n), seed + 17)
         data = rnn_forward(params, x)
-        est = train_quadratic(data, spec, 3, seed=seed, with_recurrence=False)
+        est = recover_quadratic(cross_moment_s2(spec, data).value, 3, seed=seed)
         rep = align(est.A1, params.A1)
         return [("A1", int(r), float(e))
                 for r, e in enumerate(rep.per_row_errors["A1"])]

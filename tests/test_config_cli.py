@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from spectral_rnn import cli, cp_decomp, moments, spt1
+from spectral_rnn import cli, cp_decomp, moments, recovery, spt1
 from spectral_rnn.cli import main
 from spectral_rnn.config import (ConfigError, config_hash, from_items,
                                  parse_config, serialize)
@@ -196,6 +196,11 @@ def test_cli_train_scalar_scores_output_rows(tmp_path, monkeypatch):
     report = json.loads(open(os.path.join(out, "report.json")).read())
     assert sorted(report) == ["max_error", "median_error"]
     assert report["max_error"] < 0.15
+    # eval aligns the same rows, in the same sign group
+    assert _run(tmp_path, "eval", ("--seed", "3"), SCALAR)[0] == 0
+    ev = json.loads(open(os.path.join(out, "eval.json")).read())
+    assert (ev["max_error"], ev["median_error"]) == (report["max_error"],
+                                                     report["median_error"])
     train_scalar = cli.train_scalar
 
     def halved(*args, **kwargs):
@@ -242,25 +247,28 @@ def test_cli_train_linear_rejects_other_degrees(tmp_path, capsys, monkeypatch, d
     assert sorted(os.listdir(out)) == ["config.resolved"]
 
 
-def test_cli_rank_deficient_output_rows_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["train", "moments"])
+def test_cli_rank_deficient_output_rows_exit_code(tmp_path, capsys, command):
     """Two outputs cannot separate three units: stage 1 still succeeds, and
-    the recurrence stage must fail loudly instead of truncating pinv(A2^T)."""
-    code, out = _run(tmp_path, "train", extra_cfg={
+    the recurrence stage must fail loudly instead of truncating pinv(A2^T),
+    in train and in moments, which writes the unit-output moment train fits."""
+    code, out = _run(tmp_path, command, extra_cfg={
         "model.d_x": "6", "model.d_h": "3", "model.d_y": "2", "estimation.n": "20000"})
     assert code == 3
     assert _exit_record(capsys) == {"error": "numerical", "stage": "recurrence",
                                     "message": "recurrence: A2 rank 2 of 3"}
-    assert not os.path.exists(os.path.join(out, "a1_hat.spt1"))
+    assert sorted(os.listdir(out)) == ["config.resolved"]
 
 
+@pytest.mark.parametrize("command", ["train", "moments"])
 def test_rank_deficient_output_rows_fail_before_the_moment_pass(tmp_path, capsys,
-                                                                monkeypatch):
+                                                                monkeypatch, command):
     """The recurrence stage needs pinv(A2^T) to form the unit outputs, so A2's
     rank check fails the run before the fourth-order moment kernel runs."""
     calls = []
     monkeypatch.setattr(moments, "cross_moment_s4_reshaped",
                         lambda *args, **kwargs: calls.append(args))
-    code, _ = _run(tmp_path, "train", extra_cfg={
+    code, _ = _run(tmp_path, command, extra_cfg={
         "model.d_x": "6", "model.d_h": "3", "model.d_y": "2", "estimation.n": "20000"})
     assert code == 3
     assert _exit_record(capsys)["message"] == "recurrence: A2 rank 2 of 3"
@@ -323,6 +331,28 @@ def test_cli_moments_then_decompose(tmp_path):
     assert np.all(np.isfinite(weights))
 
 
+def test_cli_moments_and_decompose_are_the_front_half_of_train(tmp_path):
+    """train is moments, decompose and the recurrence row fits: at one seed,
+    the rows fit on t4 in the basis t4_basis, given decompose's cp_factor,
+    are train's u_hat bit for bit, and cp_factor^T is its a1_hat.  At this
+    seed a row-major t2 decomposes to a cp_factor an ulp off a1_hat, so this
+    also pins the layout decompose reads t2 in."""
+    cfg = {"estimation.n": "20000", "model.d_h": "2", "model.d_y": "3"}
+    for command in ("moments", "decompose"):
+        assert _run(tmp_path, command, ("--seed", "7"), cfg, out="moments")[0] == 0
+    assert _run(tmp_path, "train", ("--seed", "7"), cfg, out="train")[0] == 0
+
+    def read(out, name):
+        return spt1.read_tensor(os.path.join(tmp_path, out, name + ".spt1"))
+
+    t4, basis, factor = (read("moments", name) for name in ("t4", "t4_basis", "cp_factor"))
+    assert t4.shape == (2, 4, 4) and basis.shape == (2, 4)
+    assert np.allclose(basis @ basis.T, np.eye(2), atol=1e-12)
+    U = recovery._recurrence_rows(t4, factor.T, range(2), basis)
+    assert U.tobytes() == read("train", "u_hat").tobytes()
+    assert factor.T.tobytes() == read("train", "a1_hat").tobytes()
+
+
 def test_cli_decompose_reports_its_stage1(tmp_path):
     """cp_report.json explains the kept candidate: its rank, its residual
     against the moments run's T2 (recomputed here from the written factors)
@@ -357,6 +387,9 @@ def test_cli_train_and_eval(tmp_path):
     ev = json.loads(open(os.path.join(out, "eval.json")).read())
     assert ev["max_error"] < 0.5
     assert sorted(ev["permutation"]) == [0, 1]
+    # eval aligns the same (A1, A2, U) triple as train's report
+    assert (ev["max_error"], ev["median_error"]) == (report["max_error"],
+                                                     report["median_error"])
 
 
 def test_cli_train_and_eval_non_unit_input_rows(tmp_path):
@@ -440,7 +473,7 @@ def test_cli_estimates_do_not_read_model_truth(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_simulate", fixed_data)
     files = {"train": ("a1_hat", "a2_hat", "u_hat"),
              "train-brnn": ("c_hat", "a2_hat", "u_hat", "v_hat"),
-             "moments": ("t2", "t4")}
+             "moments": ("t2", "t4", "t4_basis")}
     hashes = {}
     for u_scale in ("0.3", "0"):
         cfg = {"model.d_h": "1", "model.u_scale": u_scale,

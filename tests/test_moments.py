@@ -211,7 +211,7 @@ def test_baseline_subtraction_changes_nothing_in_expectation():
     x = sample_markov_chain(spec, 300000, seed=25)
     data = rnn_forward(params, x)
     baseline = params.A2.T @ (params.A1 @ x) ** 2
-    m = cross_moment_s4_reshaped(spec, data, shift=-1, baseline=baseline)
+    m = cross_moment_s4_reshaped(spec, _minus(data, baseline), shift=-1)
     oracle = population_moment_oracle(params, "S4-reshaped-order3", shift=-1)
     rel = np.linalg.norm(m.value - oracle) / np.linalg.norm(oracle)
     assert rel < 0.8
@@ -228,12 +228,15 @@ def test_oracle_rejects_unknown_kind():
 # Reference formulas for the moment kernel: direct einsum and full
 # d^2-column Gram expressions, averaged over the same aligned positions.
 
-def _ref_aligned(spec, data, shift, baseline=None):
+def _minus(data, baseline):
+    """The same inputs with baseline subtracted from the outputs."""
+    return SequenceData(x=data.x, y=data.y - baseline)
+
+
+def _ref_aligned(spec, data, shift):
     n = data.n
     idx = np.arange(max(1, 1 - shift) + DEFAULT_BURN_IN, min(n - 2, n - 2 - shift) + 1)
     Y = data.y[:, idx]
-    if baseline is not None:
-        Y = Y - baseline[:, idx]
     Y = Y - Y.mean(axis=1, keepdims=True)
     return Y, centered_scores(spec, data.x)[:, idx + shift]
 
@@ -254,8 +257,8 @@ def _ref_s3(spec, data):
                   + np.einsum("ak,ij->aijk", ys, Lam))
 
 
-def _ref_s4(spec, data, shift, baseline):
-    Y, S = _ref_aligned(spec, data, shift, baseline)
+def _ref_s4(spec, data, shift):
+    Y, S = _ref_aligned(spec, data, shift)
     d_y, N = Y.shape
     d = S.shape[0]
     K = (S[:, None, :] * S[None, :, :]).reshape(d * d, N)
@@ -309,10 +312,10 @@ def test_moment_kernel_matches_reference_formulas(d_x, d_y, N):
     _assert_kernel_close(m3.value, _ref_s3(spec, data))
     for shift in (-1, 1):
         spec, data, baseline = _kernel_case(d_x, d_y, N, shift)
-        for bl in (None, baseline):
-            m4 = cross_moment_s4_reshaped(spec, data, shift=shift, baseline=bl)
+        for case in (data, _minus(data, baseline)):
+            m4 = cross_moment_s4_reshaped(spec, case, shift=shift)
             assert m4.n_used == N
-            _assert_kernel_close(m4.value, _ref_s4(spec, data, shift, bl))
+            _assert_kernel_close(m4.value, _ref_s4(spec, case, shift))
 
 
 def test_scores_argument_matches_computed_scores():
@@ -322,9 +325,10 @@ def test_scores_argument_matches_computed_scores():
                           cross_moment_s2(spec, data).value)
     assert np.array_equal(cross_moment_s1(spec, data, shift=-1, scores=s).value,
                           cross_moment_s1(spec, data, shift=-1).value)
+    minus = _minus(data, baseline)
     for shift in (-1, 1):
-        given = cross_moment_s4_reshaped(spec, data, shift=shift, baseline=baseline, scores=s)
-        computed = cross_moment_s4_reshaped(spec, data, shift=shift, baseline=baseline)
+        given = cross_moment_s4_reshaped(spec, minus, shift=shift, scores=s)
+        computed = cross_moment_s4_reshaped(spec, minus, shift=shift)
         assert np.array_equal(given.value, computed.value)
     with pytest.raises(ValueError, match="shape of x"):
         cross_moment_s2(spec, data, scores=s[:, :-1])
@@ -390,7 +394,7 @@ def test_stacked_shifts_equal_single_shift_calls(d_x, d_h, d_y, n, burn_in, bloc
     if with_basis:
         kwargs["basis"] = np.linalg.qr(params.A1.T)[0].T
     if with_baseline:
-        kwargs["baseline"] = params.A2.T @ (0.9 * params.A1 @ data.x) ** 2
+        data = _minus(data, params.A2.T @ (0.9 * params.A1 @ data.x) ** 2)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(moments, "_MOMENT_BLOCK", block)
         stacked = cross_moment_s4_reshaped(spec, data, shift=tuple(shifts), **kwargs)
@@ -406,21 +410,19 @@ def test_stacked_shifts_equal_single_shift_calls(d_x, d_h, d_y, n, burn_in, bloc
 
 def test_moment_kernel_holds_no_full_length_output_copies():
     """The kernel centers each block of the output as it goes: a two-shift
-    S4 with a baseline holds one full-length array, the baseline-subtracted
-    output, and S2 without a baseline none, beyond block-sized scratch."""
+    S4 in a basis, S2 and S3 hold no full-length array, beyond block-sized
+    scratch."""
     n, d_x, d_y = 200_000, 6, 4
     spec = bounded_input_spec(d_x, 0.5, seed=60)
     x = sample_markov_chain(spec, n, seed=61)
     rng = np.random.default_rng(62)
     data = SequenceData(x=x, y=rng.standard_normal((d_y, n)))
     scores = centered_scores(spec, x)
-    baseline = rng.standard_normal((d_y, n))
     basis = np.linalg.qr(rng.standard_normal((d_x, 4)))[0].T
     scratch = 2 << 20  # 2 MiB of block-sized scratch, whatever _MOMENT_BLOCK is
     tracemalloc.start()
     try:
-        cross_moment_s4_reshaped(spec, data, shift=(-1, 1), baseline=baseline,
-                                 scores=scores, basis=basis)
+        cross_moment_s4_reshaped(spec, data, shift=(-1, 1), scores=scores, basis=basis)
         _, peak_s4 = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         cross_moment_s2(spec, data, scores=scores)
@@ -431,7 +433,7 @@ def test_moment_kernel_holds_no_full_length_output_copies():
         _, peak_s3 = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak_s4 < data.y.nbytes + scratch
+    assert peak_s4 < scratch
     assert peak_s2 < scratch
     assert peak_s3 < scratch
 
@@ -479,8 +481,8 @@ def test_moment_kernel_is_reentrant_across_threads():
         rng = np.random.default_rng(seed)
         y, baseline = rng.standard_normal((2, 3, x.shape[1]))
         basis = np.linalg.qr(rng.standard_normal((4, 3)))[0].T
-        cases.append((spec, SequenceData(x=x, y=y),
-                      {"shift": (-1, 1), "baseline": baseline, "basis": basis}))
+        cases.append((spec, SequenceData(x=x, y=y - baseline),
+                      {"shift": (-1, 1), "basis": basis}))
     serial = [cross_moment_s4_reshaped(*case[:2], **case[2]).value for case in cases]
     barrier = threading.Barrier(2)
 
@@ -493,13 +495,6 @@ def test_moment_kernel_is_reentrant_across_threads():
     for want, got in zip(serial, results):
         for value in got:
             assert np.array_equal(value, want)
-
-
-def test_s4_rejects_a_baseline_not_shaped_like_y():
-    spec, data, baseline = _kernel_case(3, 2, 3000, -1)
-    for bad in (baseline[:1], baseline[:, :-1], baseline[0]):
-        with pytest.raises(ValueError, match="shape of y"):
-            cross_moment_s4_reshaped(spec, data, baseline=bad)
 
 
 def _contract(T4, B):
@@ -531,11 +526,10 @@ def test_s4_in_basis_is_contracted_moment(rows):
         data, C = rnn_forward(p, x), p.A1
     basis = np.linalg.qr(C.T)[0].T
     k = basis.shape[0]
-    baseline = p.A2.T @ (C @ x) ** 2
+    data = _minus(data, p.A2.T @ (C @ x) ** 2)
     for shift in (-1, 1):
-        full = cross_moment_s4_reshaped(spec, data, shift=shift, baseline=baseline)
-        proj = cross_moment_s4_reshaped(spec, data, shift=shift, baseline=baseline,
-                                        basis=basis)
+        full = cross_moment_s4_reshaped(spec, data, shift=shift)
+        proj = cross_moment_s4_reshaped(spec, data, shift=shift, basis=basis)
         assert proj.value.shape == (data.y.shape[0], k * k, k * k)
         assert proj.n_used == full.n_used
         _assert_kernel_close(proj.value, _contract(full.value, basis))

@@ -15,9 +15,9 @@ from spectral_rnn.moments import (cross_moment_s2, cross_moment_s4_reshaped,
                                   population_moment_oracle)
 from spectral_rnn.recovery import (fit_recurrence_row, quadratic_moments,
                                    recover_brnn, recover_linear,
-                                   recover_quadratic, recover_recurrence,
-                                   recover_scalar, train_brnn, train_linear,
-                                   train_quadratic, train_scalar)
+                                   recover_quadratic, recover_scalar,
+                                   train_brnn, train_linear, train_quadratic,
+                                   train_scalar)
 from spectral_rnn.sequence_models import (AssumptionError, BrnnParams, RnnParams,
                                           SequenceData, bounded_input_spec, brnn_forward,
                                           rnn_forward, sample_markov_chain,
@@ -418,14 +418,13 @@ def test_train_linear_from_data():
 
 
 def test_recurrence_sign_freedom_is_reported():
-    """recover_recurrence fixes an arbitrary sign per row; alignment compares
-    entrywise magnitudes."""
+    """recover_quadratic fixes an arbitrary sign per recurrence row;
+    alignment compares entrywise magnitudes."""
     params = _quad_model(seed=18, d_h=2, d_x=4, d_y=3)
     T2 = population_moment_oracle(params, "S2-order3")
     T4 = population_moment_oracle(params, "S4-reshaped-order3", shift=-1)
     est = recover_quadratic(T2, 2, T4=T4, seed=0)
-    U_hat = recover_recurrence(T4, est.A1, est.A2, range(2))
-    rep = align(est.A1, params.A1, U_est=U_hat, U_true=params.U)
+    rep = align(est.A1, params.A1, U_est=est.U, U_true=params.U)
     assert rep.u_error < 1e-9
 
 
@@ -499,8 +498,9 @@ def _unit_moment_by_hand(spec, data, C, A2, shifts, burn_in=10):
 def _mixed_moment_by_hand(spec, data, C, A2, shifts, burn_in=10, basis=None):
     """The mixed moment of the outputs minus the baseline A2^T (C x)^2 of
     stage-1 rows C, one d_y-row block per shift."""
-    T4 = cross_moment_s4_reshaped(spec, data, shift=shifts, burn_in=burn_in,
-                                  baseline=A2.T @ (C @ data.x) ** 2, basis=basis).value
+    minus = SequenceData(x=data.x, y=data.y - A2.T @ (C @ data.x) ** 2)
+    T4 = cross_moment_s4_reshaped(spec, minus, shift=shifts, burn_in=burn_in,
+                                  basis=basis).value
     return np.split(T4, len(shifts))
 
 
@@ -548,23 +548,27 @@ def test_train_brnn_equals_recover_brnn_bitwise():
 
 
 def test_quadratic_moments_match_train_quadratic_bitwise():
-    """train_quadratic recovers from quadratic_moments' T2 and stage 1, and
-    from the unit-output moment taken in the basis of the stage-1 input rows;
-    without the recurrence T4 is None and stage 1 is unchanged."""
+    """quadratic_moments is the front half of train_quadratic: T2, its
+    stage-1 decomposition and estimate, and the unit-output moment at shift
+    -1 in the basis of the stage-1 input rows, each equal bit for bit to the
+    same step taken by hand; fitting the rows on them gives train's U."""
     params = _quad_model(seed=26, d_x=4, d_h=2, d_y=3)
     spec = bounded_input_spec(4, 0.5, seed=27)
     data = rnn_forward(params, sample_markov_chain(spec, 20000, seed=28))
-    T2, T4, stage1 = quadratic_moments(data, spec, 2, seed=5)
-    assert T4.shape == (3, 16, 16)
+    T2, stage1, first, basis, Q = quadratic_moments(data, spec, 2, seed=5)
+    assert np.array_equal(T2, cross_moment_s2(spec, data).value)
+    ref = cp_decomp.decompose(T2, k=2, seed=5)
+    for name in ("weights", "mode1", "factor"):
+        assert np.array_equal(getattr(stage1, name), getattr(ref, name)), name
+    assert first.U is None
+    assert np.array_equal(first.A1, stage1.factor.T)
+    by_hand, [Q_ref] = _unit_moment_by_hand(spec, data, first.A1, first.A2, (-1,))
+    assert Q.shape == (2, 4, 4)
+    assert np.array_equal(basis, by_hand) and np.array_equal(Q, Q_ref)
     est = train_quadratic(data, spec, 2, seed=5)
-    first = recover_quadratic(T2, 2, seed=5, stage1=stage1)
-    basis, [Q] = _unit_moment_by_hand(spec, data, first.A1, first.A2, (-1,))
     U = recovery._recurrence_rows(Q, first.A1, range(2), basis)
     for name, ref in (("A1", first.A1), ("A2", first.A2), ("U", U)):
         assert np.array_equal(getattr(est, name), ref), name
-    T2n, T4n, stage1n = quadratic_moments(data, spec, 2, seed=5, with_recurrence=False)
-    assert T4n is None
-    assert np.array_equal(T2n, T2) and np.array_equal(stage1n.factor, stage1.factor)
 
 
 def _brnn_model(seed, d_x=4, d_y=5):
@@ -587,7 +591,9 @@ def test_train_recurrence_in_span_matches_full_moment():
     spec = bounded_input_spec(6, 0.5, seed=33)
     data = rnn_forward(params, sample_markov_chain(spec, 30000, seed=34))
     est = train_quadratic(data, spec, 3, seed=7)
-    T2, T4, stage1 = quadratic_moments(data, spec, 3, seed=7)
+    T2, stage1, first, _, _ = quadratic_moments(data, spec, 3, seed=7)
+    [T4] = _mixed_moment_by_hand(spec, data, first.A1, first.A2, (-1,))
+    assert T4.shape == (4, 36, 36)
     ref = recover_quadratic(T2, 3, T4=T4, seed=7, stage1=stage1)
     assert np.array_equal(est.A1, ref.A1) and np.array_equal(est.A2, ref.A2)
     _assert_rel_close(est.U, ref.U)
@@ -609,7 +615,7 @@ def test_train_recurrence_in_span_matches_full_moment():
 
 @pytest.mark.parametrize("family", ["quadratic", "brnn"])
 def test_training_path_takes_moment_in_span(monkeypatch, family):
-    """train_* ask cross_moment_s4_reshaped, once and with no baseline, for
+    """train_* ask cross_moment_s4_reshaped, once, for
     the k-dimensional moment of the k unit outputs, k x k^2 x k^2 with k the
     number of stage-1 rows, never d_y rows or d_x^4 columns; the BRNN asks
     for both shifts in one call, stacked along the output."""
@@ -623,13 +629,13 @@ def test_training_path_takes_moment_in_span(monkeypatch, family):
 
     def wrapped(*args, **kwargs):
         result = cross_moment_s4_reshaped(*args, **kwargs)
-        shapes.append((result.shift, result.value.shape, kwargs.get("baseline")))
+        shapes.append((result.shift, result.value.shape))
         return result
 
     monkeypatch.setattr(moments, "cross_moment_s4_reshaped", wrapped)
     (train_quadratic if family == "quadratic" else train_brnn)(data, spec, 2, seed=1)
     rows = np.size(shift) * k
-    assert shapes == [(shift, (rows, k * k, k * k), None)]
+    assert shapes == [(shift, (rows, k * k, k * k))]
 
 
 def _brnn_observed_model():
