@@ -13,13 +13,10 @@ from .sequence_models import (AssumptionError, BrnnParams, MarkovChainSpec,
                               RnnParams, SequenceData, bounded_input_spec,
                               brnn_forward, rnn_forward, sample_markov_chain,
                               scalar_output_forward, stationary_covariance)
-from .score import (LocalGaussian, ScoreTensor, batch_cross_moment,
-                    centered_scores, local_gaussian, precision_matrix, score,
-                    stein_check)
-from .moments import (MomentTensor, cross_moment_s1, cross_moment_s2,
-                      cross_moment_s3, cross_moment_s3_scalar,
-                      cross_moment_s4_reshaped, population_moment_oracle,
-                      toeplitz_blocks)
+from .score import (LocalGaussian, ScoreTensor, centered_scores,
+                    local_gaussian, precision_matrix, score, stein_check)
+from .moments import (MomentTensor, cross_moment, cross_moment_s2,
+                      cross_moment_s4_reshaped, population_moment_oracle)
 from .cp_decomp import CpDecomposition, decompose
 from .recovery import (BrnnEstimate, RnnEstimate, quadratic_moments,
                        recover_brnn, recover_linear, recover_quadratic,

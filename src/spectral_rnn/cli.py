@@ -348,18 +348,24 @@ def _read_pair(art, name):
 
 
 def _cmd_eval(config, seed, art):
-    """Aligns a train run's estimates (A1, and A2 and U where written)
-    against the truth it wrote, which is already in the unit-input-row
-    convention, as the run's report.json aligns them."""
-    A1_hat = _read_pair(art, "a1_hat")
-    if A1_hat is None:
+    """Aligns a train run's estimates against the truth it wrote, which is
+    already in the unit-input-row convention, as the run's report.json
+    aligns them: A1, and A2 and U where written, or for a train-brnn run the
+    stacked input rows c_hat (its joint error).  A train-linear run writes
+    no input rows, so there is nothing to align."""
+    if _read_pair(art, "c_hat") is not None:
+        names = ("c_hat", "c_true")
+    else:
+        names = ("a1_hat", "a1_true", "a2_hat", "a2_true", "u_hat", "u_true")
+    rows_hat, rows_true, *rest = (_read_pair(art, name) for name in names)
+    if rows_hat is None:
+        if _read_pair(art, "a2_hat") is not None:
+            raise FileNotFoundError(f"nothing to align in {art.out_dir}: train-linear "
+                                    "writes no input rows (a1_hat)")
         raise FileNotFoundError(f"no estimate found in {art.out_dir}; run a train subcommand first")
-    A1_true = _read_pair(art, "a1_true")
-    if A1_true is None:
+    if rows_true is None:
         raise ConfigError("ground truth required for alignment")
-    report = align(A1_hat, A1_true, *(_read_pair(art, name) for name in
-                                      ("a2_hat", "a2_true", "u_hat", "u_true")),
-                   degree=config.l)
+    report = align(rows_hat, rows_true, *rest, degree=config.l)
     art.write_json("eval.json", {
         "max_error": report.max_error,
         "median_error": report.median_error,

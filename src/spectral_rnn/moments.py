@@ -1,17 +1,21 @@
 """Cross-moments of observed outputs with sequence score tensors.
 
 Empirical estimators average y_t (x) S_m(t + shift) over interior positions of
-a single long chain, after a burn-in.  The s^(x)m parts of S_2, S_3 and S_4 are
-output-weighted sums of the unique monomials s_i1 ... s_im (i1 <= ... <= im) of
-the score vector s.  One kernel forms them block by block, each as a row times
-a run of rows, sums them with one BLAS product per block and expands the sums
-to every index.  One sweep serves several shifts: its blocks sit on one grid
-anchored at score position 1 + burn_in, so each shift gets the bits of a sweep
-for it alone.  The order-4 moment is reshaped to d_y x d^2 x d^2, one such
-block per shift stacked along the output mode, in the input coordinates or
-those of orthonormal rows B: S_4 is multilinear in s and Lambda, so contracting
-each score mode with B gives S_4 of the scores B s with precision B Lambda B^T.
-n_used is the number of aligned positions, n - 2 - burn_in - |shift|.
+a single long chain, after a burn-in.  cross_moment serves every order m: the
+patterns of score.score_patterns(m) write S_m as s^(x)m plus Lambda
+contractions of lower powers of the score vector s, and the s^(x)r parts are
+output-weighted sums of the unique monomials s_i1 ... s_ir (i1 <= ... <= ir).
+One kernel forms them block by block, each as a row times a run of rows,
+sums them with one BLAS product per block and expands the sums to every
+index.  One sweep serves several shifts: its blocks sit on one grid anchored
+at score position 1 + burn_in, so each shift gets the bits of a sweep for it
+alone, and the shifts' moments stack along the output mode.  The moments can
+be taken in the input coordinates or those of orthonormal rows B: S_m is
+multilinear in s and Lambda, so contracting each score mode with B gives S_m
+of the scores B s with precision B Lambda B^T.  cross_moment_s2 and
+cross_moment_s4_reshaped (d_y x d^2 x d^2) are the orders the quadratic
+pipelines read.  n_used is the number of aligned positions,
+n - 2 - burn_in - |shift|.
 
 The population oracle evaluates the same moments in closed form for a known
 model; the polynomial activations have constant high-order derivatives in the
@@ -21,10 +25,11 @@ relevant input, so these values are exact and serve as ground truth in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .score import centered_scores, precision_matrix
+from .score import centered_scores, precision_matrix, score_patterns
 from .sequence_models import BrnnParams, MarkovChainSpec, RnnParams, SequenceData
 
 DEFAULT_BURN_IN = 10
@@ -37,7 +42,7 @@ _MOMENT_BLOCK, _MOMENT_WORKSPACE = 4096, 2 << 20
 @dataclass(frozen=True)
 class MomentTensor:
     value: np.ndarray
-    kind: str        # "S1-matrix", "S2-order3", "S3-order4-scalar", "S4-reshaped-order3", ...
+    kind: str        # "S{m}-order{m + 1}", or "S4-reshaped-order3"
     n_used: int
     shift: int | tuple[int, ...] = 0  # a tuple: value stacks one block per shift
 
@@ -159,22 +164,83 @@ def _moment_means(
     return result
 
 
-def cross_moment_s1(
+@lru_cache(maxsize=None)
+def _pattern_plan(m: int):
+    """(orders, groups) of S_m: the kernel orders its score patterns need,
+    and its Lambda corrections, one group (r, coeff, subscripts) per count
+    r < m of s factors, r descending.  Each term of a group is the einsum of
+    the order-r mean with its Lambda factors, in the lexicographic order of
+    its s modes; patterns with no s factor are left out (the output is
+    centered, so their average is zero)."""
+    modes = "ijklmnopqrstuvwxyz"[:m]
+    groups: dict[tuple[int, float], list] = {}
+    for coeff, (s_modes, pairs) in score_patterns(m):
+        if 0 < len(s_modes) < m:
+            operands = ["a" + "".join(modes[j] for j in s_modes)]
+            operands += [modes[j] + modes[k] for j, k in pairs]
+            groups.setdefault((len(s_modes), coeff), []).append(
+                (s_modes, pairs, ",".join(operands) + "->a" + modes))
+    plan = tuple((r, coeff, tuple(sub for *_, sub in sorted(terms)))
+                 for (r, coeff), terms in sorted(groups.items(), reverse=True))
+    return tuple(range(2 - m % 2, m + 1, 2)), plan
+
+
+def cross_moment(
     spec: MarkovChainSpec,
     data: SequenceData,
-    shift: int = 0,
+    m: int,
+    shift: int | tuple[int, ...] = 0,
     burn_in: int = DEFAULT_BURN_IN,
     *,
     scores: np.ndarray | None = None,
+    basis: np.ndarray | None = None,
 ) -> MomentTensor:
-    """E[y_t (x) S_1(t + shift)] as a d_y x d_x matrix.  scores, if given,
-    are centered_scores(spec, data.x), passed so one dataset computes them once."""
-    y = _output_matrix(data)
-    s = _scores_of(spec, data, scores)
-    out, sc = _aligned_slices(data.n, shift, burn_in)
-    Y = y[:, out]
-    val = Y @ s[:, sc].T / Y.shape[1]
-    return MomentTensor(value=val, kind="S1-matrix", n_used=Y.shape[1], shift=shift)
+    """E[y_t (x) S_m(t + shift)] as a d_y x d_x^m tensor, for any order m.
+
+    S_m is expanded by score.score_patterns: the kernel gives the means of
+    y (x) s^(x)r for the orders r the patterns need, and each pattern with
+    r < m s factors contracts its mean with Lambda at its pairs.  The terms
+    with r s factors are summed in the lexicographic order of their s modes
+    and the sum is added with the group's sign, groups by descending r.  The
+    output is centered first (E[S_m] = 0 leaves the expectation unchanged),
+    which makes the patterns with no s factor vanish.
+
+    shift may be a tuple of shifts: one pass over the union of their score
+    windows then gives every shift's moment, stacked along the output mode
+    in the order given (len(shift) * d_y rows), each block bit for bit the
+    moment of a call with that shift alone, since the kernel's blocks sit on
+    one grid anchored at score position 1 + burn_in.  n_used is the number
+    of aligned positions, n - 2 - burn_in - |shift|; for a tuple, the fewest
+    of any of its shifts.
+
+    scores, if given, are centered_scores(spec, data.x), passed so one
+    dataset computes them once.  basis, if given, is a k x d_x matrix B with
+    orthonormal rows; S_m is multilinear in s and Lambda, so the result is
+    the moment with every score mode contracted with B, d_y x k^m, taken
+    from the scores B s and the precision B Lambda B^T.
+    """
+    orders, groups = _pattern_plan(m)
+    Lam = precision_matrix(spec)
+    if basis is not None:
+        Lam = basis @ Lam @ basis.T
+    shifts = tuple(int(s) for s in np.atleast_1d(shift))
+    parts = _moment_means(_output_matrix(data), _scores_of(spec, data, scores),
+                          shifts, burn_in, orders, basis)
+    vals = []
+    for _, means in parts:
+        mean = dict(zip(orders, means))
+        val = mean[m]
+        for r, coeff, subscripts in groups:
+            total = np.einsum(subscripts[0], mean[r], *[Lam] * ((m - r) // 2))
+            for sub in subscripts[1:]:
+                total += np.einsum(sub, mean[r], *[Lam] * ((m - r) // 2))
+            total *= coeff
+            val += total
+        vals.append(val)
+    stacked = np.ndim(shift) > 0
+    return MomentTensor(value=np.concatenate(vals) if stacked else vals[0],
+                        kind=f"S{m}-order{m + 1}", n_used=min(N for N, _ in parts),
+                        shift=shifts if stacked else shift)
 
 
 def cross_moment_s2(
@@ -185,45 +251,8 @@ def cross_moment_s2(
     *,
     scores: np.ndarray | None = None,
 ) -> MomentTensor:
-    """E[y_t (x) S_2(t + shift)] as a d_y x d_x x d_x tensor.
-
-    Uses S_2 = s s^T - Lambda.  The output is centered first, which also makes
-    the Lambda term vanish from the average.  scores, if given, are
-    centered_scores(spec, data.x), passed so one dataset computes them once.
-    """
-    [(N, [val])] = _moment_means(_output_matrix(data), _scores_of(spec, data, scores),
-                                 (shift,), burn_in, (2,))
-    return MomentTensor(value=val, kind="S2-order3", n_used=N, shift=shift)
-
-
-def cross_moment_s3(
-    spec: MarkovChainSpec,
-    data: SequenceData,
-    shift: int = 0,
-    burn_in: int = DEFAULT_BURN_IN,
-) -> MomentTensor:
-    """E[y_t (x) S_3(t + shift)] as a d_y x d_x x d_x x d_x tensor."""
-    Lam = precision_matrix(spec)
-    [(N, [ys, val])] = _moment_means(_output_matrix(data), _scores_of(spec, data),
-                                     (shift,), burn_in, (1, 3))  # ys = E[y (x) s]
-    val -= (np.einsum("ai,jk->aijk", ys, Lam)
-            + np.einsum("aj,ik->aijk", ys, Lam)
-            + np.einsum("ak,ij->aijk", ys, Lam))
-    return MomentTensor(value=val, kind="S3-order4", n_used=N, shift=shift)
-
-
-def cross_moment_s3_scalar(
-    spec: MarkovChainSpec,
-    data: SequenceData,
-    shift: int = 0,
-    burn_in: int = DEFAULT_BURN_IN,
-) -> MomentTensor:
-    """E[y_t S_3(t + shift)] for scalar outputs, a d_x x d_x x d_x tensor."""
-    if _output_matrix(data).shape[0] != 1:
-        raise ValueError("third-order moment path expects a scalar output")
-    full = cross_moment_s3(spec, data, shift=shift, burn_in=burn_in)
-    return MomentTensor(value=full.value[0], kind="S3-order4-scalar",
-                        n_used=full.n_used, shift=shift)
+    """cross_moment at m = 2: E[y_t (x) S_2(t + shift)], d_y x d_x x d_x."""
+    return cross_moment(spec, data, 2, shift, burn_in, scores=scores)
 
 
 def cross_moment_s4_reshaped(
@@ -235,60 +264,13 @@ def cross_moment_s4_reshaped(
     scores: np.ndarray | None = None,
     basis: np.ndarray | None = None,
 ) -> MomentTensor:
-    """E[y_t (x) S_4(t + shift)] reshaped to d_y x d_x^2 x d_x^2.
-
-    Index grouping: mode 1 is the output, mode 2 flattens score indices (1,2)
-    and mode 3 flattens (3,4), both row-major.  The output is centered first
-    (E[S_4] = 0 leaves the expectation unchanged).  One kernel pass gives the
-    s^(x)4 average and the s (x) s average the Lambda corrections are built
-    from.
-
-    shift may be a tuple of shifts: one pass over the union of their score
-    windows then gives every shift's moment, stacked along the output mode
-    in the order given (len(shift) * d_y rows), each block bit for bit the
-    moment of a call with that shift alone, since the kernel's blocks sit on
-    one grid anchored at score position 1 + burn_in.  n_used is the number
-    of aligned positions, n - 2 - burn_in - |shift|; for a tuple, the fewest
-    of any of its shifts.
-
-    scores, if given, are centered_scores(spec, data.x).  basis, if given, is
-    a k x d_x matrix B with orthonormal rows; the result is then the moment
-    with every score mode contracted with B, d_y x k^2 x k^2.
-    """
-    y = _output_matrix(data)
-    Lam = precision_matrix(spec)
-    if basis is not None:
-        Lam = basis @ Lam @ basis.T
-    d = Lam.shape[0]
-    shifts = tuple(int(s) for s in np.atleast_1d(shift))
-    parts = _moment_means(y, _scores_of(spec, data, scores), shifts, burn_in, (2, 4), basis)
-    vals = []
-    for _, (M, T) in parts:  # M = E[(y - mean) (x) s (x) s]
-        # The centered output makes the Lambda (x) Lambda terms vanish, so
-        # only the six s (x) s placements remain.
-        T -= (np.einsum("aij,kl->aijkl", M, Lam)
-              + np.einsum("aik,jl->aijkl", M, Lam)
-              + np.einsum("ail,jk->aijkl", M, Lam)
-              + np.einsum("ajk,il->aijkl", M, Lam)
-              + np.einsum("ajl,ik->aijkl", M, Lam)
-              + np.einsum("akl,ij->aijkl", M, Lam))
-        vals.append(T.reshape(y.shape[0], d * d, d * d))
-    stacked = np.ndim(shift) > 0
-    return MomentTensor(value=np.concatenate(vals) if stacked else vals[0],
-                        kind="S4-reshaped-order3", n_used=min(N for N, _ in parts),
-                        shift=shifts if stacked else shift)
-
-
-def toeplitz_blocks(
-    spec: MarkovChainSpec,
-    data: SequenceData,
-    max_lag: int,
-    burn_in: int = DEFAULT_BURN_IN,
-) -> list[MomentTensor]:
-    """[C_0, ..., C_max_lag] with C_k = E[y_t (x) S_1(t - k)], from one score pass."""
-    scores = centered_scores(spec, data.x)
-    return [cross_moment_s1(spec, data, shift=-k, burn_in=burn_in, scores=scores)
-            for k in range(max_lag + 1)]
+    """cross_moment at m = 4 reshaped to d_y x d^2 x d^2 (d = d_x, or k with
+    basis; a tuple shift stacks its blocks along mode 1).  Mode 2 flattens
+    score indices (1,2) and mode 3 flattens (3,4), both row-major."""
+    T = cross_moment(spec, data, 4, shift, burn_in, scores=scores, basis=basis)
+    d = T.value.shape[1]
+    return MomentTensor(value=T.value.reshape(-1, d * d, d * d), kind="S4-reshaped-order3",
+                        n_used=T.n_used, shift=T.shift)
 
 
 # ---------------------------------------------------------------------------

@@ -332,21 +332,26 @@ def train_brnn(data, spec, d_h, burn_in=10, seed=0) -> BrnnEstimate:
 
 
 def train_scalar(data, spec, d_h, l=3, burn_in=10, seed=0) -> RnnEstimate:
-    from .moments import cross_moment_s3_scalar
+    """Cubic units with scalar output: recover_scalar on the third-order
+    moment cross_moment(..., 3).value[0]."""
+    from .moments import cross_moment
 
     if l != 3:
         raise ValueError(f"train_scalar fits cubic units (l = 3), got {l}")
-    T3 = cross_moment_s3_scalar(spec, data, burn_in=burn_in).value
+    if np.atleast_2d(data.y).shape[0] != 1:
+        raise ValueError("third-order moment path expects a scalar output")
+    T3 = cross_moment(spec, data, 3, burn_in=burn_in).value[0]
     return recover_scalar(T3, d_h, seed=seed)
 
 
 def train_linear(data, spec, A1_known=None, burn_in=10) -> RnnEstimate:
-    """Linear pipeline from lagged Toeplitz blocks C_k = A2^T U^k A1.
+    """Linear pipeline from the lagged blocks C_k = A2^T U^k A1, the first-order
+    moments at shifts 0 and -1 from one stacked cross_moment call.
 
     The blocks identify A2 and U only given the input map, so A1_known is
     declared side information; without it see recover_linear.
     """
-    from .moments import toeplitz_blocks
+    from .moments import cross_moment
 
-    blocks = toeplitz_blocks(spec, data, max_lag=1, burn_in=burn_in)
-    return recover_linear(blocks[0].value, blocks[1].value, A1_known=A1_known)
+    C0, C1 = np.split(cross_moment(spec, data, 1, shift=(0, -1), burn_in=burn_in).value, 2)
+    return recover_linear(C0, C1, A1_known=A1_known)

@@ -7,7 +7,9 @@ the m-th order score is a multivariate Hermite-type polynomial in (s, Lambda).
 
 Two constructions are implemented: explicit closed forms for orders 1..4, and a
 symbolic expansion of the recursion S_m = -S_{m-1} (x) grad(log p) - grad S_{m-1}
-that works for any order.  Each validates the other.
+that works for any order.  Each validates the other.  The expansion
+(score_patterns) is also how moments.cross_moment averages y (x) S_m over a
+chain, and stein_check tests the scores through that moment.
 """
 
 from __future__ import annotations
@@ -211,31 +213,6 @@ class QuadraticTest(TestFunction):
         raise ValueError("QuadraticTest supports m <= 2")
 
 
-def batch_cross_moment(g: np.ndarray, S: np.ndarray, Lam: np.ndarray, m: int) -> np.ndarray:
-    """Average of g_t (x) S_m(t) from per-position values and centered scores.
-
-    g is (N,) for a scalar statistic or (d_out, N); S is d x N.  The average
-    is expanded through the score patterns so only the data-dependent parts
-    (monomials in s weighted by g) touch the sample axis.
-    """
-    g = np.asarray(g, dtype=float)
-    scalar = g.ndim == 1
-    G2 = g[None, :] if scalar else g
-    N = S.shape[1]
-    letters = "ijklmnop"
-    full = "a" + letters[:m]
-    out = 0.0
-    for coeff, (s_modes, pairs) in score_patterns(m):
-        subs = ["at"] + [letters[j] + "t" for j in s_modes]
-        ops = [G2] + [S] * len(s_modes)
-        base_sub = "a" + "".join(letters[j] for j in s_modes)
-        base = np.einsum(",".join(subs) + "->" + base_sub, *ops) / N
-        subs2 = [base_sub] + [letters[j] + letters[k] for j, k in pairs]
-        ops2 = [base] + [Lam] * len(pairs)
-        out = out + coeff * np.einsum(",".join(subs2) + "->" + full, *ops2)
-    return out[0] if scalar else out
-
-
 def stein_check(
     spec: MarkovChainSpec,
     G: TestFunction,
@@ -245,17 +222,22 @@ def stein_check(
 ) -> tuple[float, bool]:
     """Monte Carlo relative error of E[G (x) S_m] vs E[grad^m G].
 
-    Averages over the interior positions of a single chain of length n_samples.
-    Returns (error, is_absolute); is_absolute flags a zero-norm denominator.
+    Averages over the interior positions of a single chain of length n_samples:
+    G's values are the outputs, at the interior columns, of
+    moments.cross_moment with no burn-in.  Returns (error, is_absolute);
+    is_absolute flags a zero-norm denominator.
     """
-    from .sequence_models import sample_markov_chain
+    from .moments import cross_moment
+    from .sequence_models import SequenceData, sample_markov_chain
 
     x = sample_markov_chain(spec, n_samples, seed)
-    s = centered_scores(spec, x)
-    Lam = precision_matrix(spec)
     batch = (x[:, :-2], x[:, 1:-1], x[:, 2:])
     g = np.asarray(G.value(*batch), dtype=float)
-    lhs = batch_cross_moment(g, s[:, 1:-1], Lam, m)
+    y = np.zeros((1 if g.ndim == 1 else g.shape[0], x.shape[1]))
+    y[:, 1:-1] = g
+    lhs = cross_moment(spec, SequenceData(x=x, y=y), m, burn_in=0).value
+    if g.ndim == 1:
+        lhs = lhs[0]
     rhs = np.asarray(G.grad_m(*batch, m), dtype=float)
     if rhs.ndim > lhs.ndim:  # per-position derivatives; a constant is its own mean
         rhs = rhs.mean(axis=-1)

@@ -15,7 +15,7 @@ from scipy.optimize import linear_sum_assignment
 from spectral_rnn.cp_decomp import decompose
 from spectral_rnn.diagnostics import (align, concentration_bound,
                                       lipschitz_bound, sample_sweep)
-from spectral_rnn.moments import (cross_moment_s2, cross_moment_s3_scalar,
+from spectral_rnn.moments import (cross_moment, cross_moment_s2,
                                   population_moment_oracle)
 from spectral_rnn.recovery import (recover_brnn, recover_linear,
                                    recover_quadratic, train_linear,
@@ -238,8 +238,7 @@ def test_criterion_8_scalar_cubic():
     unit = RnnParams(A1=[[1.0]], U=[[0.0]], A2=[[1.0]], l=3)
     iid = MarkovChainSpec(W=np.zeros((1, 1)), sigma=1.0)
     xg = sample_markov_chain(iid, 400_000, seed=1)
-    weight = cross_moment_s3_scalar(iid, scalar_output_forward(unit, xg)) \
-        .value.ravel()[0]
+    weight = cross_moment(iid, scalar_output_forward(unit, xg), 3).value.ravel()[0]
 
     with pytest.raises(ValueError, match=r"^train_scalar fits cubic units \(l = 3\), got 2$"):
         train_scalar(data, spec, 1, l=2)

@@ -12,6 +12,7 @@ from spectral_rnn.config import (ConfigError, config_hash, from_items,
                                  parse_config, serialize)
 from spectral_rnn.moments import population_moment_oracle
 from spectral_rnn.recovery import BrnnEstimate, RnnEstimate
+from spectral_rnn.score import QuadraticTest, stein_check
 from spectral_rnn.sequence_models import RnnParams
 
 BASE = {"model.d_x": "4", "model.d_h": "2", "model.d_y": "3"}
@@ -432,6 +433,22 @@ def test_cli_train_brnn(tmp_path):
     assert report["forward_max_error"] < 0.5 and report["backward_max_error"] < 0.5
 
 
+def test_cli_eval_after_train_brnn_gives_the_joint_error(tmp_path):
+    """eval on a train-brnn run aligns the stacked input rows c_hat, as the
+    run's joint error does."""
+    cfg = {"model.d_h": "1", "model.u_scale": "0.3", "model.a1_scale": "0.7",
+           "estimation.n": "40000"}
+    code, out = _run(tmp_path, "train-brnn", ("--seed", "2"), cfg)
+    assert code == 0
+    report = json.loads(open(os.path.join(out, "report.json")).read())
+    code2, _ = _run(tmp_path, "eval", ("--seed", "2"), cfg)
+    assert code2 == 0
+    ev = json.loads(open(os.path.join(out, "eval.json")).read())
+    assert (ev["max_error"], ev["median_error"]) == (report["max_error"],
+                                                     report["median_error"])
+    assert sorted(ev["permutation"]) == [0, 1]
+
+
 def test_cli_train_brnn_reports_a_swapped_split(tmp_path, monkeypatch):
     """A forward/backward swap leaves the stacked rows [A1; B1] intact, so
     only the per-direction errors can show it."""
@@ -505,12 +522,31 @@ def test_cli_train_linear(tmp_path):
     assert report["a2_error"] < 1.0
 
 
+def test_cli_eval_after_train_linear_exit_code(tmp_path, capsys):
+    """train-linear writes no input rows, so eval exits 4 and says so."""
+    cfg = {"estimation.n": "3000", "model.l": "1"}
+    code, _ = _run(tmp_path, "train-linear", extra_cfg=cfg)
+    assert code == 0
+    code2, _ = _run(tmp_path, "eval", extra_cfg=cfg)
+    assert code2 == 4
+    record = _exit_record(capsys)
+    assert record["error"] == "io"
+    assert "train-linear writes no input rows" in record["message"]
+
+
 def test_cli_score_check(tmp_path):
-    code, out = _run(tmp_path, "score-check",
+    code, out = _run(tmp_path, "score-check", ("--seed", "4"),
                      extra_cfg={"estimation.n": "20000"})
     assert code == 0
     rec = json.loads(open(os.path.join(out, "score_check.json")).read())
     assert rec["relative_error"] < 0.2
+    # the command is stein_check on its child seeds: spec, chain, probe
+    spec_seed, chain_seed, probe_seed = cli._child_seeds(4, 3)
+    spec = cli._input_spec(from_items({**BASE, "estimation.n": "20000"}), spec_seed)
+    a = np.random.default_rng(probe_seed).standard_normal(4)
+    err, absolute = stein_check(spec, QuadraticTest(a / np.linalg.norm(a)), 2, 20000,
+                                chain_seed)
+    assert (rec["relative_error"], rec["absolute"]) == (err, absolute)
 
 
 def test_cli_sweep_deterministic_across_workers(tmp_path):

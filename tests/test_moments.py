@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 
 from spectral_rnn import moments
 from spectral_rnn.moments import (_MOMENT_BLOCK, DEFAULT_BURN_IN, _moment_means,
-                                  cross_moment_s1, cross_moment_s2,
-                                  cross_moment_s3, cross_moment_s3_scalar,
+                                  cross_moment, cross_moment_s2,
                                   cross_moment_s4_reshaped,
-                                  population_moment_oracle, toeplitz_blocks)
-from spectral_rnn.score import centered_scores, precision_matrix
+                                  population_moment_oracle)
+from spectral_rnn.score import centered_scores, precision_matrix, score_from_local
 from spectral_rnn.sequence_models import (BrnnParams, RnnParams, SequenceData,
                                           bounded_input_spec, brnn_forward,
                                           rnn_forward, sample_markov_chain,
@@ -163,9 +162,9 @@ def test_empirical_s3_matches_oracle():
     spec = bounded_input_spec(3, 0.5, seed=18)
     x = sample_markov_chain(spec, 200000, seed=19)
     data = scalar_output_forward(params, x)
-    m = cross_moment_s3_scalar(spec, data)
+    m = cross_moment(spec, data, 3)
     oracle = population_moment_oracle(params, "S3-order4-scalar")
-    rel = np.linalg.norm(m.value - oracle) / np.linalg.norm(oracle)
+    rel = np.linalg.norm(m.value[0] - oracle) / np.linalg.norm(oracle)
     assert rel < 0.2
 
 
@@ -182,7 +181,7 @@ def test_brnn_oracle_uses_both_directions():
     assert np.allclose(oracle, want)
 
 
-def test_toeplitz_blocks_powers():
+def test_s1_oracle_is_the_lag_powers():
     """Linear scalar model A2 = 1, A1 = 0.5, U = 0.5: blocks 0.5, 0.25, 0.125."""
     params = RnnParams(A1=[[0.5]], U=[[0.5]], A2=[[1.0]], l=1)
     got = [population_moment_oracle(params, "S1-matrix", shift=-k)[0, 0]
@@ -190,17 +189,17 @@ def test_toeplitz_blocks_powers():
     assert np.allclose(got, [0.5, 0.25, 0.125])
 
 
-def test_toeplitz_blocks_empirical():
+def test_lagged_s1_moments_empirical():
     params = RnnParams(A1=[[0.5]], U=[[0.5]], A2=[[1.0]], l=1)
     spec = bounded_input_spec(1, 0.4, seed=21)
     x = sample_markov_chain(spec, 150000, seed=22)
     data = rnn_forward(params, x)
-    blocks = toeplitz_blocks(spec, data, max_lag=2)
+    lags = cross_moment(spec, data, 1, shift=(0, -1, -2))
+    assert lags.shift == (0, -1, -2)
     for k, want in enumerate([0.5, 0.25, 0.125]):
-        assert abs(blocks[k].value[0, 0] - want) < 0.05
-        assert blocks[k].shift == -k
-        # one score pass shared by the lags gives each lag's own bits
-        assert np.array_equal(blocks[k].value, cross_moment_s1(spec, data, shift=-k).value)
+        assert abs(lags.value[k, 0] - want) < 0.05
+        # one pass shared by the lags gives each lag's own bits
+        assert np.array_equal(lags.value[k:k + 1], cross_moment(spec, data, 1, shift=-k).value)
 
 
 def test_baseline_subtraction_changes_nothing_in_expectation():
@@ -307,7 +306,7 @@ def test_moment_kernel_matches_reference_formulas(d_x, d_y, N):
     _assert_kernel_close(m2.value, _ref_s2(spec, data))
     # both orders of a score pair read the same product
     assert np.array_equal(m2.value, m2.value.transpose(0, 2, 1))
-    m3 = cross_moment_s3(spec, data)
+    m3 = cross_moment(spec, data, 3)
     assert m3.n_used == N
     _assert_kernel_close(m3.value, _ref_s3(spec, data))
     for shift in (-1, 1):
@@ -323,8 +322,8 @@ def test_scores_argument_matches_computed_scores():
     s = centered_scores(spec, data.x)
     assert np.array_equal(cross_moment_s2(spec, data, scores=s).value,
                           cross_moment_s2(spec, data).value)
-    assert np.array_equal(cross_moment_s1(spec, data, shift=-1, scores=s).value,
-                          cross_moment_s1(spec, data, shift=-1).value)
+    assert np.array_equal(cross_moment(spec, data, 1, shift=-1, scores=s).value,
+                          cross_moment(spec, data, 1, shift=-1).value)
     minus = _minus(data, baseline)
     for shift in (-1, 1):
         given = cross_moment_s4_reshaped(spec, minus, shift=shift, scores=s)
@@ -335,7 +334,7 @@ def test_scores_argument_matches_computed_scores():
     with pytest.raises(ValueError, match="shape of x"):
         cross_moment_s4_reshaped(spec, data, scores=s[:2])
     with pytest.raises(ValueError, match="shape of x"):
-        cross_moment_s1(spec, data, scores=s[:, 1:])
+        cross_moment(spec, data, 1, scores=s[:, 1:])
 
 
 def _assert_symmetric(T):
@@ -533,3 +532,86 @@ def test_s4_in_basis_is_contracted_moment(rows):
         assert proj.value.shape == (data.y.shape[0], k * k, k * k)
         assert proj.n_used == full.n_used
         _assert_kernel_close(proj.value, _contract(full.value, basis))
+
+
+def _contract_modes(T, B):
+    """T with every score mode (all but the first) contracted with B's rows."""
+    for axis in range(1, T.ndim):
+        T = np.moveaxis(np.tensordot(T, B, axes=([axis], [1])), -1, axis)
+    return T
+
+
+_ORDERS_PROPERTY = settings(max_examples=40)
+
+
+@_ORDERS_PROPERTY
+@given(m=st.integers(1, 6), d_x=st.integers(1, 3), k=st.integers(1, 3), d_y=st.integers(1, 2),
+       n=st.integers(8, 40), burn_in=st.integers(0, 3), block=st.integers(1, 9),
+       shifts=st.lists(st.integers(-2, 2), min_size=1, max_size=3, unique=True),
+       with_basis=st.booleans(), seed=st.integers(0, 2**16))
+def test_cross_moment_matches_per_position_score_average(m, d_x, k, d_y, n, burn_in, block,
+                                                         shifts, with_basis, seed):
+    """cross_moment at every order m <= 6 is the mean over the aligned
+    positions of the centered y_t (x) score_from_local(s_(t + shift), Lambda, m),
+    with an orthonormal basis that mean with every score mode contracted with
+    it; a tuple of shifts stacks the bits of the single-shift calls."""
+    rng = np.random.default_rng(seed)
+    spec = bounded_input_spec(d_x, 0.5, seed=seed)
+    x, S = rng.standard_normal((2, d_x, n))
+    data = SequenceData(x=x, y=rng.standard_normal((d_y, n)))
+    Lam = precision_matrix(spec)
+    basis = np.linalg.qr(rng.standard_normal((d_x, min(k, d_x))))[0].T if with_basis else None
+    kwargs = {"burn_in": burn_in, "scores": S, "basis": basis}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moments, "_MOMENT_BLOCK", block)
+        stacked = cross_moment(spec, data, m, shift=tuple(shifts), **kwargs)
+        single = [cross_moment(spec, data, m, shift=shift, **kwargs) for shift in shifts]
+    for shift, got, one in zip(shifts, np.split(stacked.value, len(shifts)), single):
+        assert np.array_equal(got, one.value), shift
+        idx = np.arange(max(1, 1 - shift) + burn_in, min(n - 2, n - 2 - shift) + 1)
+        Y = data.y[:, idx] - data.y[:, idx].mean(axis=1, keepdims=True)
+        want = sum(np.multiply.outer(Y[:, j], score_from_local(S[:, t + shift], Lam, m))
+                   for j, t in enumerate(idx)) / idx.size
+        if basis is not None:
+            want = _contract_modes(want, basis)
+        assert one.n_used == idx.size and one.value.shape == want.shape
+        # rounding of sums of terms up to max|y| (max|s| + max|Lambda|)^m
+        scale = np.abs(Y).max() * (np.abs(S).max() + np.abs(Lam).max()) ** m
+        np.testing.assert_allclose(one.value, want, rtol=0, atol=1e-12 * scale)
+    assert stacked.n_used == min(one.n_used for one in single)
+
+
+def _hand_written(means, Lam, m):
+    """The order-3 (order-4) moment as written out by hand: the kernel's top
+    mean minus the sum, in this order, of the three (six) placements of
+    Lambda against the mean of order m - 2."""
+    low, val = means
+    places = {3: ("ai,jk->aijk", "aj,ik->aijk", "ak,ij->aijk"),
+              4: ("aij,kl->aijkl", "aik,jl->aijkl", "ail,jk->aijkl",
+                  "ajk,il->aijkl", "ajl,ik->aijkl", "akl,ij->aijkl")}[m]
+    total = np.einsum(places[0], low, Lam)
+    for sub in places[1:]:
+        total = total + np.einsum(sub, low, Lam)
+    val -= total
+    return val
+
+
+@pytest.mark.parametrize("shift", [-1, (-1, 1)])
+@pytest.mark.parametrize("coords", ["full", "span"])
+@pytest.mark.parametrize("m", [3, 4])
+def test_cross_moment_keeps_the_hand_written_bits(m, coords, shift):
+    """Summing each group of Lambda terms in the lexicographic order of its
+    s modes, then subtracting the sum, gives the bits of the hand-written
+    expressions the pipelines were built on."""
+    spec, data, _ = _kernel_case(5, 3, 3000, 1)
+    s = centered_scores(spec, data.x)
+    Lam = precision_matrix(spec)
+    basis = None
+    if coords == "span":
+        basis = np.linalg.qr(np.random.default_rng(80).standard_normal((5, 3)))[0].T
+        Lam = basis @ Lam @ basis.T
+    shifts = tuple(np.atleast_1d(shift).tolist())
+    parts = _moment_means(data.y, s, shifts, DEFAULT_BURN_IN, (m - 2, m), basis)
+    want = np.concatenate([_hand_written(means, Lam, m) for _, means in parts])
+    got = cross_moment(spec, data, m, shift=shift, scores=s, basis=basis)
+    assert np.array_equal(got.value, want)

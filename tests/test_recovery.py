@@ -274,7 +274,7 @@ def test_recover_scalar_keeps_the_best_draw_on_data():
                          "model.l": "3", "model.a1_scale": "0.7",
                          "model.u_scale": "0.2", "estimation.n": "100000"})
     spec, params, data = cli._simulate(config, 15, "scalar")
-    T3 = moments.cross_moment_s3_scalar(spec, data, burn_in=10).value
+    T3 = moments.cross_moment(spec, data, 3, burn_in=10).value[0]
     est = recover_scalar(T3, 3, seed=15)
     assert align(est.A1, cli._unit_input_rows(params).A1).max_error <= 0.15
 

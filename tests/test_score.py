@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from spectral_rnn.score import (_SCORE_BLOCK, QuadraticTest, batch_cross_moment,
-                                centered_scores, local_gaussian,
-                                precision_matrix, score, score_closed_form,
-                                score_from_local, score_patterns, stein_check)
+from spectral_rnn.score import (_SCORE_BLOCK, QuadraticTest, centered_scores,
+                                local_gaussian, precision_matrix, score,
+                                score_closed_form, score_from_local,
+                                score_patterns, stein_check)
 from spectral_rnn.sequence_models import MarkovChainSpec, bounded_input_spec
 
 
@@ -188,21 +188,6 @@ def test_hermite_cubic_cross_moment_quadrature():
                    for v in nodes])
     val = np.sum(weights * nodes ** 3 * s3)
     assert abs(val - 6.0) < 1e-10
-
-
-def test_batch_cross_moment_matches_direct_average():
-    spec = _spec(0.5)
-    rng = np.random.default_rng(6)
-    S = rng.standard_normal((2, 500))
-    g = rng.standard_normal((3, 500))
-    Lam = precision_matrix(_spec(np.array([[0.5, 0.0], [0.0, 0.2]])))
-    for m in (1, 2, 3):
-        got = batch_cross_moment(g, S, Lam, m)
-        direct = 0.0
-        for t in range(500):
-            direct = direct + np.multiply.outer(
-                g[:, t], score_from_local(S[:, t], Lam, m))
-        assert np.allclose(got, direct / 500, atol=1e-10)
 
 
 class _Identity:
