@@ -4,7 +4,10 @@ Subcommands: generate, score-check, moments, decompose, train, train-brnn,
 train-scalar, train-linear, eval, sweep.  Every run writes its artifacts under
 the output directory together with a manifest listing content hashes, the
 config hash, the master seed, and library versions, so (config, seed)
-determines every artifact bit for bit.
+determines every artifact bit for bit.  eval and decompose read an earlier
+run's directory: they add their files to its manifest, with their own config
+hash, seed and versions under "reads", and write their resolved config as
+<command>.config.resolved, so the earlier run's record stays whole.
 
 Exit codes: 0 success, 2 config error, 3 numerical or assumption failure,
 4 I/O error.
@@ -35,6 +38,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+
+# Commands that read an earlier run's artifacts and add to its record.
+_READERS = ("eval", "decompose")
 
 
 class _Artifacts:
@@ -72,16 +78,40 @@ class _Artifacts:
     def write_json(self, name: str, record: dict) -> str:
         return self.write_text(name, json.dumps(record, indent=2, sort_keys=True) + "\n")
 
-    def manifest(self, config: ExperimentConfig, seed: int) -> None:
-        record = {
+    def prior_record(self) -> dict | None:
+        """The directory's manifest, or None if it has none."""
+        path = os.path.join(self.out_dir, "manifest.json")
+        if not os.path.exists(path):
+            return None
+        with open(path, encoding="utf-8") as fh:
+            try:
+                record = json.load(fh)
+            except ValueError as exc:
+                raise OSError(f"{path}: not a manifest ({exc})") from exc
+        if not (isinstance(record, dict) and isinstance(record.get("files"), dict)
+                and isinstance(record.get("reads", {}), dict)):
+            raise OSError(f"{path}: not a manifest (no files, or reads not a mapping)")
+        return record
+
+    def manifest(self, config: ExperimentConfig, seed: int, reader: str | None = None,
+                 prior: dict | None = None) -> None:
+        """Writes this run's record, or, for a reading command on a
+        directory with a prior record, adds its files to that record and
+        its own header under reads[reader]."""
+        header = {
             "config_hash": config_hash(config),
             "seed": seed,
             "versions": {
                 "spectral_rnn": __version__,
                 "numpy": np.__version__,
             },
-            "files": self.files,
         }
+        if prior is None:
+            record = {**header, "files": self.files}
+        else:
+            record = prior
+            record["files"].update(self.files)
+            record.setdefault("reads", {})[reader] = header
         path = os.path.join(self.out_dir, "manifest.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
@@ -467,7 +497,9 @@ def main(argv=None) -> int:
         workers = _resolve_workers(args)
         seed = args.seed if args.seed is not None else config["model.seed"]
         art = _Artifacts(config["output.dir"], config["output.format"])
-        art.write_text("config.resolved", serialize(config))
+        prior = art.prior_record() if args.command in _READERS else None
+        art.write_text("config.resolved" if prior is None else f"{args.command}.config.resolved",
+                       serialize(config))
         handlers = {
             "generate": _cmd_generate,
             "score-check": _cmd_score_check,
@@ -483,7 +515,7 @@ def main(argv=None) -> int:
             status = _cmd_sweep(config, seed, art, workers)
         else:
             status = handlers[args.command](config, seed, art)
-        art.manifest(config, seed)
+        art.manifest(config, seed, args.command, prior)
         return status
     except ConfigError as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)

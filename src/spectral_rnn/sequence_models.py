@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -256,8 +257,10 @@ def _chi2_upper_tail(d: int, x: float) -> float:
                             for i in range(d // 2))
 
 
+@lru_cache(maxsize=None)
 def _chi2_upper_quantile(d: int, tail_prob: float) -> float:
-    """Smallest double x with _chi2_upper_tail(d, x) <= tail_prob, by bisection."""
+    """Smallest double x with _chi2_upper_tail(d, x) <= tail_prob, by
+    bisection; cached, since every cell of a sweep asks for the same one."""
     lo, hi = 0.0, float(d)
     while _chi2_upper_tail(d, hi) > tail_prob:
         lo, hi = hi, 2.0 * hi

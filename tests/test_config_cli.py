@@ -1,5 +1,6 @@
 """Config parsing and command-line interface tests."""
 
+import hashlib
 import json
 import os
 
@@ -391,6 +392,59 @@ def test_cli_train_and_eval(tmp_path):
     # eval aligns the same (A1, A2, U) triple as train's report
     assert (ev["max_error"], ev["median_error"]) == (report["max_error"],
                                                      report["median_error"])
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("writer,reader,outputs", [
+    ("train", "eval", {"eval.json"}),
+    ("moments", "decompose", {"cp_weights.spt1", "cp_mode1.spt1", "cp_factor.spt1",
+                              "cp_report.json"})])
+def test_cli_reading_commands_add_to_the_run_record(tmp_path, writer, reader, outputs):
+    """eval and decompose keep the record of the run they read: every
+    earlier artifact keeps its manifest entry and hash, config.resolved keeps
+    its bytes, and the reader adds its files and, under reads, its own
+    config hash (of <reader>.config.resolved), seed and versions."""
+    cfg = {"estimation.n": "20000"}
+    assert _run(tmp_path, writer, ("--seed", "3"), cfg)[0] == 0
+    out = tmp_path / "out"
+    fresh = (out / "manifest.json").read_bytes()
+    before = json.loads(fresh)
+    # a fresh directory's record: the header and the files, nothing else
+    assert sorted(before) == ["config_hash", "files", "seed", "versions"]
+    assert fresh == (json.dumps(before, indent=2, sort_keys=True) + "\n").encode()
+    resolved = (out / "config.resolved").read_bytes()
+    assert before["config_hash"] == hashlib.sha256(resolved).hexdigest()
+
+    assert _run(tmp_path, reader, ("--seed", "4"), cfg)[0] == 0
+    after = json.loads((out / "manifest.json").read_text())
+    assert {k: after[k] for k in ("config_hash", "seed", "versions")} == {
+        k: before[k] for k in ("config_hash", "seed", "versions")}
+    assert after["files"].items() >= before["files"].items()
+    assert after["files"].keys() - before["files"].keys() == outputs | {
+        f"{reader}.config.resolved"}
+    for name, digest in after["files"].items():
+        assert _sha256(out / name) == digest, name
+    assert (out / "config.resolved").read_bytes() == resolved
+    assert parse_config(str(out / "config.resolved"))["estimation.n"] == 20000
+    assert after["reads"] == {reader: {
+        "config_hash": _sha256(out / f"{reader}.config.resolved"), "seed": 4,
+        "versions": before["versions"]}}
+
+
+@pytest.mark.parametrize("text", ["{not json", "[]", '{"files": []}',
+                                  '{"files": {}, "reads": []}'])
+def test_cli_reading_command_rejects_a_broken_record(tmp_path, capsys, text):
+    """A manifest that is not one exits 4 rather than being replaced."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text(text)
+    code, _ = _run(tmp_path, "eval", extra_cfg={"estimation.n": "100"})
+    assert code == 4
+    assert "not a manifest" in _exit_record(capsys)["message"]
+    assert (out / "manifest.json").read_text() == text
 
 
 def test_cli_train_and_eval_non_unit_input_rows(tmp_path):

@@ -470,6 +470,22 @@ def test_workspace_rows_are_the_gathered_monomials(d, m):
         assert np.array_equal(rows, _gathered(S, k)), k
 
 
+def test_suffix_plan_is_cached_and_read_only():
+    """Every call of the kernel at one (d, orders) shares one plan, which no
+    caller can change."""
+    mono, offsets, steps = plan = moments._suffix_plan(4, (2, 4))
+    assert moments._suffix_plan(4, (2, 4)) is plan
+    fresh = moments._suffix_plan.__wrapped__(4, (2, 4))
+    assert dict(offsets) == dict(fresh[1]) and steps == fresh[2]
+    for arrays in mono.values():
+        assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(TypeError):
+        offsets[0] = 0
+    with pytest.raises(TypeError):
+        mono[1] = None
+    assert isinstance(steps, tuple)
+
+
 def test_moment_kernel_is_reentrant_across_threads():
     """Two threads running the kernel at once on different data each get the
     bits of a serial call: the workspace belongs to the call."""
@@ -494,6 +510,56 @@ def test_moment_kernel_is_reentrant_across_threads():
     for want, got in zip(serial, results):
         for value in got:
             assert np.array_equal(value, want)
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 1), (3, 7), (5, 100), (27 + 6, 4096),
+                                       (49 + 4, 4096), (83 + 1, 2048), (153 + 1, 1024),
+                                       (24 + 3, 1500)])
+def test_aligned_rows_start_on_cache_lines(rows, cols):
+    """Every row of the kernel's buffer starts on a 64-byte boundary, and
+    only rows of at least 4096 positions carry the stride padding."""
+    for _ in range(4):  # several allocations, wherever they land
+        buf = moments._aligned_rows(rows, cols)
+        assert buf.shape == (rows, cols) and buf.dtype == np.float64
+        assert buf.ctypes.data % 64 == 0 and buf.strides[0] % 64 == 0
+        assert buf.strides[1] == 8
+        assert buf.strides[0] == 8 * moments._row_stride(cols) >= 8 * cols
+    assert moments._row_stride(4096) == 4104 and moments._row_stride(2048) == 2048
+
+
+def _layout(offset_bytes, pad):
+    """An _aligned_rows stand-in whose rows start offset_bytes past a cache
+    line and lie cols rounded up to a line plus pad columns apart, filled
+    with NaN so a read of an unwritten entry would show."""
+    def rows_of(rows, cols):
+        stride = -(-cols // 8) * 8 + pad
+        raw = np.full(rows * stride + 16, np.nan)
+        skip = -raw.ctypes.data % 64 // 8 + offset_bytes // 8
+        return raw[skip:skip + rows * stride].reshape(rows, stride)[:, :cols]
+    return rows_of
+
+
+@pytest.mark.parametrize("layout", [_layout(8, 0), _layout(40, 8), _layout(0, 0),
+                                    _layout(0, 24), _layout(0, 1)],
+                         ids=["misaligned", "misaligned-padded", "unpadded",
+                              "pad-24", "pad-1"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_moment_bits_do_not_depend_on_the_row_layout(m, layout):
+    """The row layout changes where the kernel's rows sit, not what it sums:
+    misaligned rows, unpadded rows and other pads give the default bits, at
+    one and two shifts, with and without a basis, over 2048- and 4096-wide
+    blocks with a partial last block."""
+    spec, data, _ = _kernel_case(4, 2, 3 * 4096 + 777, 1)
+    s = centered_scores(spec, data.x)
+    basis = np.linalg.qr(np.random.default_rng(81).standard_normal((4, 3)))[0].T
+    for block in (2048, 4096):
+        for shift, B in itertools.product((-1, (-1, 1)), (None, basis)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(moments, "_MOMENT_BLOCK", block)
+                want = cross_moment(spec, data, m, shift=shift, scores=s, basis=B)
+                mp.setattr(moments, "_aligned_rows", layout)
+                got = cross_moment(spec, data, m, shift=shift, scores=s, basis=B)
+            assert np.array_equal(got.value, want.value), (block, shift, B is None)
 
 
 def _contract(T4, B):

@@ -212,6 +212,16 @@ def test_bounded_input_spec_chi2_quantile_within_ulps_of_scipy_isf():
             assert spec.sigma == np.sqrt((1.0 / q) * (1.0 - 0.5 ** 2))
 
 
+def test_chi2_quantile_is_cached_with_its_bits():
+    """Every sweep cell builds the same input law, so the quantile is
+    computed once per (d, tail_prob) and the cached value is the computed one."""
+    q = sequence_models._chi2_upper_quantile(7, 1e-3)
+    hits = sequence_models._chi2_upper_quantile.cache_info().hits
+    assert sequence_models._chi2_upper_quantile(7, 1e-3) == q
+    assert sequence_models._chi2_upper_quantile.cache_info().hits == hits + 1
+    assert q == sequence_models._chi2_upper_quantile.__wrapped__(7, 1e-3)
+
+
 @pytest.mark.parametrize("d_x", [100, 1000, 5000])
 def test_bounded_input_spec_chi2_quantile_at_high_dimension(d_x):
     # e^{-x/2} underflows past x = 1490, so this needs the log-space terms
