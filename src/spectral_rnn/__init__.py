@@ -13,8 +13,7 @@ from .sequence_models import (AssumptionError, BrnnParams, MarkovChainSpec,
                               RnnParams, SequenceData, bounded_input_spec,
                               brnn_forward, rnn_forward, sample_markov_chain,
                               scalar_output_forward, stationary_covariance)
-from .score import (LocalGaussian, ScoreTensor, centered_scores,
-                    local_gaussian, precision_matrix, score, stein_check)
+from .score import centered_scores, precision_matrix, stein_check
 from .moments import (MomentTensor, cross_moment, cross_moment_s2,
                       cross_moment_s4_reshaped, population_moment_oracle)
 from .cp_decomp import CpDecomposition, decompose

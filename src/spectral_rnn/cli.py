@@ -26,8 +26,8 @@ import numpy as np
 from . import __version__, spt1
 from .config import ConfigError, ExperimentConfig, config_hash, from_items, parse_config, serialize
 from .diagnostics import align, sample_sweep
-from .recovery import (_stage1_factors, quadratic_moments, train_brnn,
-                       train_linear, train_quadratic, train_scalar)
+from .recovery import (BrnnEstimate, _stage1_factors, quadratic_moments,
+                       train_brnn, train_linear, train_quadratic, train_scalar)
 from .score import QuadraticTest, stein_check
 from .sequence_models import (AssumptionError, BrnnParams, MarkovChainSpec,
                               RnnParams, bounded_input_spec, brnn_forward,
@@ -258,10 +258,6 @@ def _cmd_decompose(config, seed, art):
     if not os.path.exists(path):
         raise FileNotFoundError(f"expected moment tensor at {path}; run the moments subcommand first")
     T2 = spt1.read_tensor(path)
-    # the moment kernel's T2 unfolds to a column-major d_y x d_x^2 matrix, and
-    # decompose's mode-1 product sums the two layouts in different orders, so
-    # the file's T2 takes that layout to give train's stage 1 bit for bit
-    T2 = np.asfortranarray(T2.reshape(T2.shape[0], -1)).reshape(T2.shape)
     cp = _stage1_factors(T2, config.d_h, seed)[2]
     art.write_array("cp_weights", cp.weights.reshape(1, -1))
     art.write_array("cp_mode1", cp.mode1)
@@ -272,82 +268,63 @@ def _cmd_decompose(config, seed, art):
     return EXIT_OK
 
 
-def _cmd_train(config, seed, art):
-    """Quadratic model; the recurrence is always estimated."""
-    _check_degree(config, "train")
-    spec, params, data = _simulate(config, seed)
-    est = train_quadratic(data, spec, config.d_h,
-                          burn_in=config["estimation.burn_in"], seed=seed)
-    truth = _unit_input_rows(params)
-    art.write_array("a1_hat", est.A1)
-    art.write_array("a2_hat", est.A2)
-    art.write_array("u_hat", est.U)
-    art.write_array("a1_true", truth.A1)
-    art.write_array("a2_true", truth.A2)
-    art.write_array("u_true", truth.U)
-    report = align(est.A1, truth.A1, est.A2, truth.A2, est.U, truth.U)
-    art.write_json("report.json", {
-        "max_error": report.max_error,
-        "median_error": report.median_error,
-        "a1_row_errors": report.per_row_errors["A1"].tolist(),
-    })
-    print(f"train: max aligned row error {report.max_error:.4g}")
-    return EXIT_OK
+def _fit(config, seed, command, family="rnn"):
+    """(estimate, truth) of one run of a family: the degree and shape checks,
+    the simulation, the family's train_* on it, and the true model in the
+    estimates' convention of unit input rows (_unit_input_rows)."""
+    estimator, l, units = {
+        "rnn": (train_quadratic, 2, "quadratic"),
+        "brnn": (train_brnn, 2, "quadratic"),
+        "scalar": (train_scalar, 3, "cubic"),
+    }[family]
+    _check_degree(config, command, l, units)
+    if family == "brnn" and min(config.d_x, config.d_y) < 2 * config.d_h:
+        raise ConfigError(f"model.d_h: {command} fits 2 * model.d_h = {2 * config.d_h} rows, "
+                          f"so needs model.d_x and model.d_y >= {2 * config.d_h}, got "
+                          f"model.d_x={config.d_x} and model.d_y={config.d_y}")
+    spec, params, data = _simulate(config, seed, family)
+    est = estimator(data, spec, config.d_h, burn_in=config["estimation.burn_in"], seed=seed)
+    return est, _unit_input_rows(params)
 
 
-def _cmd_train_brnn(config, seed, art):
-    """Bidirectional model.  The joint error aligns the stacked input rows
-    [A1; B1] and cannot see a swapped forward/backward split; each direction
-    is also aligned with its output rows and recurrence, so a large gap
-    between the joint and the per-direction errors means the split failed."""
-    _check_degree(config, "train-brnn")
-    if config.d_y < 2 * config.d_h:
-        raise ConfigError(f"train-brnn needs model.d_y >= 2 * model.d_h, got model.d_y="
-                          f"{config.d_y} and model.d_h={config.d_h}")
-    spec, params, data = _simulate(config, seed, "brnn")
-    est = train_brnn(data, spec, config.d_h,
-                     burn_in=config["estimation.burn_in"], seed=seed)
-    truth = _unit_input_rows(params)
-    C_hat = np.vstack([est.A1, est.B1])
-    C_true = np.vstack([truth.A1, truth.B1])
-    art.write_array("c_hat", C_hat)
-    art.write_array("a2_hat", est.A2)
-    art.write_array("c_true", C_true)
-    art.write_array("a2_true", truth.A2)
-    art.write_array("u_hat", est.U)
-    art.write_array("v_hat", est.V)
-    art.write_array("u_true", truth.U)
-    art.write_array("v_true", truth.V)
-    report = align(C_hat, C_true)
-    d = config.d_h
-    forward = align(est.A1, truth.A1, est.A2[:d], truth.A2[:d], est.U, truth.U)
-    backward = align(est.B1, truth.B1, est.A2[d:], truth.A2[d:], est.V, truth.V)
-    art.write_json("report.json", {
-        "max_error": report.max_error,
-        "median_error": report.median_error,
-        "forward_max_error": forward.max_error,
-        "backward_max_error": backward.max_error,
-        "u_error": forward.u_error,
-        "v_error": backward.u_error,
-    })
-    print(f"train-brnn: max aligned row error {report.max_error:.4g}")
-    return EXIT_OK
+def _report(est, truth, degree):
+    """(pairs, report) of a fit: each written name's (estimate, truth), and
+    report.json's aligned errors.  A bidirectional fit aligns the stacked
+    input rows [A1; B1] jointly, which cannot see a swapped forward/backward
+    split, and each direction with its output rows and recurrence, so a
+    large gap between the joint and the per-direction errors means the
+    split failed."""
+    if isinstance(est, BrnnEstimate):
+        d = est.A1.shape[0]
+        pairs = {"c": (np.vstack([est.A1, est.B1]), np.vstack([truth.A1, truth.B1])),
+                 "a2": (est.A2, truth.A2), "u": (est.U, truth.U), "v": (est.V, truth.V)}
+        joint = align(*pairs["c"])
+        forward = align(est.A1, truth.A1, est.A2[:d], truth.A2[:d], est.U, truth.U)
+        backward = align(est.B1, truth.B1, est.A2[d:], truth.A2[d:], est.V, truth.V)
+        return pairs, {"max_error": joint.max_error, "median_error": joint.median_error,
+                       "forward_max_error": forward.max_error,
+                       "backward_max_error": backward.max_error,
+                       "u_error": forward.u_error, "v_error": backward.u_error}
+    aligned = align(est.A1, truth.A1, est.A2, truth.A2, est.U, truth.U, degree=degree)
+    pairs = {"a1": (est.A1, truth.A1), "a2": (est.A2, truth.A2)}
+    report = {"max_error": aligned.max_error, "median_error": aligned.median_error}
+    if est.U is not None:
+        pairs["u"] = (est.U, truth.U)
+        report.update(a1_row_errors=aligned.per_row_errors["A1"].tolist(),
+                      u_error=aligned.u_error)
+    return pairs, report
 
 
-def _cmd_train_scalar(config, seed, art):
-    _check_degree(config, "train-scalar", 3, "cubic")
-    spec, params, data = _simulate(config, seed, "scalar")
-    est = train_scalar(data, spec, config.d_h, l=config.l,
-                       burn_in=config["estimation.burn_in"], seed=seed)
-    truth = _unit_input_rows(params)
-    art.write_array("a1_hat", est.A1)
-    art.write_array("a2_hat", est.A2)
-    art.write_array("a1_true", truth.A1)
-    art.write_array("a2_true", truth.A2)
-    report = align(est.A1, truth.A1, est.A2, truth.A2, degree=3)
-    art.write_json("report.json", {"max_error": report.max_error,
-                                   "median_error": report.median_error})
-    print(f"train-scalar: max aligned row error {report.max_error:.4g}")
+def _cmd_fit(config, seed, art, command, family):
+    """train, train-brnn and train-scalar: _fit, then each estimate and its
+    truth as <name>_hat and <name>_true, and report.json (_report)."""
+    est, truth = _fit(config, seed, command, family)
+    pairs, report = _report(est, truth, config.l)
+    for name, (hat, true) in pairs.items():
+        art.write_array(f"{name}_hat", hat)
+        art.write_array(f"{name}_true", true)
+    art.write_json("report.json", report)
+    print(f"{command}: max aligned row error {report['max_error']:.4g}")
     return EXIT_OK
 
 
@@ -415,10 +392,8 @@ def _cmd_sweep(config, seed, art, workers):
         sub.values["estimation.n"] = int(n)
         mixed = int(np.random.SeedSequence([cell_master, int(n), int(cell_seed)])
                     .generate_state(1)[0])
-        spec, params, data = _simulate(sub, mixed)
-        est = train_quadratic(data, spec, sub.d_h,
-                              burn_in=sub["estimation.burn_in"], seed=mixed)
-        report = align(est.A1, _unit_input_rows(params).A1)
+        est, truth = _fit(sub, mixed, "sweep")
+        report = align(est.A1, truth.A1)
         return [("A1", int(r), float(e))
                 for r, e in enumerate(report.per_row_errors["A1"])]
 
@@ -496,6 +471,8 @@ def main(argv=None) -> int:
         config = _load_config(args)
         workers = _resolve_workers(args)
         seed = args.seed if args.seed is not None else config["model.seed"]
+        if seed < 0:
+            raise ConfigError(f"--seed: seeds must be nonnegative, got {seed}")
         art = _Artifacts(config["output.dir"], config["output.format"])
         prior = art.prior_record() if args.command in _READERS else None
         art.write_text("config.resolved" if prior is None else f"{args.command}.config.resolved",
@@ -505,16 +482,14 @@ def main(argv=None) -> int:
             "score-check": _cmd_score_check,
             "moments": _cmd_moments,
             "decompose": _cmd_decompose,
-            "train": _cmd_train,
-            "train-brnn": _cmd_train_brnn,
-            "train-scalar": _cmd_train_scalar,
+            "train": lambda *a: _cmd_fit(*a, "train", "rnn"),
+            "train-brnn": lambda *a: _cmd_fit(*a, "train-brnn", "brnn"),
+            "train-scalar": lambda *a: _cmd_fit(*a, "train-scalar", "scalar"),
             "train-linear": _cmd_train_linear,
             "eval": _cmd_eval,
+            "sweep": lambda *a: _cmd_sweep(*a, workers),
         }
-        if args.command == "sweep":
-            status = _cmd_sweep(config, seed, art, workers)
-        else:
-            status = handlers[args.command](config, seed, art)
+        status = handlers[args.command](config, seed, art)
         art.manifest(config, seed, args.command, prior)
         return status
     except ConfigError as exc:

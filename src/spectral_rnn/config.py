@@ -74,10 +74,22 @@ class ExperimentConfig:
         return self.values["model.l"]
 
 
+def _positive_number(text: str) -> bool:
+    try:
+        return 0.0 < float(text) < math.inf
+    except ValueError:
+        return False
+
+
 def _validate(values: dict) -> None:
     for key in ("model.d_x", "model.d_h", "model.d_y"):
         if values[key] <= 0:
             raise ConfigError(f"{key}: dimension must be positive")
+    if values["model.d_h"] > values["model.d_x"]:
+        raise ConfigError("model.d_h: need model.d_h <= model.d_x, got "
+                          f"{values['model.d_h']} > {values['model.d_x']}")
+    if values["model.seed"] < 0:
+        raise ConfigError("model.seed: seeds must be nonnegative")
     if values["model.l"] < 1:
         raise ConfigError("model.l: unit degree must be >= 1")
     if values["model.norm_check"] not in ("strict", "off"):
@@ -90,7 +102,7 @@ def _validate(values: dict) -> None:
                 f"||A1|| + ||U|| <= 1 is violated (got {total:g})")
     if not 0.0 <= values["input.w_scale"] < 1.0:
         raise ConfigError("input.w_scale: need 0 <= w_scale < 1 for a stable chain")
-    if values["input.sigma"] != "auto" and not 0.0 < float(values["input.sigma"]) < math.inf:
+    if values["input.sigma"] != "auto" and not _positive_number(values["input.sigma"]):
         raise ConfigError("input.sigma: expected 'auto' or a positive number")
     if values["input.init"] not in ("stationary", "zero"):
         raise ConfigError("input.init: expected 'stationary' or 'zero'")
@@ -100,6 +112,14 @@ def _validate(values: dict) -> None:
         raise ConfigError("estimation.burn_in: must be nonnegative")
     if len(values["estimation.n_grid"]) < 1 or len(values["estimation.seeds"]) < 1:
         raise ConfigError("estimation.n_grid/seeds: need at least one entry")
+    if min(values["estimation.seeds"]) < 0:
+        raise ConfigError("estimation.seeds: seeds must be nonnegative")
+    shortest = values["estimation.burn_in"] + 4  # a moment at score shift +-1 needs one position
+    for key, n in (("estimation.n", values["estimation.n"]),
+                   ("estimation.n_grid", min(values["estimation.n_grid"]))):
+        if n < shortest:
+            raise ConfigError(f"{key}: need at least estimation.burn_in + 4 = {shortest} "
+                              f"positions, got {n}")
 
 
 def _convert(key: str, raw: Any) -> Any:

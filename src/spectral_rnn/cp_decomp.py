@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sequence_models import AssumptionError
-from .tensor_core import multilinear
 
 CANDIDATES = 8
 DEFAULT_TOL = 1e-10
@@ -57,10 +56,14 @@ class CpDecomposition:
                          self.factor, self.factor)
 
     def residual(self, T: np.ndarray) -> float:
+        """||T - reconstruct()|| / ||T||, summed over the column-major
+        unfolding of T that decompose reads, so the bits depend only on T's
+        values."""
+        T = np.asfortranarray(np.reshape(T, (np.shape(T)[0], -1)))
         nT = np.linalg.norm(T)
         if nT == 0:
             return 0.0
-        return float(np.linalg.norm(T - self.reconstruct()) / nT)
+        return float(np.linalg.norm(T - self.reconstruct().reshape(T.shape)) / nT)
 
 
 def _finalize(weights, mode1, factor, rank_tol=RANK_TOL, sig_tol=1e-8):
@@ -89,7 +92,9 @@ def decompose(T: np.ndarray, k: int, seed: int = 0) -> CpDecomposition:
     forms every slice matrix (a 1 x d1 row against the d1 x k^2 core each,
     the product a single slice would make), one inv and one eig give every
     pencil's factors, and one SVD of the stacked d^2 x k designs fits every
-    mode-1 least squares, with lstsq's rank rule.  A candidate whose pencil
+    mode-1 least squares, with lstsq's rank rule.  That least squares reads
+    one column-major unfolding of T whatever T's memory layout, so the bits
+    depend only on T's values.  A candidate whose pencil
     is singular or whose factors are rank deficient is skipped, and the
     result's failed counts the skipped; the first candidate with the lowest
     residual(T) is returned.  If every candidate is skipped, or a stacked
@@ -107,7 +112,8 @@ def decompose(T: np.ndarray, k: int, seed: int = 0) -> CpDecomposition:
         return CpDecomposition(weights=np.zeros(0), mode1=np.zeros((d1, 0)),
                                factor=np.zeros((d, 0)))
     V = np.linalg.svd(T.transpose(1, 0, 2).reshape(d, -1), full_matrices=False)[0][:, :k]
-    core = multilinear(T, None, V, V)
+    core = np.tensordot(np.moveaxis(np.tensordot(T, V, axes=([1], [0])), -1, 1), V,
+                        axes=([2], [0]))  # T(., V, V)
     theta = np.random.default_rng(seed).standard_normal((CANDIDATES, 2, 1, d1))
     M = (theta @ core.reshape(d1, k * k)).reshape(CANDIDATES, 2, k, k)
     M = 0.5 * (M + M.swapaxes(2, 3))
@@ -129,7 +135,8 @@ def decompose(T: np.ndarray, k: int, seed: int = 0) -> CpDecomposition:
     if not live.any():
         raise AssumptionError(f"rank deficiency: none of {CANDIDATES} candidates fits; "
                               "check full-rank assumption", stage="stage1")
-    B = (T.reshape(d1, -1) @ W / s[:, None, :]) @ Vh  # c x d1 x k, lstsq's solution
+    unfolded = np.asfortranarray(T.reshape(d1, -1))  # the moment kernel's layout
+    B = (unfolded @ W / s[:, None, :]) @ Vh  # c x d1 x k, lstsq's solution
     weights = np.linalg.norm(B, axis=1)
     mode1 = np.divide(B, weights[:, None, :], out=np.zeros_like(B),
                       where=weights[:, None, :] > 0)

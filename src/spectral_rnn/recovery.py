@@ -40,7 +40,6 @@ import numpy as np
 
 from .cp_decomp import CpDecomposition, decompose
 from .sequence_models import AssumptionError, SequenceData
-from .tensor_core import pinv
 
 @dataclass
 class RnnEstimate:
@@ -89,7 +88,7 @@ def _output_map(A2: np.ndarray) -> np.ndarray:
     rank = int(np.sum(sv > 1e-10 * sv.max(initial=0.0)))
     if rank < k:
         raise AssumptionError(f"recurrence: A2 rank {rank} of {k}", stage="recurrence")
-    return pinv(A2.T)
+    return np.linalg.pinv(A2.T, rcond=1e-10)
 
 
 def _unit_blocks(T4: np.ndarray, A2: np.ndarray) -> np.ndarray:
@@ -254,9 +253,9 @@ def recover_linear(
     that case A1 is reported as the identity and the blocks fold into A2, U.
     """
     A1 = np.eye(C0.shape[1]) if A1_known is None else A1_known
-    A1_inv = pinv(A1)
+    A1_inv = np.linalg.pinv(A1, rcond=1e-10)
     A2t = C0 @ A1_inv
-    U = None if C1 is None else pinv(A2t) @ C1 @ A1_inv
+    U = None if C1 is None else np.linalg.pinv(A2t, rcond=1e-10) @ C1 @ A1_inv
     return RnnEstimate(A1=A1, A2=A2t.T, U=U)
 
 

@@ -11,6 +11,7 @@ from spectral_rnn import cli, cp_decomp, moments, recovery, spt1
 from spectral_rnn.cli import main
 from spectral_rnn.config import (ConfigError, config_hash, from_items,
                                  parse_config, serialize)
+from spectral_rnn.diagnostics import align
 from spectral_rnn.moments import population_moment_oracle
 from spectral_rnn.recovery import BrnnEstimate, RnnEstimate
 from spectral_rnn.score import QuadraticTest, stein_check
@@ -78,10 +79,33 @@ def test_w_scale_range():
         from_items({**BASE, "input.w_scale": "1.0"})
 
 
-@pytest.mark.parametrize("sigma", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("sigma", ["0", "-1", "nan", "inf", "abc"])
 def test_input_sigma_must_be_positive_and_finite(sigma):
     with pytest.raises(ConfigError, match="input.sigma"):
         from_items({**BASE, "input.sigma": sigma})
+
+
+@pytest.mark.parametrize("items,key", [
+    ({"model.seed": "-3"}, "model.seed"),
+    ({"estimation.seeds": "-1"}, "estimation.seeds"),
+    ({"estimation.seeds": "0,-1"}, "estimation.seeds"),
+    ({"estimation.n": "-5"}, "estimation.n"),
+    ({"estimation.n": "5"}, "estimation.n"),
+    ({"estimation.n": "13"}, "estimation.n"),
+    ({"estimation.n": "100", "estimation.burn_in": "100"}, "estimation.n"),
+    ({"estimation.n_grid": "1000,10"}, "estimation.n_grid"),
+    ({"model.d_h": "5"}, "model.d_h"),
+])
+def test_values_no_run_can_use_are_rejected_by_key(items, key):
+    """Negative seeds, sequences too short for a burn-in and a shifted score
+    on both sides, and more hidden units than input dimensions are config
+    errors naming their key, not tracebacks from the simulation."""
+    with pytest.raises(ConfigError, match=f"^{key}:"):
+        from_items({**BASE, **items})
+
+
+def test_shortest_sequence_is_accepted():
+    assert from_items({**BASE, "estimation.n": "14"})["estimation.n"] == 14
 
 
 def test_serialize_round_trip(tmp_path):
@@ -392,6 +416,10 @@ def test_cli_train_and_eval(tmp_path):
     # eval aligns the same (A1, A2, U) triple as train's report
     assert (ev["max_error"], ev["median_error"]) == (report["max_error"],
                                                      report["median_error"])
+    # u_error is the max entrywise recurrence gap of that alignment
+    written = {name: spt1.read_tensor(os.path.join(out, name + ".spt1"))
+               for name in ("a1_hat", "a1_true", "a2_hat", "a2_true", "u_hat", "u_true")}
+    assert report["u_error"] == align(*written.values()).u_error
 
 
 def _sha256(path):
@@ -529,6 +557,24 @@ def test_cli_train_brnn_narrow_output_is_a_config_error(tmp_path, monkeypatch):
     code, _ = _run(tmp_path, "train-brnn", extra_cfg={
         "model.d_x": "6", "model.d_h": "2", "model.d_y": "3", "estimation.n": "100"})
     assert code == 2
+
+
+def test_cli_train_brnn_narrow_input_is_a_config_error(tmp_path, capsys, monkeypatch):
+    """Stage 1 reads 2 d_h input rows, which d_x < 2 d_h has no room for; it
+    is rejected by its key before simulating."""
+    monkeypatch.setattr(cli, "_simulate", None)
+    code, _ = _run(tmp_path, "train-brnn", extra_cfg={
+        "model.d_x": "3", "model.d_h": "2", "model.d_y": "6", "estimation.n": "100"})
+    assert code == 2
+    assert _exit_record(capsys)["message"].startswith("model.d_h: train-brnn fits 2 * model.d_h")
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "sweep"])
+def test_cli_negative_seed_is_a_config_error(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(cli, "_simulate", None)
+    code, _ = _run(tmp_path, command, ("--seed", "-1"), {"estimation.n": "100"})
+    assert code == 2
+    assert _exit_record(capsys)["message"].startswith("--seed:")
 
 
 def test_cli_estimates_do_not_read_model_truth(tmp_path, monkeypatch):

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from spectral_rnn import cp_decomp
 from spectral_rnn.cp_decomp import decompose
-from spectral_rnn.moments import population_moment_oracle
+from spectral_rnn.moments import cross_moment_s2, population_moment_oracle
 from spectral_rnn.recovery import recover_scalar
-from spectral_rnn.sequence_models import AssumptionError, RnnParams
-from spectral_rnn.tensor_core import multilinear
+from spectral_rnn.sequence_models import (AssumptionError, RnnParams,
+                                          bounded_input_spec, rnn_forward,
+                                          sample_markov_chain)
 
 
 def _planted(d, k, seed, weights=None, orthogonal=False):
@@ -303,7 +304,8 @@ def _sequential_decompose(T, k, seed):
     T = np.asarray(T, dtype=float)
     d1, d = T.shape[0], T.shape[1]
     V = np.linalg.svd(T.transpose(1, 0, 2).reshape(d, -1), full_matrices=False)[0][:, :k]
-    core = multilinear(T, None, V, V)
+    core = np.tensordot(np.moveaxis(np.tensordot(T, V, axes=([1], [0])), -1, 1), V,
+                        axes=([2], [0]))
     rng = np.random.default_rng(seed)
 
     def slice_matrix(theta):
@@ -400,3 +402,24 @@ def test_decompose_is_deterministic_given_its_seed():
     first, again = decompose(T, 3, seed=7), decompose(T, 3, seed=7)
     for name in ("weights", "mode1", "factor"):
         assert np.array_equal(getattr(first, name), getattr(again, name))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_decompose_bits_do_not_depend_on_the_memory_layout(seed):
+    """The moment kernel's T2, a C-ordered copy and a Fortran-ordered copy
+    hold the same values, so they decompose to the same bytes and give the
+    same residual."""
+    rng = np.random.default_rng(seed)
+    d_x, d_h, d_y = 4 + seed % 3, 3, 5
+    params = RnnParams(A1=np.linalg.qr(rng.standard_normal((d_x, d_h)))[0].T,
+                       U=0.3 * np.linalg.qr(rng.standard_normal((d_h, d_h)))[0],
+                       A2=rng.standard_normal((d_h, d_y)), l=2)
+    spec = bounded_input_spec(d_x, 0.5, seed=seed)
+    T2 = cross_moment_s2(spec, rnn_forward(params, sample_markov_chain(spec, 5000, seed))).value
+    fits = [decompose(T, d_h, seed=seed)
+            for T in (T2, np.ascontiguousarray(T2), np.asfortranarray(T2))]
+    for name in ("weights", "mode1", "factor"):
+        want = getattr(fits[0], name).tobytes()
+        assert [getattr(cp, name).tobytes() for cp in fits[1:]] == [want, want], name
+    residuals = {fits[0].residual(T) for T in (T2, np.ascontiguousarray(T2), np.asfortranarray(T2))}
+    assert len(residuals) == 1

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from score_reference import score_from_local
 from spectral_rnn import moments
 from spectral_rnn.moments import (_MOMENT_BLOCK, DEFAULT_BURN_IN, _moment_means,
                                   cross_moment, cross_moment_s2,
                                   cross_moment_s4_reshaped,
                                   population_moment_oracle)
-from spectral_rnn.score import centered_scores, precision_matrix, score_from_local
+from spectral_rnn.score import centered_scores, precision_matrix
 from spectral_rnn.sequence_models import (BrnnParams, RnnParams, SequenceData,
                                           bounded_input_spec, brnn_forward,
                                           rnn_forward, sample_markov_chain,

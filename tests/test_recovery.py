@@ -22,7 +22,6 @@ from spectral_rnn.sequence_models import (AssumptionError, BrnnParams, RnnParams
                                           SequenceData, bounded_input_spec, brnn_forward,
                                           rnn_forward, sample_markov_chain,
                                           scalar_output_forward)
-from spectral_rnn.tensor_core import pinv
 
 
 def _quad_model(seed=5, d_x=6, d_h=3, d_y=4, u_scale=0.3):
@@ -379,7 +378,28 @@ def test_recover_linear_without_known_input_map():
     # products with I are exact, so the blocks fold in bit for bit
     assert np.array_equal(est.A1, np.eye(3))
     assert np.array_equal(est.A2, C0.T)
-    assert np.array_equal(est.U, pinv(C0) @ C1)
+    assert np.array_equal(est.U, np.linalg.pinv(C0, rcond=1e-10) @ C1)
+
+
+def test_recover_linear_truncates_small_singular_values():
+    """The pseudo-inverses cut singular values below 1e-10 of the largest:
+    an input map with a direction at 1e-14 of the other is read as rank one,
+    so that direction's block entry is dropped, not scaled up by 1e14."""
+    C0 = np.array([[2.0, 0.0], [0.0, 1.0]])
+    est = recover_linear(C0, 0.5 * C0, A1_known=np.diag([1.0, 1e-14]))
+    np.testing.assert_allclose(est.A2, np.diag([2.0, 0.0]), rtol=1e-15, atol=0)
+    np.testing.assert_allclose(est.U, np.diag([0.5, 0.0]), rtol=1e-15, atol=0)
+    # an exact zero singular value is cut too
+    est = recover_linear(C0, None, A1_known=np.diag([2.0, 0.0]))
+    np.testing.assert_allclose(est.A2, np.diag([1.0, 0.0]), rtol=1e-15, atol=0)
+
+
+def test_recover_linear_non_finite_blocks_are_a_linalg_error():
+    """A NaN block makes the pseudo-inverse's SVD fail, which the CLI
+    reports as a numerical failure (exit 3)."""
+    C0 = np.array([[1.0, np.nan], [0.0, 1.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        recover_linear(C0, C0)
 
 
 def test_train_quadratic_from_data():
@@ -489,7 +509,7 @@ def _unit_moment_by_hand(spec, data, C, A2, shifts, burn_in=10):
     Z = pinv(A2^T) y - (C x)^2 in the basis of the rows C, with no baseline.
     (basis, one k-row block per shift)."""
     basis = _row_basis(C)
-    Z = pinv(A2.T) @ data.y - (C @ data.x) ** 2
+    Z = np.linalg.pinv(A2.T, rcond=1e-10) @ data.y - (C @ data.x) ** 2
     Q = cross_moment_s4_reshaped(spec, SequenceData(x=data.x, y=Z), shift=shifts,
                                  burn_in=burn_in, basis=basis).value
     return basis, np.split(Q, len(shifts))

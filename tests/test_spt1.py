@@ -1,4 +1,4 @@
-"""Dense tensor utilities: contractions, the pseudo-inverse, file IO."""
+"""The SPT1 tensor file format of the artifacts."""
 
 import numpy as np
 import pytest
@@ -6,50 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spectral_rnn.tensor_core import multilinear, pinv
 from spectral_rnn.spt1 import Spt1Error, read_tensor, write_tensor
-
-
-def test_multilinear_full_contraction():
-    rng = np.random.default_rng(3)
-    T = rng.standard_normal((3, 4, 5))
-    A = rng.standard_normal((3, 2))
-    B = rng.standard_normal((4, 2))
-    C = rng.standard_normal((5, 2))
-    got = multilinear(T, A, B, C)
-    want = np.einsum("ijk,ia,jb,kc->abc", T, A, B, C)
-    assert np.allclose(got, want)
-
-
-def test_multilinear_partial_and_vector():
-    rng = np.random.default_rng(4)
-    T = rng.standard_normal((3, 3, 3))
-    v = rng.standard_normal(3)
-    got = multilinear(T, None, v, v)
-    want = np.einsum("ijk,j,k->i", T, v, v)
-    assert np.allclose(got[:, 0, 0], want)
-
-
-def test_multilinear_shape_errors():
-    T = np.zeros((2, 2))
-    with pytest.raises(ValueError):
-        multilinear(T, np.eye(2))
-    with pytest.raises(ValueError):
-        multilinear(T, np.eye(3), np.eye(2))
-
-
-def test_pinv_truncates_small_singular_values():
-    got = pinv(np.diag([2.0, 0.0]))
-    assert np.allclose(got, np.diag([0.5, 0.0]))
-    # a value below the relative tolerance is treated as zero
-    got = pinv(np.diag([1.0, 1e-14]))
-    assert np.allclose(got, np.diag([1.0, 0.0]))
-
-
-def test_pinv_matches_numpy_on_full_rank():
-    rng = np.random.default_rng(5)
-    M = rng.standard_normal((4, 6))
-    assert np.allclose(pinv(M), np.linalg.pinv(M))
 
 
 def test_spt1_round_trip(tmp_path):
