@@ -12,7 +12,8 @@ inverses act on k x k matrices and never amplify the d - k noise directions.
 Any two slice combinations M_1, M_2 of that core share the eigenvectors
 V^T c_r, read off M_1 M_2^-1 and mapped back by V; mode-1 factors and
 weights are then fit to T by least squares.  One random pair can be nearly
-degenerate, so several pairs are tried and the lowest-residual fit is kept.
+degenerate, so several pairs are tried and the lowest-residual fit is kept;
+each fit is scored on the design of its least squares, not rebuilt.
 The pairs are small (k x k pencils, d^2 x k designs), so they run as one
 stacked pass of numpy calls rather than one loop iteration each.
 """
@@ -82,6 +83,15 @@ def _finalize(weights, mode1, factor, rank_tol=RANK_TOL, sig_tol=1e-8):
     return weights[order], mode1[:, order], factor[:, order]
 
 
+def _fit_residuals(unfolded, weights, mode1, G):
+    """||T - fit_c|| of each candidate c, T given as its d1 x d^2 unfolding:
+    fit_c = (mode1_c * weights_c) G_c^T on the stacked designs G (c x d^2 x
+    k, column r the vec of factor_r factor_r^T) that the mode-1 least
+    squares already formed, so factor (x) factor is not rebuilt."""
+    fit = (mode1 * weights[:, None, :]) @ G.transpose(0, 2, 1)
+    return np.linalg.norm((unfolded - fit).reshape(len(fit), -1), axis=1)
+
+
 def decompose(T: np.ndarray, k: int, seed: int = 0) -> CpDecomposition:
     """Rank-k pair-symmetric CP decomposition of an order-3 tensor.
 
@@ -97,8 +107,10 @@ def decompose(T: np.ndarray, k: int, seed: int = 0) -> CpDecomposition:
     depend only on T's values.  A candidate whose pencil
     is singular or whose factors are rank deficient is skipped, and the
     result's failed counts the skipped; the first candidate with the lowest
-    residual(T) is returned.  If every candidate is skipped, or a stacked
-    LAPACK call fails, AssumptionError (stage "stage1") is raised.
+    residual is returned, each scored on the designs its least squares
+    formed (_fit_residuals), components below the weight cut left out.  If
+    every candidate is skipped, or a stacked LAPACK call fails,
+    AssumptionError (stage "stage1") is raised.
     Components with weight below 1e-10 of the largest are dropped (a zero
     tensor yields rank 0).
     """
@@ -131,7 +143,7 @@ def decompose(T: np.ndarray, k: int, seed: int = 0) -> CpDecomposition:
         raise AssumptionError(f"stage 1: the stacked candidate solve failed: {exc}",
                               stage="stage1") from None
     live = np.all(s > np.finfo(float).eps * max(d * d, k) * s[:, :1], axis=1)
-    factor, W, s, Vh = factor[live], W[live], s[live], Vh[live]
+    factor, G, W, s, Vh = factor[live], G[live], W[live], s[live], Vh[live]
     if not live.any():
         raise AssumptionError(f"rank deficiency: none of {CANDIDATES} candidates fits; "
                               "check full-rank assumption", stage="stage1")
@@ -141,7 +153,6 @@ def decompose(T: np.ndarray, k: int, seed: int = 0) -> CpDecomposition:
     mode1 = np.divide(B, weights[:, None, :], out=np.zeros_like(B),
                       where=weights[:, None, :] > 0)
     kept = weights * (weights >= RANK_TOL * weights.max(axis=1, keepdims=True))
-    fit = np.einsum("cr,car,cir,cjr->caij", kept, mode1, factor, factor)
-    best = int(np.argmin(np.linalg.norm((T - fit).reshape(len(B), -1), axis=1)))
+    best = int(np.argmin(_fit_residuals(unfolded, kept, mode1, G)))
     return CpDecomposition(*_finalize(weights[best], mode1[best], factor[best]),
                            failed=CANDIDATES - len(B))

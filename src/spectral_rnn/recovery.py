@@ -18,9 +18,13 @@ orthonormal basis of that span, and every fit, on the full-coordinate
 oracle moment too, projects its block onto the span of the rows it is
 given: a k^4-row least squares for k rows, never a d^4-row one.
 Projecting with orthonormal rows drops only what no design column can
-reach, so the fit is the same.  Both quadratic families run these two
-stages; the bidirectional model fits forward units from the backward shift
-and backward units from the forward shift.  Cubic units (scalar output only)
+reach, so the fit is the same.  The rows of one direction share their
+input rows, so the basis, the projection and the design's factored solve
+are built once per direction (_row_fit_plan); each row fit is then the
+projection of its block, one product with that solve and a k x k eigh.
+Both quadratic families run these two stages; the bidirectional model fits
+forward units from the backward shift and backward units from the forward
+shift.  Cubic units (scalar output only)
 read stage 1 off the symmetric third-order moment
 6 sum_k a2_k a_k (x) a_k (x) a_k with the same decomposition; they have no
 recurrence stage.  The linear model is handled in closed form from lagged
@@ -82,13 +86,14 @@ def _stage1_factors(
 def _output_map(A2: np.ndarray) -> np.ndarray:
     """M = pinv(A2^T), which maps the outputs to the units' activations
     (h = M y).  A2 must have rank k at pinv's relative cut, or the blocks of
-    dependent units mix."""
+    dependent units mix.  One SVD of A2^T gives both the rank and M, built
+    as np.linalg.pinv(A2.T, rcond=1e-10) builds it, so M has its bits."""
     k = A2.shape[0]
-    sv = np.linalg.svd(A2, compute_uv=False)
-    rank = int(np.sum(sv > 1e-10 * sv.max(initial=0.0)))
+    u, s, vt = np.linalg.svd(A2.T, full_matrices=False)
+    rank = int(np.sum(s > 1e-10 * s.max(initial=0.0)))
     if rank < k:
         raise AssumptionError(f"recurrence: A2 rank {rank} of {k}", stage="recurrence")
-    return np.linalg.pinv(A2.T, rcond=1e-10)
+    return vt.T @ ((1.0 / s)[:, None] * u.T)
 
 
 def _unit_blocks(T4: np.ndarray, A2: np.ndarray) -> np.ndarray:
@@ -112,7 +117,27 @@ def _design(rows: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (w * np.stack([a, b, s], axis=2)) @ np.stack([b, a, s], axis=1)
 
 
-def fit_recurrence_row(Q_k: np.ndarray, A1: np.ndarray) -> np.ndarray:
+def _row_fit_plan(rows: np.ndarray):
+    """The part of the recurrence fit that every row of one direction
+    shares, built once: (BB, p, q, solve).  B has orthonormal rows spanning
+    the input rows' (m = min(k, d) of them), BB = B(x)B projects a d^2 x d^2
+    block to B's coordinates, (p, q) are the pairs p <= q of the design's
+    columns (_design, on the rows in B's coordinates), and solve is the
+    design's minimum-norm least-squares solve, from one SVD with lstsq's
+    rank rule (singular values at most eps * max(shape) of the largest are
+    dropped), so a rank-deficient design gets lstsq's answer."""
+    B = np.linalg.qr(rows.T)[0].T
+    m, d = B.shape
+    BB = (B[:, None, :, None] * B[None, :, None, :]).reshape(m * m, d * d)
+    p, q = np.triu_indices(rows.shape[0])
+    G = _design(rows @ B.T, p, q).reshape(p.size, -1).T
+    W, s, Vh = np.linalg.svd(G, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(G.shape) * s.max(initial=0.0)
+    solve = (Vh[keep].T / s[keep]) @ W[:, keep].T
+    return BB, p, q, solve
+
+
+def fit_recurrence_row(Q_k: np.ndarray, A1: np.ndarray, plan=None) -> np.ndarray:
     """One recurrence row from its fourth-order block, given the input rows.
 
     The block is quadratic in the row u through H(u) = 2 sum_j u_j a_j a_j^T,
@@ -126,17 +151,20 @@ def fit_recurrence_row(Q_k: np.ndarray, A1: np.ndarray) -> np.ndarray:
     against the rows A1 B^T, a least squares of m^4 rows (B has m = min(k, d)
     rows) instead of d^4.  B(x)B has orthonormal rows, so the part of Q_k the
     design cannot reach drops out and the solution is the same.
+
+    plan is _row_fit_plan(A1), built here when not given: B, B(x)B and the
+    design's solve depend only on A1, so _recurrence_rows builds them once
+    per direction, and a row costs the projection, one product with the
+    solve and a k x k eigh.  A non-finite projected block is an
+    AssumptionError at stage "recurrence".
     """
-    B = np.linalg.qr(A1.T)[0].T
-    m, d = B.shape
-    BB = (B[:, None, :, None] * B[None, :, None, :]).reshape(m * m, d * d)  # B(x)B
-    rows = A1 @ B.T
-    k = rows.shape[0]
-    p, q = np.triu_indices(k)
-    c = np.linalg.lstsq(_design(rows, p, q).reshape(p.size, -1).T,
-                        (BB @ Q_k @ BB.T).ravel(), rcond=None)[0]
-    X = np.zeros((k, k))
-    X[p, q] = X[q, p] = c
+    BB, p, q, solve = _row_fit_plan(A1) if plan is None else plan
+    with np.errstate(all="ignore"):  # a non-finite block is reported below
+        block = (BB @ Q_k @ BB.T).ravel()
+    if not np.isfinite(block).all():
+        raise AssumptionError("recurrence: non-finite unit block", stage="recurrence")
+    X = np.zeros((A1.shape[0],) * 2)
+    X[p, q] = X[q, p] = solve @ block
     vals, vecs = np.linalg.eigh(X)
     i = int(np.argmax(np.abs(vals)))
     return np.sqrt(abs(vals[i])) * vecs[:, i]
@@ -146,11 +174,13 @@ def _recurrence_rows(Q: np.ndarray, A1: np.ndarray, units,
                      basis: np.ndarray | None = None) -> np.ndarray:
     """Recurrence rows of one direction from per-unit blocks Q (ordered as the
     stage-1 rows): the blocks of the direction's units (indices into Q,
-    ordered as the rows of A1) are each fit by least squares
-    (fit_recurrence_row).  basis, if given, has orthonormal rows spanning
-    those of A1, and Q is in its coordinates."""
+    ordered as the rows of A1) are each fit by least squares, one
+    fit_recurrence_row call per row on one shared _row_fit_plan.  basis, if
+    given, has orthonormal rows spanning those of A1, and Q is in its
+    coordinates."""
     rows = A1 if basis is None else A1 @ basis.T
-    return np.stack([fit_recurrence_row(Q[r], rows) for r in units])
+    plan = _row_fit_plan(rows)
+    return np.stack([fit_recurrence_row(Q[r], rows, plan) for r in units])
 
 
 def recover_quadratic(

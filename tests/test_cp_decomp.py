@@ -423,3 +423,76 @@ def test_decompose_bits_do_not_depend_on_the_memory_layout(seed):
         assert [getattr(cp, name).tobytes() for cp in fits[1:]] == [want, want], name
     residuals = {fits[0].residual(T) for T in (T2, np.ascontiguousarray(T2), np.asfortranarray(T2))}
     assert len(residuals) == 1
+
+
+def _einsum_residuals(T, weights, mode1, factor):
+    """||T - fit_c|| of each candidate with the fit rebuilt from its factors
+    by einsum, the scoring the designs replaced; kept as the reference."""
+    fit = np.einsum("cr,car,cir,cjr->caij", weights, mode1, factor, factor)
+    return np.linalg.norm((T - fit).reshape(len(fit), -1), axis=1)
+
+
+def _designs(factor):
+    """The stacked c x d^2 x k designs decompose forms from c x d x k factors."""
+    c, d, k = factor.shape
+    return (factor[:, :, None, :] * factor[:, None, :, :]).reshape(c, d * d, k)
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 8), st.integers(1, 6), st.integers(2, 6).flatmap(
+    lambda d: st.tuples(st.just(d), st.integers(1, d))), st.integers(0, 2**32 - 1))
+def test_candidate_residuals_match_the_einsum_reconstruction(c, d1, dk, seed):
+    """Scoring the candidates on their designs gives the residuals of the
+    einsum reconstruction to 1e-12 relative, weights cut to zero included."""
+    d, k = dk
+    rng = np.random.default_rng(seed)
+    factor = rng.standard_normal((c, d, k))
+    factor /= np.linalg.norm(factor, axis=1, keepdims=True)
+    mode1 = rng.standard_normal((c, d1, k))
+    mode1 /= np.linalg.norm(mode1, axis=1, keepdims=True)
+    weights = rng.uniform(0.5, 3.0, (c, k)) * (rng.random((c, k)) > 0.2)
+    T = (np.einsum("r,ar,ir,jr->aij", weights[0], mode1[0], factor[0], factor[0])
+         + 0.1 * rng.standard_normal((d1, d, d)))
+    got = cp_decomp._fit_residuals(np.asfortranarray(T.reshape(d1, -1)), weights, mode1,
+                                   _designs(factor))
+    want = _einsum_residuals(T, weights, mode1, factor)
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+def test_decompose_keeps_the_einsum_scored_candidate_on_simulated_t2(monkeypatch):
+    """On 20 simulated T2s (n = 2e4) decompose keeps the candidate that the
+    einsum reconstruction scores lowest, and every candidate's residual
+    matches that reconstruction's to 1e-12 relative.  The factors are read
+    back from the designs: column r of G_c is the vec of f f^T."""
+    calls, real = [], cp_decomp._fit_residuals
+
+    def spy(unfolded, weights, mode1, G):
+        out = real(unfolded, weights, mode1, G)
+        calls.append((weights, mode1, G, out))
+        return out
+
+    monkeypatch.setattr(cp_decomp, "_fit_residuals", spy)
+    compared = 0
+    for seed in range(20):
+        rng = np.random.default_rng(500 + seed)
+        d_x, d_h, d_y = 4 + seed % 3, 3, 5
+        params = RnnParams(A1=np.linalg.qr(rng.standard_normal((d_x, d_h)))[0].T,
+                           U=0.3 * np.linalg.qr(rng.standard_normal((d_h, d_h)))[0],
+                           A2=rng.standard_normal((d_h, d_y)), l=2)
+        spec = bounded_input_spec(d_x, 0.5, seed=seed)
+        data = rnn_forward(params, sample_markov_chain(spec, 20000, seed=seed))
+        T2 = cross_moment_s2(spec, data).value
+        calls.clear()
+        cp = decompose(T2, d_h, seed=seed)
+        ((weights, mode1, G, got),) = calls
+        F = G.transpose(0, 2, 1).reshape(len(G), d_h, d_x, d_x)
+        top = np.argmax(np.diagonal(F, axis1=2, axis2=3), axis=2)
+        pick = np.take_along_axis(F, top[:, :, None, None], axis=3)[..., 0]
+        factor = (pick / np.sqrt(np.take_along_axis(pick, top[:, :, None], axis=2))
+                  ).transpose(0, 2, 1)
+        want = _einsum_residuals(T2, weights, mode1, factor)
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+        assert np.argmin(got) == np.argmin(want)
+        assert cp.rank == d_h
+        compared += len(got) > 1
+    assert compared == 20

@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -249,6 +250,99 @@ def test_fit_recurrence_row_in_brnn_basis_shape():
     block = block + 0.01 * np.max(np.abs(block)) * _symmetric_noise(rng, 4)
     _assert_same_row(fit_recurrence_row(block, rows), _fit_recurrence_row_full(block, rows),
                      1e-10)
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 5).flatmap(lambda k: st.tuples(st.just(k), st.integers(k, 8))),
+       st.integers(0, 2 ** 32 - 1), st.floats(0.0, 0.05), st.sampled_from([0.0, 1.0, -1.0]))
+def test_row_fits_on_one_plan_match_the_full_coordinate_fit(kd, seed, noise, parallel):
+    """Every row of a direction fit on its one shared plan matches the
+    d^4-row lstsq fit of its own block; with parallel = +-1 the second row is
+    the first times parallel, which makes the design rank deficient, and the
+    plan's solve still gives lstsq's minimum-norm answer."""
+    k, d = kd
+    rng = np.random.default_rng(seed)
+    rows = _rows(rng, k, d, 0.1)
+    if parallel:
+        rows[1] = parallel * rows[0]
+    Q = np.stack([_planted_block(rng.uniform(0.2, 0.5) * rng.standard_normal(k) / np.sqrt(k),
+                                 rows) for _ in range(k)])
+    Q = Q + noise * np.max(np.abs(Q)) * np.stack([_symmetric_noise(rng, d) for _ in range(k)])
+    got = recovery._recurrence_rows(Q, rows, range(k))
+    for row, block in zip(got, Q):
+        _assert_same_row(row, _fit_recurrence_row_full(block, rows), 1e-10)
+
+
+def test_recurrence_rows_build_one_plan_and_fit_each_row(monkeypatch):
+    """A direction's shared fit work is built once (_row_fit_plan), and its
+    rows are still one fit_recurrence_row call each, reached through the
+    module attribute: one plan and d_h fits for the quadratic model, one
+    plan per direction for the BRNN."""
+    plans = _count_calls(monkeypatch, "_row_fit_plan", recovery._row_fit_plan, (recovery,))
+    fits = _count_calls(monkeypatch, "fit_recurrence_row", recovery.fit_recurrence_row,
+                        (recovery,))
+    params = _quad_model()
+    T2 = population_moment_oracle(params, "S2-order3")
+    T4 = population_moment_oracle(params, "S4-reshaped-order3", shift=-1)
+    est = recover_quadratic(T2, 3, T4=T4, seed=0)
+    assert (len(plans), len(fits)) == (1, 3)
+    assert align(est.A1, params.A1, est.A2, params.A2, est.U, params.U).u_error < 1e-10
+    plans.clear()
+    fits.clear()
+    brnn = _brnn_model(8, d_x=4, d_y=5)
+    T2 = population_moment_oracle(brnn, "S2-order3")
+    T4s = [population_moment_oracle(brnn, "S4-reshaped-order3", shift=s) for s in (-1, 1)]
+    recover_brnn(T2, 2, T4_back=T4s[0], T4_fwd=T4s[1], seed=0)
+    assert (len(plans), len(fits)) == (2, 4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_unit_block_fails_at_recurrence(bad):
+    """A non-finite block is an AssumptionError at stage recurrence, raised
+    before any numpy warning or eigh's LinAlgError, whether the fit is
+    called directly or reached from recover_quadratic's unmixed blocks."""
+    rng = np.random.default_rng(43)
+    rows = _rows(rng, 3, 5, 0.1)
+    block = _planted_block(np.array([0.3, -0.2, 0.1]), rows)
+    block[2, 7] = block[7, 2] = bad
+    params = _quad_model()
+    T2 = population_moment_oracle(params, "S2-order3")
+    T4 = population_moment_oracle(params, "S4-reshaped-order3", shift=-1)
+    T4[1, 3, 3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fit in (lambda: fit_recurrence_row(block, rows),
+                    lambda: recover_quadratic(T2, 3, T4=T4, seed=0)):
+            with pytest.raises(AssumptionError, match="non-finite unit block") as info:
+                fit()
+            assert info.value.stage == "recurrence"
+
+
+@pytest.mark.parametrize("k, d_y", [(1, 1), (2, 3), (3, 4), (4, 6), (5, 5)])
+def test_output_map_has_the_bits_of_pinv(k, d_y):
+    """One SVD of A2^T gives the rank check and M, bit for bit
+    np.linalg.pinv(A2.T, rcond=1e-10), for output rows of mixed scales."""
+    rng = np.random.default_rng(10 * k + d_y)
+    for _ in range(20):
+        A2 = rng.standard_normal((k, d_y)) * rng.uniform(0.05, 5.0, (k, 1))
+        assert np.array_equal(recovery._output_map(A2), np.linalg.pinv(A2.T, rcond=1e-10))
+
+
+@pytest.mark.parametrize("case", ["dependent", "zero row", "below the cut"])
+def test_output_map_rank_deficient_fails_at_recurrence(case):
+    """Output rows of rank below k at pinv's relative cut of 1e-10 fail at
+    stage recurrence: a dependent row, a zero row, or a row whose singular
+    direction is 1e-11 of the largest."""
+    A2 = np.random.default_rng(44).standard_normal((3, 5))
+    if case == "dependent":
+        A2[2] = A2[0] - 0.5 * A2[1]
+    elif case == "zero row":
+        A2[1] = 0.0
+    else:
+        A2[2] = A2[0] + 1e-11 * np.linalg.norm(A2[0]) * np.eye(5)[0]
+    with pytest.raises(AssumptionError, match="recurrence: A2 rank 2 of 3") as info:
+        recovery._output_map(A2)
+    assert info.value.stage == "recurrence"
 
 
 def test_recover_scalar_oracle():
