@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 config error, 3 numerical or assumption failure,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -41,6 +42,10 @@ EXIT_IO = 4
 
 # Commands that read an earlier run's artifacts and add to its record.
 _READERS = ("eval", "decompose")
+
+# mallopt(3) parameter numbers, from glibc's malloc.h.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
 
 
 class _Artifacts:
@@ -433,18 +438,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_heap() -> None:
+    """Makes glibc keep freed heap for the life of the process.
+
+    By default glibc hands the free top of each thread's heap back to the
+    kernel, so a sweep worker faults every cell's arrays in again.  Setting
+    both thresholds (either alone also ends glibc's dynamic thresholds)
+    serves blocks under 32 MiB from the heap and never trims it.  Off glibc
+    (no mallopt, or no C library to load) this does nothing.  The command
+    owns its process; the library sets no process-wide state.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # TypeError: Windows' CDLL needs a name
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
 def _resolve_workers(args) -> int:
     if args.workers is not None:
-        return max(1, args.workers)
-    env = os.environ.get("SPECTRAL_RNN_WORKERS")
-    if env:
+        workers, name = args.workers, "--workers"
+    else:
+        env = os.environ.get("SPECTRAL_RNN_WORKERS")
+        if not env:
+            if hasattr(os, "sched_getaffinity"):  # an affinity mask may leave fewer than the host's
+                return len(os.sched_getaffinity(0))
+            return os.cpu_count() or 1
+        name = "SPECTRAL_RNN_WORKERS"
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError as exc:
-            raise ConfigError(f"SPECTRAL_RNN_WORKERS: cannot parse {env!r}") from exc
-    if hasattr(os, "sched_getaffinity"):  # an affinity mask may leave fewer than the host's
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+            raise ConfigError(f"{name}: cannot parse {env!r}") from exc
+    if workers < 1:
+        raise ConfigError(f"{name}: a run needs at least 1 worker, got {workers}")
+    return workers
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -466,6 +494,7 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
+    _keep_freed_heap()
     args = _build_parser().parse_args(argv)
     try:
         config = _load_config(args)

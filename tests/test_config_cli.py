@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -649,20 +650,108 @@ def test_cli_score_check(tmp_path):
     assert (rec["relative_error"], rec["absolute"]) == (err, absolute)
 
 
+def _artifact_bytes(out_dir):
+    """Every file of a run directory, by name: its bytes."""
+    files = {}
+    for name in os.listdir(out_dir):
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            files[name] = fh.read()
+    return files
+
+
 def test_cli_sweep_deterministic_across_workers(tmp_path):
+    """sweep.csv, sweep_summary.json and the manifest's hashes are the same
+    bytes at any worker count.  Both runs write to one directory, because
+    the resolved config, and so its hash, names the output directory."""
     cfg = {"estimation.n_grid": "2000,8000", "estimation.seeds": "0,1"}
-    _, out_a = _run(tmp_path, "sweep", ("--workers", "1"), cfg, out="w1")
-    _, out_b = _run(tmp_path, "sweep", ("--workers", "4"), cfg, out="w4")
-    csv_a = open(os.path.join(out_a, "sweep.csv")).read()
-    csv_b = open(os.path.join(out_b, "sweep.csv")).read()
-    assert csv_a == csv_b
-    assert csv_a.splitlines()[0] == "n,seed,matrix,row,error"
+    runs = {}
+    for workers in ("1", "4"):
+        code, out = _run(tmp_path, "sweep", ("--workers", workers), cfg)
+        assert code == 0, workers
+        runs[workers] = _artifact_bytes(out)
+        shutil.rmtree(out)
+    one, four = runs["1"], runs["4"]
+    assert one.keys() == four.keys() >= {"sweep.csv", "sweep_summary.json", "manifest.json"}
+    assert one["sweep.csv"] == four["sweep.csv"]
+    assert one["sweep_summary.json"] == four["sweep_summary.json"]
+    files = json.loads(one["manifest.json"])["files"]
+    assert files == json.loads(four["manifest.json"])["files"]
+    assert files.keys() == one.keys() - {"manifest.json"}
+    assert one["sweep.csv"].decode().splitlines()[0] == "n,seed,matrix,row,error"
 
 
-def test_cli_workers_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv("SPECTRAL_RNN_WORKERS", "nope")
-    code, _ = _run(tmp_path, "generate", extra_cfg={"estimation.n": "50"})
+def test_cli_workers_env_var(tmp_path, capsys, monkeypatch):
+    """A variable that does not parse, or names fewer than one worker,
+    exits 2 by name."""
+    for value in ("nope", "0", "-3"):
+        monkeypatch.setenv("SPECTRAL_RNN_WORKERS", value)
+        code, _ = _run(tmp_path, "generate", extra_cfg={"estimation.n": "50"})
+        assert code == 2, value
+        assert _exit_record(capsys)["message"].startswith("SPECTRAL_RNN_WORKERS:"), value
+
+
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_cli_workers_below_one_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                  command, workers):
+    """No run can use fewer than one worker, so the flag exits 2 by name,
+    before anything is simulated, and wins over a valid variable."""
+    monkeypatch.setenv("SPECTRAL_RNN_WORKERS", "2")
+    monkeypatch.setattr(cli, "_simulate", None)
+    code, _ = _run(tmp_path, command, ("--workers", workers), {"estimation.n": "100"})
     assert code == 2
+    assert _exit_record(capsys)["message"].startswith("--workers:")
+
+
+class _FakeLibc:
+    """A C library whose mallopt records its calls and returns `status`."""
+
+    def __init__(self, status=1):
+        self.calls = []
+        self.status = status
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return self.status
+
+
+def test_cli_main_sets_the_heap_policy_before_the_handler(tmp_path, monkeypatch):
+    libc = _FakeLibc()
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+    seen = []
+
+    def handler(config, seed, art):
+        seen.extend(libc.calls)
+        return cli.EXIT_OK
+
+    monkeypatch.setattr(cli, "_cmd_generate", handler)
+    code, _ = _run(tmp_path, "generate", extra_cfg={"estimation.n": "50"})
+    assert code == 0
+    # mallopt(3): M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1
+    assert seen == [(-3, 32 << 20), (-1, 1 << 30)]
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [
+    lambda name: object(),           # a C library without mallopt
+    _no_c_library,                   # CDLL fails
+    lambda name: _FakeLibc(status=0),  # mallopt refuses the values
+], ids=["no-mallopt", "cdll-raises", "mallopt-fails"])
+def test_cli_heap_policy_failure_changes_nothing(tmp_path, monkeypatch, cdll):
+    """Where the policy cannot be set the command runs as it would have:
+    the same exit code and the same bytes in every file."""
+    cfg = {"estimation.n": "2000"}
+    code, out = _run(tmp_path, "train", extra_cfg=cfg)
+    assert code == 0
+    expected = _artifact_bytes(out)
+    shutil.rmtree(out)
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    code, out = _run(tmp_path, "train", extra_cfg=cfg)
+    assert code == 0
+    assert _artifact_bytes(out) == expected
 
 
 def test_cli_default_workers_follow_the_affinity_mask(monkeypatch):
