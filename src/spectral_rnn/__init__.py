@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .sequence_models import (AssumptionError, BrnnParams, MarkovChainSpec,
                               RnnParams, SequenceData, bounded_input_spec,
                               brnn_forward, rnn_forward, sample_markov_chain,
-                              scalar_output_forward, stationary_covariance)
+                              stationary_covariance)
 from .score import centered_scores, precision_matrix, stein_check
 from .moments import (MomentTensor, cross_moment, cross_moment_s2,
                       cross_moment_s4_reshaped, population_moment_oracle)
@@ -25,4 +25,18 @@ from .diagnostics import (RecoveryReport, SweepResult, align,
                           concentration_bound, lipschitz_bound, sample_sweep)
 from .config import ConfigError, ExperimentConfig, parse_config
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = (
+    "AssumptionError", "BrnnParams", "MarkovChainSpec", "RnnParams", "SequenceData",
+    "bounded_input_spec", "brnn_forward", "rnn_forward", "sample_markov_chain",
+    "stationary_covariance",
+    "centered_scores", "precision_matrix", "stein_check",
+    "MomentTensor", "cross_moment", "cross_moment_s2", "cross_moment_s4_reshaped",
+    "population_moment_oracle",
+    "CpDecomposition", "decompose",
+    "BrnnEstimate", "RnnEstimate", "quadratic_moments", "recover_brnn", "recover_linear",
+    "recover_quadratic", "recover_scalar", "train_brnn", "train_linear", "train_quadratic",
+    "train_scalar",
+    "RecoveryReport", "SweepResult", "align", "concentration_bound", "lipschitz_bound",
+    "sample_sweep",
+    "ConfigError", "ExperimentConfig", "parse_config",
+)

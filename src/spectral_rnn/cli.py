@@ -32,8 +32,7 @@ from .recovery import (BrnnEstimate, _stage1_factors, quadratic_moments,
 from .score import QuadraticTest, stein_check
 from .sequence_models import (AssumptionError, BrnnParams, MarkovChainSpec,
                               RnnParams, bounded_input_spec, brnn_forward,
-                              rnn_forward, sample_markov_chain,
-                              scalar_output_forward)
+                              rnn_forward, sample_markov_chain)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -171,7 +170,7 @@ def _simulate(config: ExperimentConfig, seed: int, family: str = "rnn"):
     make, forward = {
         "rnn": (_make_rnn, rnn_forward),
         "brnn": (_make_brnn, brnn_forward),
-        "scalar": (lambda c, s: _make_rnn(c, s, d_y=1), scalar_output_forward),
+        "scalar": (lambda c, s: _make_rnn(c, s, d_y=1), rnn_forward),
     }[family]
     spec_seed, chain_seed, model_seed = _child_seeds(seed, 3)
     spec = _input_spec(config, spec_seed)
@@ -246,8 +245,8 @@ def _cmd_moments(config, seed, art):
     spanning the stage-1 input rows."""
     _check_degree(config, "moments")
     spec, _, data = _simulate(config, seed)
-    T2, _, _, basis, Q = quadratic_moments(data, spec, config.d_h,
-                                           burn_in=config["estimation.burn_in"], seed=seed)
+    T2, _, basis, Q = quadratic_moments(data, spec, config.d_h,
+                                        burn_in=config["estimation.burn_in"], seed=seed)
     art.write_array("t2", T2)
     art.write_array("t4", Q)
     art.write_array("t4_basis", basis)
@@ -258,11 +257,19 @@ def _cmd_moments(config, seed, art):
 def _cmd_decompose(config, seed, art):
     """Stage 1 of train on a moments run's T2, with the same rank check; its
     cp_report.json gives the kept candidate's residual against T2 and how
-    many candidates failed."""
+    many candidates failed.  A t2 that is not d_y x d x d is a corrupt
+    artifact (an I/O error, as a malformed SPT1 file is), and model.d_h
+    above d a config error."""
     path = os.path.join(art.out_dir, "t2.spt1")
     if not os.path.exists(path):
         raise FileNotFoundError(f"expected moment tensor at {path}; run the moments subcommand first")
     T2 = spt1.read_tensor(path)
+    if T2.ndim != 3 or T2.shape[1] != T2.shape[2]:
+        raise OSError(f"{path}: not a quadratic moment: shape {T2.shape}, expected "
+                      "order 3 with equal trailing modes")
+    if config.d_h > T2.shape[1]:
+        raise ConfigError(f"model.d_h: decompose fits {config.d_h} components, but {path} "
+                          f"has trailing modes of size {T2.shape[1]}")
     cp = _stage1_factors(T2, config.d_h, seed)[2]
     art.write_array("cp_weights", cp.weights.reshape(1, -1))
     art.write_array("cp_mode1", cp.mode1)

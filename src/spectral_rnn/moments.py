@@ -48,9 +48,7 @@ _ROW_ALIGN, _ROW_PAD = 64, (4096, 8)
 @dataclass(frozen=True)
 class MomentTensor:
     value: np.ndarray
-    kind: str        # "S{m}-order{m + 1}", or "S4-reshaped-order3"
     n_used: int
-    shift: int | tuple[int, ...] = 0  # a tuple: value stacks one block per shift
 
 
 def _aligned_slices(n: int, shift: int, burn_in: int) -> tuple[slice, slice]:
@@ -278,22 +276,19 @@ def cross_moment(
             total *= coeff
             val += total
         vals.append(val)
-    stacked = np.ndim(shift) > 0
-    return MomentTensor(value=np.concatenate(vals) if stacked else vals[0],
-                        kind=f"S{m}-order{m + 1}", n_used=min(N for N, _ in parts),
-                        shift=shifts if stacked else shift)
+    return MomentTensor(value=np.concatenate(vals) if np.ndim(shift) > 0 else vals[0],
+                        n_used=min(N for N, _ in parts))
 
 
 def cross_moment_s2(
     spec: MarkovChainSpec,
     data: SequenceData,
-    shift: int = 0,
     burn_in: int = DEFAULT_BURN_IN,
     *,
     scores: np.ndarray | None = None,
 ) -> MomentTensor:
-    """cross_moment at m = 2: E[y_t (x) S_2(t + shift)], d_y x d_x x d_x."""
-    return cross_moment(spec, data, 2, shift, burn_in, scores=scores)
+    """cross_moment at m = 2 and shift 0: E[y_t (x) S_2(t)], d_y x d_x x d_x."""
+    return cross_moment(spec, data, 2, 0, burn_in, scores=scores)
 
 
 def cross_moment_s4_reshaped(
@@ -310,8 +305,7 @@ def cross_moment_s4_reshaped(
     score indices (1,2) and mode 3 flattens (3,4), both row-major."""
     T = cross_moment(spec, data, 4, shift, burn_in, scores=scores, basis=basis)
     d = T.value.shape[1]
-    return MomentTensor(value=T.value.reshape(-1, d * d, d * d), kind="S4-reshaped-order3",
-                        n_used=T.n_used, shift=T.shift)
+    return MomentTensor(value=T.value.reshape(-1, d * d, d * d), n_used=T.n_used)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +328,8 @@ def population_moment_oracle(
                           +1 (backward recurrence); the relevant output block
                           is a quartic with constant fourth derivative
                           2 * pair-symmetrization of H_k = 2 sum_j R_kj r_j r_j^T.
-      "S3-order4-scalar"  cubic units, scalar output; 6 sum_k a2_k a_k^(x)3.
+      "S3-order4"         cubic units; 6 sum_k A2[k] (x) a_k (x) a_k (x) a_k
+                          (d_y x d_x^3; a scalar output reads [0]).
       "S1-matrix"         linear units at lag -shift: A2^T U^(-shift) A1.
     """
     if kind == "S2-order3":
@@ -374,12 +369,6 @@ def population_moment_oracle(
             raise ValueError("third-order oracle needs cubic forward units")
         return 6.0 * np.einsum("ka,ki,kj,kl->aijl", params.A2,
                                params.A1, params.A1, params.A1)
-
-    if kind == "S3-order4-scalar":
-        if not isinstance(params, RnnParams) or params.l < 3:
-            raise ValueError("third-order oracle needs cubic forward units")
-        a2 = params.A2[:, 0]
-        return 6.0 * np.einsum("k,ki,kj,kl->ijl", a2, params.A1, params.A1, params.A1)
 
     if kind == "S1-matrix":
         if not isinstance(params, RnnParams) or params.l != 1:

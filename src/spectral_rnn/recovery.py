@@ -3,8 +3,10 @@
 Stage 1 decomposes the second-order cross-moment
     T2 = 2 sum_k A2[k] (x) a_k (x) a_k
 to read off the input rows a_k (unit norm by convention) and the output rows
-A2[k] with their scale.  Stage 2 always fits the recurrence, row by row by
-least squares (fit_recurrence_row), from the per-unit blocks of a shifted
+A2[k] with their scale.  It decomposes in one place, _stage1_factors: the
+data pipelines reach it through recover_quadratic and recover_brnn, and the
+decompose command calls it.  Stage 2 always fits the recurrence, row by row
+by least squares (fit_recurrence_row), from the per-unit blocks of a shifted
 reshaped fourth-order cross-moment, pair-symmetrizations of
 H_k = 2 sum_j U_kj a_j a_j^T.  A2 has full row rank, so M = pinv(A2^T)
 maps the outputs to the units (h = M y): the data pipelines take the moment
@@ -68,15 +70,12 @@ def _check_rank(cp: CpDecomposition, k: int) -> None:
                               stage="stage1")
 
 
-def _stage1_factors(
-    T2: np.ndarray, k: int, seed: int, cp: CpDecomposition | None = None,
-) -> tuple[np.ndarray, np.ndarray, CpDecomposition]:
-    """Input rows (unit) and output rows with scale from the quadratic moment.
-
-    cp, if given, is decompose(T2, k=k, seed=seed), already computed.
-    """
-    if cp is None:
-        cp = decompose(T2, k=k, seed=seed)
+def _stage1_factors(T2: np.ndarray, k: int, seed: int
+                    ) -> tuple[np.ndarray, np.ndarray, CpDecomposition]:
+    """Input rows (unit) and output rows with scale from the quadratic
+    moment, and the decomposition cp = decompose(T2, k=k, seed=seed) they
+    are read from: the one place stage 1 decomposes."""
+    cp = decompose(T2, k=k, seed=seed)
     _check_rank(cp, k)
     A1 = cp.factor.T                      # k x d_x, unit rows
     A2 = (cp.mode1 * (cp.weights / 2.0)).T  # k x d_y
@@ -188,21 +187,17 @@ def recover_quadratic(
     d_h: int,
     T4: np.ndarray | None = None,
     seed: int = 0,
-    *,
-    stage1: CpDecomposition | None = None,
-    basis: np.ndarray | None = None,
 ) -> RnnEstimate:
     """Recover quadratic-unit model parameters from score cross-moments.
 
-    T4, if given, is a mixed reshaped fourth-order moment (d_y rows), unmixed
-    against all stage-1 output rows A2 once (_unit_blocks), then fit as in
-    _recurrence_rows; with basis, T4 is cross_moment_s4_reshaped(...,
-    basis=basis).  Row signs are indeterminate.  stage1, if given, is
-    decompose(T2, k=d_h, seed=seed) computed earlier; it is used instead of
-    decomposing again.
+    Stage 1 is decompose(T2, k=d_h, seed=seed) (_stage1_factors).  T4, if
+    given, is a mixed reshaped fourth-order moment (d_y rows) in the input
+    coordinates, unmixed against all stage-1 output rows A2 once
+    (_unit_blocks), then fit as in _recurrence_rows; without it U is None.
+    Row signs are indeterminate.
     """
-    A1, A2, _ = _stage1_factors(T2, d_h, seed, stage1)
-    U = None if T4 is None else _recurrence_rows(_unit_blocks(T4, A2), A1, range(d_h), basis)
+    A1, A2, _ = _stage1_factors(T2, d_h, seed)
+    U = None if T4 is None else _recurrence_rows(_unit_blocks(T4, A2), A1, range(d_h))
     return RnnEstimate(A1=A1, A2=A2, U=U)
 
 
@@ -227,25 +222,21 @@ def recover_brnn(
     T4_back: np.ndarray | None = None,
     T4_fwd: np.ndarray | None = None,
     seed: int = 0,
-    *,
-    stage1: CpDecomposition | None = None,
-    basis: np.ndarray | None = None,
 ) -> BrnnEstimate:
-    """Recover a bidirectional quadratic model from mixed moments (d_y rows).
+    """Recover a bidirectional quadratic model from mixed moments (d_y rows,
+    input coordinates).
 
-    Stage 1 yields all 2*d_h direction rows jointly, in weight order.  Each
-    given shift is unmixed once (_unit_blocks) and _split_brnn reads the
-    directions and their recurrences off the unit blocks; a shift not given
-    leaves its recurrence None, and with neither the rows stay in weight
-    order.  stage1, if given, is decompose(T2, k=2 * d_h, seed=seed), used
-    instead of decomposing again.  basis, spanning all 2*d_h rows, is as in
-    recover_quadratic.
+    Stage 1, decompose(T2, k=2 * d_h, seed=seed), yields all 2*d_h direction
+    rows jointly, in weight order.  Each given shift is unmixed once
+    (_unit_blocks) and _split_brnn reads the directions and their
+    recurrences off the unit blocks; a shift not given leaves its recurrence
+    None, and with neither the rows stay in weight order.
     """
     if T2.shape[0] < 2 * d_h:
         raise ValueError("output dimension insufficient for BRNN identifiability")
-    C, A2, _ = _stage1_factors(T2, 2 * d_h, seed, stage1)
+    C, A2, _ = _stage1_factors(T2, 2 * d_h, seed)
     Q_back, Q_fwd = (None if T4 is None else _unit_blocks(T4, A2) for T4 in (T4_back, T4_fwd))
-    return _split_brnn(C, A2, Q_back, Q_fwd, basis)
+    return _split_brnn(C, A2, Q_back, Q_fwd)
 
 
 def _split_brnn(C, A2, Q_back, Q_fwd, basis=None) -> BrnnEstimate:
@@ -294,15 +285,14 @@ def recover_linear(
 # ---------------------------------------------------------------------------
 
 
-def _second_moment(data, spec, k, burn_in, seed):
-    """(scores, T2, stage1) of a dataset: its centered scores, the quadratic
-    moment and stage1 = decompose(T2, k=k, seed=seed), for k units in all."""
+def _second_moment(data, spec, burn_in):
+    """(scores, T2) of a dataset: its centered scores and the quadratic
+    moment, which stage 1 decomposes."""
     from .moments import cross_moment_s2
     from .score import centered_scores
 
     s = centered_scores(spec, data.x)
-    T2 = cross_moment_s2(spec, data, burn_in=burn_in, scores=s).value
-    return s, T2, decompose(T2, k=k, seed=seed)
+    return s, cross_moment_s2(spec, data, burn_in=burn_in, scores=s).value
 
 
 def _moments(data, spec, C, A2, shift, burn_in, scores):
@@ -330,21 +320,20 @@ def _moments(data, spec, C, A2, shift, burn_in, scores):
 
 
 def quadratic_moments(data, spec, d_h, burn_in=10, seed=0):
-    """(T2, stage1, est, basis, Q), the front half of train_quadratic: the
-    quadratic moment T2, stage1 = decompose(T2, k=d_h, seed=seed), the
-    stage-1 estimate est (recover_quadratic, U None), and the shift -1
-    unit-output moment Q of _moments, d_h x d_h^2 x d_h^2 in the coordinates
-    of basis, orthonormal rows spanning est.A1's."""
-    s, T2, cp = _second_moment(data, spec, d_h, burn_in, seed)
-    est = recover_quadratic(T2, d_h, seed=seed, stage1=cp)
+    """(T2, est, basis, Q), the front half of train_quadratic: the quadratic
+    moment T2, the stage-1 estimate est (recover_quadratic on T2 alone, U
+    None), and the shift -1 unit-output moment Q of _moments, d_h x d_h^2 x
+    d_h^2 in the coordinates of basis, orthonormal rows spanning est.A1's."""
+    s, T2 = _second_moment(data, spec, burn_in)
+    est = recover_quadratic(T2, d_h, seed=seed)
     basis, Q = _moments(data, spec, est.A1, est.A2, -1, burn_in, s)
-    return T2, cp, est, basis, Q[-1]
+    return T2, est, basis, Q[-1]
 
 
 def train_quadratic(data, spec, d_h, burn_in=10, seed=0) -> RnnEstimate:
     """Quadratic pipeline from a sequence: quadratic_moments, then the
     recurrence rows fit on its unit blocks (_recurrence_rows)."""
-    _, _, est, basis, Q = quadratic_moments(data, spec, d_h, burn_in, seed)
+    _, est, basis, Q = quadratic_moments(data, spec, d_h, burn_in, seed)
     est.U = _recurrence_rows(Q, est.A1, range(d_h), basis)
     return est
 
@@ -353,8 +342,8 @@ def train_brnn(data, spec, d_h, burn_in=10, seed=0) -> BrnnEstimate:
     """Bidirectional pipeline: stage 1 (recover_brnn on T2 alone, rows in
     weight order), then the unit blocks of both shifts from one _moments
     pass, split and fit by _split_brnn."""
-    s, T2, cp = _second_moment(data, spec, 2 * d_h, burn_in, seed)
-    first = recover_brnn(T2, d_h, seed=seed, stage1=cp)
+    s, T2 = _second_moment(data, spec, burn_in)
+    first = recover_brnn(T2, d_h, seed=seed)
     C = np.vstack([first.A1, first.B1])
     basis, Q = _moments(data, spec, C, first.A2, (-1, +1), burn_in, s)
     return _split_brnn(C, first.A2, Q[-1], Q[+1], basis)

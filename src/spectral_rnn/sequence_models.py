@@ -1,9 +1,10 @@
 """Ground-truth data generation.
 
 Linear-Gaussian first-order Markov input chains, and forward simulation of
-input-output RNNs (``h_t = (A1 x_t + U h_{t-1})^l`` elementwise, ``y_t = A2^T h_t``),
-bidirectional RNNs, and the scalar-output variant.  Everything is a pure
-function of (parameters, seed).
+input-output RNNs (``h_t = (A1 x_t + U h_{t-1})^l`` elementwise, ``y_t = A2^T h_t``)
+and bidirectional RNNs.  Everything is a pure function of (parameters,
+seed).  A forward pass returns the observed sequence (x, y) only, which is
+all an estimator reads; the hidden states are ``_unroll``'s.
 
 All simulation runs through two kernels:
 
@@ -23,8 +24,7 @@ All simulation runs through two kernels:
   Every state comes from one step function with a fixed order of
   elementwise multiply-adds, so the result equals its sequential loop
   (``_unroll(..., chunks=1)``) bit for bit, for any chunking.
-  ``rnn_forward``, ``scalar_output_forward`` and both directions of
-  ``brnn_forward`` all call it.
+  ``rnn_forward`` and both directions of ``brnn_forward`` call it.
 """
 
 from __future__ import annotations
@@ -134,10 +134,8 @@ class BrnnParams:
 
 @dataclass
 class SequenceData:
-    x: np.ndarray            # d_x x n
-    y: np.ndarray            # d_y x n
-    h: Optional[np.ndarray] = None  # hidden trajectory, for oracles only
-    z: Optional[np.ndarray] = None  # backward trajectory (BRNN)
+    x: np.ndarray  # d_x x n
+    y: np.ndarray  # d_y x n
 
     def __post_init__(self):
         if self.x.shape[1] != self.y.shape[1]:
@@ -438,22 +436,15 @@ def _unroll(A1: np.ndarray, U: np.ndarray, l: int, x: np.ndarray,
     return H
 
 
-def rnn_forward(
-    params: RnnParams,
-    x: np.ndarray,
-    h0: Optional[np.ndarray] = None,
-) -> SequenceData:
-    """Run the forward recursion; keeps the hidden trajectory for oracles.
+def rnn_forward(params: RnnParams, x: np.ndarray) -> SequenceData:
+    """Run the forward recursion from h_0 = 0 and return the observed (x, y).
 
     Raises on non-finite states, which signals violated norm assumptions.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[0] != params.d_x:
         raise ValueError(f"input dim {x.shape[0]} != d_x {params.d_x}")
-    if h0 is not None and np.shape(h0) != (params.d_h,):
-        raise ValueError(f"h0 shape {np.shape(h0)} != ({params.d_h},)")
-    h = _unroll(params.A1, params.U, params.l, x, h0).T
-    return SequenceData(x=x, y=params.A2.T @ h, h=h)
+    return SequenceData(x=x, y=params.A2.T @ _unroll(params.A1, params.U, params.l, x).T)
 
 
 def brnn_forward(params: BrnnParams, x: np.ndarray) -> SequenceData:
@@ -466,14 +457,4 @@ def brnn_forward(params: BrnnParams, x: np.ndarray) -> SequenceData:
         raise ValueError(f"input dim {x.shape[0]} != d_x {params.d_x}")
     h = _unroll(params.A1, params.U, params.l, x).T
     z = _unroll(params.B1, params.V, params.l, x, backward=True).T
-    y = params.A2.T @ np.vstack([h, z])
-    return SequenceData(x=x, y=y, h=h, z=z)
-
-
-def scalar_output_forward(params: RnnParams, x: np.ndarray, h0: Optional[np.ndarray] = None) -> SequenceData:
-    """Scalar-output variant; identifiable only for activation order l >= 3."""
-    if params.l < 3:
-        raise ValueError("scalar output requires l >= 3")
-    if params.d_y != 1:
-        raise ValueError("scalar output requires d_y = 1")
-    return rnn_forward(params, x, h0=h0)
+    return SequenceData(x=x, y=params.A2.T @ np.vstack([h, z]))

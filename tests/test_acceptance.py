@@ -23,10 +23,9 @@ from spectral_rnn.recovery import (recover_brnn, recover_linear,
                                    train_quadratic, train_scalar)
 from spectral_rnn.score import QuadraticTest, stein_check
 from spectral_rnn.sequence_models import (BrnnParams, MarkovChainSpec,
-                                          RnnParams, bounded_input_spec,
-                                          brnn_forward, rnn_forward,
-                                          sample_markov_chain,
-                                          scalar_output_forward)
+                                          RnnParams, _unroll,
+                                          bounded_input_spec, brnn_forward,
+                                          rnn_forward, sample_markov_chain)
 
 
 def _verdict(number, ok, detail):
@@ -231,7 +230,7 @@ def test_criterion_8_scalar_cubic():
     params = RnnParams(A1=a, U=np.zeros((1, 1)), A2=[[0.8]], l=3)
     spec = bounded_input_spec(3, 0.5, seed=0)
     x = sample_markov_chain(spec, 500_000, seed=15)
-    data = scalar_output_forward(params, x)
+    data = rnn_forward(params, x)
     est = train_scalar(data, spec, 1)
     cos = (est.A1 @ a.T)[0, 0] / np.linalg.norm(est.A1)
     direction = 1.0 - abs(cos)
@@ -239,7 +238,7 @@ def test_criterion_8_scalar_cubic():
     unit = RnnParams(A1=[[1.0]], U=[[0.0]], A2=[[1.0]], l=3)
     iid = MarkovChainSpec(W=np.zeros((1, 1)), sigma=1.0)
     xg = sample_markov_chain(iid, 400_000, seed=1)
-    weight = cross_moment(iid, scalar_output_forward(unit, xg), 3).value.ravel()[0]
+    weight = cross_moment(iid, rnn_forward(unit, xg), 3).value.ravel()[0]
 
     with pytest.raises(ValueError, match=r"^train_scalar fits cubic units \(l = 3\), got 2$"):
         train_scalar(data, spec, 1, l=2)
@@ -279,7 +278,7 @@ def test_criterion_10_invariants():
     data = rnn_forward(params, x)
     sign_ok = np.array_equal(data.y, rnn_forward(flipped, x).y)
 
-    bounded = bool(np.all(np.linalg.norm(data.h, axis=0) <= 1.0))
+    bounded = bool(np.all(np.linalg.norm(_unroll(A1, U, 2, x), axis=1) <= 1.0))
 
     n = 250
     lb = lipschitz_bound(params, s2_norm=1.5, gamma=2.0, n=n)

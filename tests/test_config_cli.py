@@ -347,6 +347,39 @@ def test_cli_decompose_rank_deficiency_exit_code(tmp_path, capsys):
     assert not (out / "cp_weights.spt1").exists()
 
 
+def test_cli_decompose_more_components_than_t2_has_is_a_config_error(tmp_path, capsys):
+    """A t2 with trailing modes of size 4 cannot give model.d_h = 6
+    components: a config error naming model.d_h, not a traceback."""
+    cfg = {"model.d_x": "4", "model.d_h": "2", "model.d_y": "3", "estimation.n": "20000"}
+    code, out = _run(tmp_path, "moments", extra_cfg=cfg)
+    assert code == 0
+    code, _ = _run(tmp_path, "decompose",
+                   extra_cfg={**cfg, "model.d_x": "8", "model.d_h": "6"})
+    assert code == 2
+    path = os.path.join(out, "t2.spt1")
+    assert _exit_record(capsys) == {
+        "error": "config",
+        "message": f"model.d_h: decompose fits 6 components, but {path} has trailing "
+                   "modes of size 4"}
+    assert not os.path.exists(os.path.join(out, "cp_weights.spt1"))
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 5), (4, 4), (2, 3, 3, 3)])
+def test_cli_decompose_t2_of_the_wrong_shape_exit_code(tmp_path, capsys, shape):
+    """A well-formed SPT1 file that is not d_y x d x d is a corrupt
+    artifact: exit 4, as a malformed file is."""
+    out = tmp_path / "out"
+    out.mkdir()
+    spt1.write_tensor(out / "t2.spt1", np.ones(shape))
+    code, _ = _run(tmp_path, "decompose", extra_cfg={"estimation.n": "100"})
+    assert code == 4
+    record = _exit_record(capsys)
+    assert record["error"] == "io"
+    assert record["message"].endswith(f"not a quadratic moment: shape {shape}, expected "
+                                      "order 3 with equal trailing modes")
+    assert not (out / "cp_weights.spt1").exists()
+
+
 def test_cli_moments_then_decompose(tmp_path):
     cfg = {"estimation.n": "20000", "model.d_h": "2", "model.d_y": "3"}
     code, out = _run(tmp_path, "moments", extra_cfg=cfg)

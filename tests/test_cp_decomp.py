@@ -247,7 +247,7 @@ def test_planted_cubic_oracle_property(shape, signs):
     A1 = _unit_columns(rng, d, k).T
     a2 = np.array(signs[:k]) * w
     T3 = population_moment_oracle(RnnParams(A1=A1, U=np.zeros((k, k)), A2=a2[:, None], l=3),
-                                  "S3-order4-scalar")
+                                  "S3-order4")[0]
     est = recover_scalar(T3, k, seed=seed % 1000)
     rebuilt = 6.0 * np.einsum("r,ri,rj,rk->ijk", est.A2[:, 0], est.A1, est.A1, est.A1)
     assert np.linalg.norm(rebuilt - T3) / np.linalg.norm(T3) < 1e-10

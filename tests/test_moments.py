@@ -19,8 +19,7 @@ from spectral_rnn.moments import (_MOMENT_BLOCK, DEFAULT_BURN_IN, _moment_means,
 from spectral_rnn.score import centered_scores, precision_matrix
 from spectral_rnn.sequence_models import (BrnnParams, RnnParams, SequenceData,
                                           bounded_input_spec, brnn_forward,
-                                          rnn_forward, sample_markov_chain,
-                                          scalar_output_forward)
+                                          rnn_forward, sample_markov_chain)
 
 
 def _quad_params(seed=0, d_x=4, d_h=2, d_y=3, u_scale=0.3):
@@ -114,7 +113,7 @@ def test_empirical_s2_matches_oracle():
     oracle = population_moment_oracle(params, "S2-order3")
     rel = np.linalg.norm(m.value - oracle) / np.linalg.norm(oracle)
     assert rel < 0.05
-    assert m.kind == "S2-order3"
+    assert m.value.shape == (3, 4, 4)
     assert m.n_used <= data.n
 
 
@@ -138,7 +137,7 @@ def test_empirical_s4_matches_oracle():
     oracle = population_moment_oracle(params, "S4-reshaped-order3", shift=-1)
     rel = np.linalg.norm(m.value - oracle) / np.linalg.norm(oracle)
     assert rel < 0.8  # high-variance statistic; recovery projects it down
-    assert m.shift == -1
+    assert m.value.shape == (1, 4, 4)
 
 
 def test_s4_noise_floor_decays_with_n():
@@ -162,9 +161,9 @@ def test_empirical_s3_matches_oracle():
     params = RnnParams(A1=a, U=np.zeros((1, 1)), A2=[[0.7]], l=3)
     spec = bounded_input_spec(3, 0.5, seed=18)
     x = sample_markov_chain(spec, 200000, seed=19)
-    data = scalar_output_forward(params, x)
+    data = rnn_forward(params, x)
     m = cross_moment(spec, data, 3)
-    oracle = population_moment_oracle(params, "S3-order4-scalar")
+    oracle = population_moment_oracle(params, "S3-order4")[0]
     rel = np.linalg.norm(m.value[0] - oracle) / np.linalg.norm(oracle)
     assert rel < 0.2
 
@@ -196,7 +195,7 @@ def test_lagged_s1_moments_empirical():
     x = sample_markov_chain(spec, 150000, seed=22)
     data = rnn_forward(params, x)
     lags = cross_moment(spec, data, 1, shift=(0, -1, -2))
-    assert lags.shift == (0, -1, -2)
+    assert lags.value.shape == (3, 1)
     for k, want in enumerate([0.5, 0.25, 0.125]):
         assert abs(lags.value[k, 0] - want) < 0.05
         # one pass shared by the lags gives each lag's own bits
@@ -215,6 +214,16 @@ def test_baseline_subtraction_changes_nothing_in_expectation():
     oracle = population_moment_oracle(params, "S4-reshaped-order3", shift=-1)
     rel = np.linalg.norm(m.value - oracle) / np.linalg.norm(oracle)
     assert rel < 0.8
+
+
+def test_s3_oracle_rejects_a_quartic_unit():
+    """The third-order moment of a quartic unit a^(x)4 is 24 E[a.x] a^(x)3 = 0,
+    not 6 a^(x)3: the oracle reads cubic units only."""
+    quartic = RnnParams(A1=[[1.0, 0.0]], U=[[0.0]], A2=[[1.0]], l=4)
+    with pytest.raises(ValueError, match="cubic"):
+        population_moment_oracle(quartic, "S3-order4")
+    with pytest.raises(ValueError, match="unknown moment kind"):
+        population_moment_oracle(quartic, "S3-order4-scalar")
 
 
 def test_oracle_rejects_unknown_kind():
@@ -400,11 +409,11 @@ def test_stacked_shifts_equal_single_shift_calls(d_x, d_h, d_y, n, burn_in, bloc
         stacked = cross_moment_s4_reshaped(spec, data, shift=tuple(shifts), **kwargs)
         single = [cross_moment_s4_reshaped(spec, data, shift=shift, **kwargs)
                   for shift in shifts]
-    assert stacked.shift == tuple(shifts)
+    assert stacked.value.shape[0] == len(shifts) * d_y
     assert stacked.n_used == min(m.n_used for m in single)
     blocks = np.split(stacked.value, len(shifts))
     for shift, got, want in zip(shifts, blocks, single):
-        assert want.shift == shift and want.n_used == n - 2 - burn_in - abs(shift)
+        assert want.n_used == n - 2 - burn_in - abs(shift)
         assert np.array_equal(got, want.value), shift
 
 

@@ -21,8 +21,7 @@ from spectral_rnn.recovery import (fit_recurrence_row, quadratic_moments,
                                    train_scalar)
 from spectral_rnn.sequence_models import (AssumptionError, BrnnParams, RnnParams,
                                           SequenceData, bounded_input_spec, brnn_forward,
-                                          rnn_forward, sample_markov_chain,
-                                          scalar_output_forward)
+                                          rnn_forward, sample_markov_chain)
 
 
 def _quad_model(seed=5, d_x=6, d_h=3, d_y=4, u_scale=0.3):
@@ -91,7 +90,7 @@ def test_stage1_never_returns_fewer_rows_than_asked():
         recover_quadratic(T2, 3, seed=0)
     assert info.value.stage == "stage1"
     cubic = RnnParams(A1=params.A1, U=np.zeros((3, 3)), A2=[[1.0], [0.0], [0.7]], l=3)
-    T3 = population_moment_oracle(cubic, "S3-order4-scalar")
+    T3 = population_moment_oracle(cubic, "S3-order4")[0]
     with pytest.raises(AssumptionError, match="rank deficiency"):
         recover_scalar(T3, 3, seed=0)
 
@@ -350,7 +349,7 @@ def test_recover_scalar_oracle():
     a = rng.standard_normal((1, 3))
     a /= np.linalg.norm(a)
     params = RnnParams(A1=a, U=np.zeros((1, 1)), A2=[[0.8]], l=3)
-    T3 = population_moment_oracle(params, "S3-order4-scalar")
+    T3 = population_moment_oracle(params, "S3-order4")[0]
     est = recover_scalar(T3, 1, seed=0)
     cos = (est.A1 @ a.T)[0, 0] / np.linalg.norm(est.A1)
     assert 1.0 - abs(cos) < 1e-12
@@ -513,7 +512,7 @@ def test_train_scalar_from_data():
     params = RnnParams(A1=a, U=np.zeros((1, 1)), A2=[[0.8]], l=3)
     spec = bounded_input_spec(3, 0.5, seed=0)
     x = sample_markov_chain(spec, 200000, seed=15)
-    data = scalar_output_forward(params, x)
+    data = rnn_forward(params, x)
     est = train_scalar(data, spec, 1)
     cos = (est.A1 @ a.T)[0, 0] / np.linalg.norm(est.A1)
     assert 1.0 - abs(cos) < 1e-2
@@ -662,20 +661,20 @@ def test_train_brnn_equals_recover_brnn_bitwise():
 
 
 def test_quadratic_moments_match_train_quadratic_bitwise():
-    """quadratic_moments is the front half of train_quadratic: T2, its
-    stage-1 decomposition and estimate, and the unit-output moment at shift
-    -1 in the basis of the stage-1 input rows, each equal bit for bit to the
-    same step taken by hand; fitting the rows on them gives train's U."""
+    """quadratic_moments is the front half of train_quadratic: T2, the
+    stage-1 estimate read off decompose(T2, k, seed), and the unit-output
+    moment at shift -1 in the basis of the stage-1 input rows, each equal
+    bit for bit to the same step taken by hand; fitting the rows on them
+    gives train's U."""
     params = _quad_model(seed=26, d_x=4, d_h=2, d_y=3)
     spec = bounded_input_spec(4, 0.5, seed=27)
     data = rnn_forward(params, sample_markov_chain(spec, 20000, seed=28))
-    T2, stage1, first, basis, Q = quadratic_moments(data, spec, 2, seed=5)
+    T2, first, basis, Q = quadratic_moments(data, spec, 2, seed=5)
     assert np.array_equal(T2, cross_moment_s2(spec, data).value)
-    ref = cp_decomp.decompose(T2, k=2, seed=5)
-    for name in ("weights", "mode1", "factor"):
-        assert np.array_equal(getattr(stage1, name), getattr(ref, name)), name
+    cp = cp_decomp.decompose(T2, 2, 5)
     assert first.U is None
-    assert np.array_equal(first.A1, stage1.factor.T)
+    assert np.array_equal(first.A1, cp.factor.T)
+    assert np.array_equal(first.A2, (cp.mode1 * (cp.weights / 2.0)).T)
     by_hand, [Q_ref] = _unit_moment_by_hand(spec, data, first.A1, first.A2, (-1,))
     assert Q.shape == (2, 4, 4)
     assert np.array_equal(basis, by_hand) and np.array_equal(Q, Q_ref)
@@ -705,22 +704,22 @@ def test_train_recurrence_in_span_matches_full_moment():
     spec = bounded_input_spec(6, 0.5, seed=33)
     data = rnn_forward(params, sample_markov_chain(spec, 30000, seed=34))
     est = train_quadratic(data, spec, 3, seed=7)
-    T2, stage1, first, _, _ = quadratic_moments(data, spec, 3, seed=7)
+    T2, first, _, _ = quadratic_moments(data, spec, 3, seed=7)
     [T4] = _mixed_moment_by_hand(spec, data, first.A1, first.A2, (-1,))
     assert T4.shape == (4, 36, 36)
-    ref = recover_quadratic(T2, 3, T4=T4, seed=7, stage1=stage1)
+    ref = recover_quadratic(T2, 3, T4=T4, seed=7)
     assert np.array_equal(est.A1, ref.A1) and np.array_equal(est.A2, ref.A2)
     _assert_rel_close(est.U, ref.U)
 
     bparams = _brnn_model(35, d_x=6)
     data = brnn_forward(bparams, sample_markov_chain(spec, 30000, seed=36))
     est = train_brnn(data, spec, 2, seed=8)
-    _, T2, stage1 = recovery._second_moment(data, spec, 4, 10, 8)
-    first = recover_brnn(T2, 2, seed=8, stage1=stage1)
+    _, T2 = recovery._second_moment(data, spec, 10)
+    first = recover_brnn(T2, 2, seed=8)
     T4b, T4f = _mixed_moment_by_hand(spec, data, np.vstack([first.A1, first.B1]),
                                      first.A2, (-1, 1))
     assert T4b.shape == (5, 36, 36)
-    ref = recover_brnn(T2, 2, T4_back=T4b, T4_fwd=T4f, seed=8, stage1=stage1)
+    ref = recover_brnn(T2, 2, T4_back=T4b, T4_fwd=T4f, seed=8)
     for name in ("A1", "B1", "A2"):
         assert np.array_equal(getattr(est, name), getattr(ref, name)), name
     _assert_rel_close(est.U, ref.U)
@@ -743,7 +742,7 @@ def test_training_path_takes_moment_in_span(monkeypatch, family):
 
     def wrapped(*args, **kwargs):
         result = cross_moment_s4_reshaped(*args, **kwargs)
-        shapes.append((result.shift, result.value.shape))
+        shapes.append((kwargs["shift"], result.value.shape))
         return result
 
     monkeypatch.setattr(moments, "cross_moment_s4_reshaped", wrapped)
@@ -777,11 +776,11 @@ def test_brnn_split_in_span_pins_a_swapped_dataset():
     est = train_brnn(data, spec, 2, seed=212)
     assert align(est.A1, params.A1).max_error < 0.25
     assert align(est.B1, params.B1).max_error < 0.35
-    _, T2, stage1 = recovery._second_moment(data, spec, 4, 10, 212)
-    first = recover_brnn(T2, 2, seed=212, stage1=stage1)
+    _, T2 = recovery._second_moment(data, spec, 10)
+    first = recover_brnn(T2, 2, seed=212)
     T4b, T4f = _mixed_moment_by_hand(spec, data, np.vstack([first.A1, first.B1]),
                                      first.A2, (-1, 1))
-    full = recover_brnn(T2, 2, T4_back=T4b, T4_fwd=T4f, seed=212, stage1=stage1)
+    full = recover_brnn(T2, 2, T4_back=T4b, T4_fwd=T4f, seed=212)
     assert align(full.A1, params.A1).max_error < 0.25
 
 
@@ -815,18 +814,22 @@ def test_train_quadratic_reads_quad_e2e_chain_14():
 def _mixed_assembly(data, spec, d_h, brnn, burn_in, seed):
     """The estimate of the mixed assembly: stage 1 from T2, then the d_y-row
     moment of the outputs minus the baseline A2^T (C x)^2 in the basis of the
-    stage-1 rows, unmixed and fit by recover_*."""
+    stage-1 rows, unmixed (_unit_blocks) and fit by the fits recover_* run
+    (_recurrence_rows, or _split_brnn), in that basis."""
     T2 = cross_moment_s2(spec, data, burn_in=burn_in).value
     if not brnn:
-        first = recover_quadratic(T2, d_h, seed=seed)
-        basis = _row_basis(first.A1)
-        [T4] = _mixed_moment_by_hand(spec, data, first.A1, first.A2, (-1,), burn_in, basis)
-        return recover_quadratic(T2, d_h, T4=T4, seed=seed, basis=basis)
+        est = recover_quadratic(T2, d_h, seed=seed)
+        basis = _row_basis(est.A1)
+        [T4] = _mixed_moment_by_hand(spec, data, est.A1, est.A2, (-1,), burn_in, basis)
+        est.U = recovery._recurrence_rows(recovery._unit_blocks(T4, est.A2), est.A1,
+                                          range(d_h), basis)
+        return est
     first = recover_brnn(T2, d_h, seed=seed)
     C = np.vstack([first.A1, first.B1])
     basis = _row_basis(C)
     T4b, T4f = _mixed_moment_by_hand(spec, data, C, first.A2, (-1, 1), burn_in, basis)
-    return recover_brnn(T2, d_h, T4_back=T4b, T4_fwd=T4f, seed=seed, basis=basis)
+    return recovery._split_brnn(C, first.A2, recovery._unit_blocks(T4b, first.A2),
+                                recovery._unit_blocks(T4f, first.A2), basis)
 
 
 @settings(max_examples=12)

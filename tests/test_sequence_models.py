@@ -1,10 +1,12 @@
 """Input chain simulation and forward maps of the sequence models."""
 
+import inspect
 import os
 import subprocess
 import sys
 import time
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ from spectral_rnn.sequence_models import (_CHUNKS, _SCAN_BLOCK, _SCAN_CHUNK,
                                           _unroll,
                                           bounded_input_spec, brnn_forward,
                                           rnn_forward, sample_markov_chain,
-                                          scalar_output_forward,
                                           stationary_covariance)
 
 
@@ -268,6 +269,34 @@ def test_import_loads_no_scipy():
     assert out.stdout.splitlines()[-1] == "[]"
 
 
+# The package's API, pinned: a name added to or dropped from it fails here,
+# so the change is made on purpose.
+PACKAGE_API = (
+    "AssumptionError", "BrnnParams", "MarkovChainSpec", "RnnParams", "SequenceData",
+    "bounded_input_spec", "brnn_forward", "rnn_forward", "sample_markov_chain",
+    "stationary_covariance",
+    "centered_scores", "precision_matrix", "stein_check",
+    "MomentTensor", "cross_moment", "cross_moment_s2", "cross_moment_s4_reshaped",
+    "population_moment_oracle",
+    "CpDecomposition", "decompose",
+    "BrnnEstimate", "RnnEstimate", "quadratic_moments", "recover_brnn", "recover_linear",
+    "recover_quadratic", "recover_scalar", "train_brnn", "train_linear", "train_quadratic",
+    "train_scalar",
+    "RecoveryReport", "SweepResult", "align", "concentration_bound", "lipschitz_bound",
+    "sample_sweep",
+    "ConfigError", "ExperimentConfig", "parse_config",
+)
+
+
+def test_star_import_gives_the_api_and_no_modules():
+    assert spectral_rnn.__all__ == PACKAGE_API
+    namespace = {}
+    exec("from spectral_rnn import *", namespace)
+    exported = sorted(name for name in namespace if name != "__builtins__")
+    assert exported == sorted(PACKAGE_API)
+    assert not any(inspect.ismodule(namespace[name]) for name in exported)
+
+
 def test_bounded_input_spec_norm():
     spec = bounded_input_spec(4, 0.5, seed=1)
     assert abs(np.linalg.norm(spec.W, 2) - 0.5) < 1e-12
@@ -285,10 +314,10 @@ def test_rnn_forward_hand_example():
     params = RnnParams(A1=[[0.5]], U=[[0.5]], A2=[[1.0]], l=2)
     x = np.array([[1.0, 1.0, 0.0]])
     data = rnn_forward(params, x)
-    assert np.allclose(data.h[0, :2], [0.25, 0.390625])
-    assert np.allclose(data.y, data.h)
-    with pytest.raises(ValueError, match="h0 shape"):
-        rnn_forward(params, x, h0=0.5)
+    h = _unroll(params.A1, params.U, params.l, x).T
+    assert np.allclose(h[0, :2], [0.25, 0.390625])
+    assert np.array_equal(data.y, h)
+    assert [f.name for f in fields(data)] == ["x", "y"]  # the states are not kept
 
 
 def test_rnn_forward_matches_loop():
@@ -300,10 +329,11 @@ def test_rnn_forward_matches_loop():
     spec = bounded_input_spec(5, 0.5, seed=3)
     x = sample_markov_chain(spec, 50, seed=4)
     data = rnn_forward(params, x)
+    states = _unroll(A1, U, 2, x)
     h = np.zeros(2)
     for t in range(x.shape[1]):
         h = (A1 @ x[:, t] + U @ h) ** 2
-        assert np.allclose(data.h[:, t], h)
+        assert np.allclose(states[t], h)
         assert np.allclose(data.y[:, t], A2.T @ h)
 
 
@@ -353,11 +383,11 @@ def test_forward_kernel_matches_loop_across_chunks(l):
         h[:, t] = hp
         zp = (B1 @ x[:, n - 1 - t] + V @ zp) ** l
         z[:, n - 1 - t] = zp
-    data = rnn_forward(RnnParams(A1=A1, U=U, A2=A2[:2], l=l), x, h0=h0)
-    np.testing.assert_allclose(data.h, h, rtol=0, atol=1e-12 * np.max(np.abs(h)))
-    bdata = brnn_forward(BrnnParams(A1=A1, B1=B1, U=U, V=V, A2=A2, l=l), x)
-    np.testing.assert_allclose(bdata.z, z, rtol=0, atol=1e-12 * np.max(np.abs(z)))
-    assert data.h.shape == bdata.z.shape == (2, n)
+    got_h = _unroll(A1, U, l, x, h0).T
+    np.testing.assert_allclose(got_h, h, rtol=0, atol=1e-12 * np.max(np.abs(h)))
+    got_z = _unroll(B1, V, l, x, backward=True).T
+    np.testing.assert_allclose(got_z, z, rtol=0, atol=1e-12 * np.max(np.abs(z)))
+    assert got_h.shape == got_z.shape == (2, n)
 
 
 def _kernel_model(d_x, d_h, u_scale, seed):
@@ -572,6 +602,7 @@ def test_brnn_forward_matches_loop():
     spec = bounded_input_spec(4, 0.5, seed=6)
     x = sample_markov_chain(spec, 40, seed=7)
     data = brnn_forward(params, x)
+    states = (_unroll(A1, U, 2, x).T, _unroll(B1, V, 2, x, backward=True).T)
     n = x.shape[1]
     h = np.zeros((2, n))
     z = np.zeros((2, n))
@@ -583,22 +614,17 @@ def test_brnn_forward_matches_loop():
     for t in range(n - 1, -1, -1):
         zp = (B1 @ x[:, t] + V @ zp) ** 2
         z[:, t] = zp
-    assert np.allclose(data.h, h)
-    assert np.allclose(data.z, z)
+    assert np.allclose(states[0], h)
+    assert np.allclose(states[1], z)
     assert np.allclose(data.y, A2.T @ np.vstack([h, z]))
+    assert np.array_equal(data.y, A2.T @ np.vstack(states))
 
 
 def test_scalar_output_hand_example():
     # l = 3, A1 = 0.5, no recurrence, x = 1: y = (0.5)^3 = 0.125
     params = RnnParams(A1=[[0.5]], U=[[0.0]], A2=[[1.0]], l=3)
-    data = scalar_output_forward(params, np.array([[1.0, 0.0, 0.0]]), None)
+    data = rnn_forward(params, np.array([[1.0, 0.0, 0.0]]))
     assert np.allclose(data.y[0, 0], 0.125)
-
-
-def test_scalar_output_rejects_low_degree():
-    params = RnnParams(A1=[[0.5]], U=[[0.0]], A2=[[1.0]], l=2)
-    with pytest.raises(ValueError, match="scalar output requires l >= 3"):
-        scalar_output_forward(params, np.ones((1, 5)), None)
 
 
 def test_sign_symmetry_forward_invariance():
