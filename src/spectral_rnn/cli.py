@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, spt1
 from .config import ConfigError, ExperimentConfig, config_hash, from_items, parse_config, serialize
-from .diagnostics import align, sample_sweep
+from .diagnostics import _assignment, align, sample_sweep
 from .recovery import (BrnnEstimate, _stage1_factors, quadratic_moments,
                        train_brnn, train_linear, train_quadratic, train_scalar)
 from .score import QuadraticTest, stein_check
@@ -140,10 +140,9 @@ def _rotation(d: int, rng: np.random.Generator) -> np.ndarray:
     return np.linalg.qr(rng.standard_normal((d, d)))[0]
 
 
-def _make_rnn(config: ExperimentConfig, seed: int, d_y: int | None = None) -> RnnParams:
+def _make_rnn(config: ExperimentConfig, seed: int) -> RnnParams:
     rng = np.random.default_rng(seed)
-    d_x, d_h = config.d_x, config.d_h
-    d_y = config.d_y if d_y is None else d_y
+    d_x, d_h, d_y = config.d_x, config.d_h, config.d_y
     rows = np.linalg.qr(rng.standard_normal((d_x, d_h)))[0].T  # orthonormal rows
     A1 = config["model.a1_scale"] * rows
     U = config["model.u_scale"] * _rotation(d_h, rng)
@@ -166,12 +165,8 @@ def _make_brnn(config: ExperimentConfig, seed: int) -> BrnnParams:
 
 
 def _simulate(config: ExperimentConfig, seed: int, family: str = "rnn"):
-    """(input spec, true parameters, simulated data) of one run of a family."""
-    make, forward = {
-        "rnn": (_make_rnn, rnn_forward),
-        "brnn": (_make_brnn, brnn_forward),
-        "scalar": (lambda c, s: _make_rnn(c, s, d_y=1), rnn_forward),
-    }[family]
+    """(input spec, true parameters, simulated data): a BRNN for "brnn", else an RNN."""
+    make, forward = (_make_brnn, brnn_forward) if family == "brnn" else (_make_rnn, rnn_forward)
     spec_seed, chain_seed, model_seed = _child_seeds(seed, 3)
     spec = _input_spec(config, spec_seed)
     params = make(config, model_seed)
@@ -212,13 +207,10 @@ def _check_degree(config: ExperimentConfig, command: str, l: int = 2,
 
 def _cmd_generate(config, seed, art):
     spec, params, data = _simulate(config, seed)
-    art.write_array("x", data.x)
-    art.write_array("y", data.y)
-    art.write_array("a1_true", params.A1)
-    art.write_array("u_true", params.U)
-    art.write_array("a2_true", params.A2)
-    art.write_array("input_w", spec.W)
-    art.write_array("input_sigma", np.array([[spec.sigma]]))
+    for name, arr in (("x", data.x), ("y", data.y), ("a1_true", params.A1), ("u_true", params.U),
+                      ("a2_true", params.A2), ("input_w", spec.W),
+                      ("input_sigma", np.array([[spec.sigma]]))):
+        art.write_array(name, arr)
     print(f"generated n={data.n} sequence to {art.out_dir}")
     return EXIT_OK
 
@@ -244,6 +236,8 @@ def _cmd_moments(config, seed, art):
     (d_h x d_h^2 x d_h^2) in the coordinates of t4_basis, orthonormal rows
     spanning the stage-1 input rows."""
     _check_degree(config, "moments")
+    if config["output.format"] != "spt1":
+        raise ConfigError("output.format: moments writes order-3 tensors, which csv flattens")
     spec, _, data = _simulate(config, seed)
     T2, _, basis, Q = quadratic_moments(data, spec, config.d_h,
                                         burn_in=config["estimation.burn_in"], seed=seed)
@@ -282,30 +276,40 @@ def _cmd_decompose(config, seed, art):
 
 def _fit(config, seed, command, family="rnn"):
     """(estimate, truth) of one run of a family: the degree and shape checks,
-    the simulation, the family's train_* on it, and the true model in the
-    estimates' convention of unit input rows (_unit_input_rows)."""
+    the simulation, the family's train_* on it (seeded, unless it draws
+    nothing), and the true model with unit input rows (_unit_input_rows)."""
     estimator, l, units = {
         "rnn": (train_quadratic, 2, "quadratic"),
         "brnn": (train_brnn, 2, "quadratic"),
         "scalar": (train_scalar, 3, "cubic"),
+        "linear": (train_linear, 1, "linear"),
     }[family]
     _check_degree(config, command, l, units)
     if family == "brnn" and min(config.d_x, config.d_y) < 2 * config.d_h:
         raise ConfigError(f"model.d_h: {command} fits 2 * model.d_h = {2 * config.d_h} rows, "
                           f"so needs model.d_x and model.d_y >= {2 * config.d_h}, got "
                           f"model.d_x={config.d_x} and model.d_y={config.d_y}")
+    if family == "scalar" and config.d_y != 1:
+        raise ConfigError(f"model.d_y: {command} fits a scalar output, got model.d_y={config.d_y}")
+    if family == "linear" and config.d_y < config.d_h:
+        raise ConfigError(f"model.d_y: {command} realizes model.d_h = {config.d_h} units from "
+                          f"C0 = A2^T A1 of rank <= model.d_y, got model.d_y={config.d_y}")
     spec, params, data = _simulate(config, seed, family)
-    est = estimator(data, spec, config.d_h, burn_in=config["estimation.burn_in"], seed=seed)
+    est = estimator(data, spec, config.d_h, burn_in=config["estimation.burn_in"],
+                    **({} if family == "linear" else {"seed": seed}))
     return est, _unit_input_rows(params)
 
 
 def _report(est, truth, degree):
     """(pairs, report) of a fit: each written name's (estimate, truth), and
-    report.json's aligned errors.  A bidirectional fit aligns the stacked
+    report.json's errors.  A bidirectional fit aligns the stacked
     input rows [A1; B1] jointly, which cannot see a swapped forward/backward
     split, and each direction with its output rows and recurrence, so a
     large gap between the joint and the per-direction errors means the
-    split failed."""
+    split failed.  A linear fit, fixed only up to a similarity, is scored on
+    its invariants: the Markov parameters C_j = A2^T U^j A1, j < 3 (largest
+    error relative to ||C_0||, as C_j is 0 at U = 0), and eig(U) matched by
+    _assignment."""
     if isinstance(est, BrnnEstimate):
         d = est.A1.shape[0]
         pairs = {"c": (np.vstack([est.A1, est.B1]), np.vstack([truth.A1, truth.B1])),
@@ -317,43 +321,35 @@ def _report(est, truth, degree):
                        "forward_max_error": forward.max_error,
                        "backward_max_error": backward.max_error,
                        "u_error": forward.u_error, "v_error": backward.u_error}
+    pairs = {"a1": (est.A1, truth.A1), "a2": (est.A2, truth.A2), "u": (est.U, truth.U)}
+    if degree == 1:
+        C, C_true = ([m.A2.T @ np.linalg.matrix_power(m.U, j) @ m.A1 for j in range(3)]
+                     for m in (est, truth))
+        gap = np.abs(np.linalg.eigvals(truth.U)[:, None] - np.linalg.eigvals(est.U))
+        return pairs, {"markov_error": max(np.linalg.norm(c - t) for c, t in zip(C, C_true))
+                       / np.linalg.norm(C_true[0]),
+                       "u_eig_error": gap[np.arange(len(gap)), _assignment(gap)].max()}
     aligned = align(est.A1, truth.A1, est.A2, truth.A2, est.U, truth.U, degree=degree)
-    pairs = {"a1": (est.A1, truth.A1), "a2": (est.A2, truth.A2)}
     report = {"max_error": aligned.max_error, "median_error": aligned.median_error}
-    if est.U is not None:
-        pairs["u"] = (est.U, truth.U)
+    if est.U is None:
+        del pairs["u"]
+    else:
         report.update(a1_row_errors=aligned.per_row_errors["A1"].tolist(),
                       u_error=aligned.u_error)
     return pairs, report
 
 
 def _cmd_fit(config, seed, art, command, family):
-    """train, train-brnn and train-scalar: _fit, then each estimate and its
-    truth as <name>_hat and <name>_true, and report.json (_report)."""
+    """The train commands: _fit, then each estimate and its truth as
+    <name>_hat and <name>_true, and report.json (_report)."""
     est, truth = _fit(config, seed, command, family)
     pairs, report = _report(est, truth, config.l)
     for name, (hat, true) in pairs.items():
         art.write_array(f"{name}_hat", hat)
         art.write_array(f"{name}_true", true)
     art.write_json("report.json", report)
-    print(f"{command}: max aligned row error {report['max_error']:.4g}")
-    return EXIT_OK
-
-
-def _cmd_train_linear(config, seed, art):
-    """Linear model.  The lagged blocks A2^T U^k A1 identify A2 and U only
-    given A1, so the true A1 is passed in as declared side information."""
-    _check_degree(config, "train-linear", 1, "linear")
-    spec, params, data = _simulate(config, seed)
-    est = train_linear(data, spec, A1_known=params.A1,
-                       burn_in=config["estimation.burn_in"])
-    art.write_array("a2_hat", est.A2)
-    art.write_array("u_hat", est.U)
-    art.write_array("a2_true", params.A2)
-    art.write_array("u_true", params.U)
-    err = float(np.linalg.norm(est.A2 - params.A2))
-    art.write_json("report.json", {"a2_error": err})
-    print(f"train-linear: A2 error {err:.4g}")
+    key = "markov_error" if config.l == 1 else "max_error"
+    print(f"{command}: {key} {report[key]:.4g}")
     return EXIT_OK
 
 
@@ -370,21 +366,27 @@ def _cmd_eval(config, seed, art):
     """Aligns a train run's estimates against the truth it wrote, which is
     already in the unit-input-row convention, as the run's report.json
     aligns them: A1, and A2 and U where written, or for a train-brnn run the
-    stacked input rows c_hat (its joint error).  A train-linear run writes
-    no input rows, so there is nothing to align."""
+    stacked input rows c_hat (its joint error), in the sign group of the
+    model.l in the run's config.resolved.  A linear run is fixed only up to
+    a similarity: no rows to align."""
+    path = os.path.join(art.out_dir, "config.resolved")
+    try:  # a missing file raises OSError itself
+        degree = parse_config(path).l
+    except ValueError as exc:
+        raise OSError(f"{path}: not a resolved config ({exc})") from exc
+    if degree == 1:
+        raise OSError(f"nothing to align in a linear run (model.l = 1); its errors are in "
+                      f"{os.path.join(art.out_dir, 'report.json')}")
     if _read_pair(art, "c_hat") is not None:
         names = ("c_hat", "c_true")
     else:
         names = ("a1_hat", "a1_true", "a2_hat", "a2_true", "u_hat", "u_true")
     rows_hat, rows_true, *rest = (_read_pair(art, name) for name in names)
     if rows_hat is None:
-        if _read_pair(art, "a2_hat") is not None:
-            raise FileNotFoundError(f"nothing to align in {art.out_dir}: train-linear "
-                                    "writes no input rows (a1_hat)")
         raise FileNotFoundError(f"no estimate found in {art.out_dir}; run a train subcommand first")
     if rows_true is None:
         raise ConfigError("ground truth required for alignment")
-    report = align(rows_hat, rows_true, *rest, degree=config.l)
+    report = align(rows_hat, rows_true, *rest, degree=degree)
     art.write_json("eval.json", {
         "max_error": report.max_error,
         "median_error": report.median_error,
@@ -511,8 +513,8 @@ def main(argv=None) -> int:
             raise ConfigError(f"--seed: seeds must be nonnegative, got {seed}")
         art = _Artifacts(config["output.dir"], config["output.format"])
         prior = art.prior_record() if args.command in _READERS else None
-        art.write_text("config.resolved" if prior is None else f"{args.command}.config.resolved",
-                       serialize(config))
+        art.write_text(f"{args.command}.config.resolved" if args.command in _READERS
+                       else "config.resolved", serialize(config))
         handlers = {
             "generate": _cmd_generate,
             "score-check": _cmd_score_check,
@@ -521,7 +523,7 @@ def main(argv=None) -> int:
             "train": lambda *a: _cmd_fit(*a, "train", "rnn"),
             "train-brnn": lambda *a: _cmd_fit(*a, "train-brnn", "brnn"),
             "train-scalar": lambda *a: _cmd_fit(*a, "train-scalar", "scalar"),
-            "train-linear": _cmd_train_linear,
+            "train-linear": lambda *a: _cmd_fit(*a, "train-linear", "linear"),
             "eval": _cmd_eval,
             "sweep": lambda *a: _cmd_sweep(*a, workers),
         }

@@ -88,13 +88,14 @@ def _monomials(d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=None)
 def _suffix_plan(d: int, orders: tuple[int, ...]):
     """(mono, offsets, steps) of the kernel's workspace: rows of the scores,
-    the pairs and each higher order that orders need (m needs m - 2), each in
+    the pairs unless every order is 1 (each higher order is built from
+    them), and each higher order that orders need (m needs m - 2), each in
     _monomials(d, m) order from row offsets[m] (offsets[0]: the row count).
     Step (head, tail, dest) sets rows dest to row head times rows tail, a
     suffix: the order-(m - h) monomials from the head's last index on.
     Cached, so it is read-only."""
-    mono = {m: _monomials(d, m)
-            for m in sorted({1, 2}.union(*(range(2 - m % 2, m + 1, 2) for m in orders)))}
+    mono = {m: _monomials(d, m) for m in sorted(
+        {1, min(2, max(orders))}.union(*(range(2 - m % 2, m + 1, 2) for m in orders)))}
     for arrays in mono.values():
         for a in arrays:
             a.flags.writeable = False

@@ -29,8 +29,8 @@ forward units from the backward shift and backward units from the forward
 shift.  Cubic units (scalar output only)
 read stage 1 off the symmetric third-order moment
 6 sum_k a2_k a_k (x) a_k (x) a_k with the same decomposition; they have no
-recurrence stage.  The linear model is handled in closed form from lagged
-first-order blocks, given its input map.
+recurrence stage.  The linear model is realized in closed form from its
+lagged first-order blocks (recover_linear), up to a similarity.
 
 Row signs of even-degree units are not identifiable (flipping an input row
 together with its recurrence row leaves the unit invariant), so recovered rows
@@ -262,22 +262,21 @@ def _split_brnn(C, A2, Q_back, Q_fwd, basis=None) -> BrnnEstimate:
     return BrnnEstimate(A1=A1, B1=B1, A2=np.vstack([A2[fwd], A2[bwd]]), U=U, V=V)
 
 
-def recover_linear(
-    C0: np.ndarray,
-    C1: np.ndarray | None = None,
-    A1_known: np.ndarray | None = None,
-) -> RnnEstimate:
-    """Recover a linear model from lagged first-order blocks C_k = A2^T U^k A1.
-
-    Without a known A1 the factors are not separable (any invertible mixing
-    between A2 and A1 fits), so only the blocks themselves are identified; in
-    that case A1 is reported as the identity and the blocks fold into A2, U.
-    """
-    A1 = np.eye(C0.shape[1]) if A1_known is None else A1_known
-    A1_inv = np.linalg.pinv(A1, rcond=1e-10)
-    A2t = C0 @ A1_inv
-    U = None if C1 is None else np.linalg.pinv(A2t, rcond=1e-10) @ C1 @ A1_inv
-    return RnnEstimate(A1=A1, A2=A2t.T, U=U)
+def recover_linear(C0: np.ndarray, C1: np.ndarray, d_h: int) -> RnnEstimate:
+    """Realize a linear model from its lagged blocks C_k = A2^T U^k A1, the
+    Markov parameters, which fix it only up to a similarity T (T A1,
+    T U T^-1, T^-T A2).  With C0's top-d_h SVD P S Q^T: A2^T = P S^1/2,
+    A1 = S^1/2 Q^T and U = pinv(A2^T) C1 pinv(A1) = S^-1/2 P^T C1 Q S^-1/2.
+    A C0 of rank below d_h at a 1e-10 relative cut is an AssumptionError at
+    stage "realization"; a non-finite one fails the SVD (LinAlgError)."""
+    P, s, Qt = np.linalg.svd(C0, full_matrices=False)
+    rank = int(np.sum(s > 1e-10 * s.max(initial=0.0)))
+    if rank < d_h:
+        raise AssumptionError(f"realization: C0 rank {rank} of {d_h}", stage="realization")
+    P, s, Qt = P[:, :d_h], s[:d_h], Qt[:d_h]
+    root = np.sqrt(s)
+    return RnnEstimate(A1=root[:, None] * Qt, A2=(P * root).T,
+                       U=(P.T @ C1 @ Qt.T) / np.sqrt(np.outer(s, s)))
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +361,11 @@ def train_scalar(data, spec, d_h, l=3, burn_in=10, seed=0) -> RnnEstimate:
     return recover_scalar(T3, d_h, seed=seed)
 
 
-def train_linear(data, spec, A1_known=None, burn_in=10) -> RnnEstimate:
-    """Linear pipeline from the lagged blocks C_k = A2^T U^k A1, the first-order
-    moments at shifts 0 and -1 from one stacked cross_moment call.
-
-    The blocks identify A2 and U only given the input map, so A1_known is
-    declared side information; without it see recover_linear.
-    """
+def train_linear(data, spec, d_h, burn_in=10) -> RnnEstimate:
+    """Linear pipeline: recover_linear on the lagged blocks C_0 and C_1, the
+    first-order moments at shifts 0 and -1 from one stacked cross_moment
+    call."""
     from .moments import cross_moment
 
     C0, C1 = np.split(cross_moment(spec, data, 1, shift=(0, -1), burn_in=burn_in).value, 2)
-    return recover_linear(C0, C1, A1_known=A1_known)
+    return recover_linear(C0, C1, d_h)

@@ -248,15 +248,18 @@ def test_criterion_8_scalar_cubic():
 
 
 def test_criterion_9_linear_case():
-    est = recover_linear(np.array([[0.5]]), np.array([[0.25]]),
-                         A1_known=np.array([[0.5]]))
-    exact = (est.A2[0, 0] == 1.0 and est.U[0, 0] == 0.5)
+    """The linear model is fixed by its blocks only up to a similarity, so
+    the criterion reads its invariants: the Markov parameter C0 = A2 A1 and
+    the eigenvalue of U, which for one unit is U itself."""
+    est = recover_linear(np.array([[0.5]]), np.array([[0.25]]), 1)
+    # sqrt(0.5)^2 rounds to one ulp above 0.5; U = 0.25 / sqrt(0.5 * 0.5) is exact
+    exact = abs(est.A2[0, 0] * est.A1[0, 0] - 0.5) <= 1e-15 and est.U[0, 0] == 0.5
 
     spec = bounded_input_spec(1, 0.5, seed=3)
     params = RnnParams(A1=[[0.5]], U=[[0.5]], A2=[[1.0]], l=1)
     x = sample_markov_chain(spec, 100_000, seed=4)
     data = rnn_forward(params, x)
-    est = train_linear(data, spec, A1_known=params.A1)
+    est = train_linear(data, spec, 1)
     u_rel = abs(est.U[0, 0] - 0.5) / 0.5
     ok = exact and u_rel < 0.05
     _verdict(9, ok, f"exact blocks {'ok' if exact else 'off'}, "

@@ -7,6 +7,7 @@ import shutil
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from spectral_rnn import cli, cp_decomp, moments, recovery, spt1
 from spectral_rnn.cli import main
@@ -238,6 +239,31 @@ def test_cli_train_scalar_scores_output_rows(tmp_path, monkeypatch):
     code, out = _run(tmp_path, "train-scalar", ("--seed", "3"), SCALAR, out="halved")
     assert code == 0
     assert json.loads(open(os.path.join(out, "report.json")).read())["max_error"] >= 0.3
+
+
+@pytest.mark.parametrize("d_y", ["3", "6"])
+def test_cli_train_scalar_needs_a_scalar_output(tmp_path, capsys, monkeypatch, d_y):
+    """train-scalar fits a scalar output, so any other model.d_y is a config
+    error naming it, before anything is simulated."""
+    simulated = []
+    monkeypatch.setattr(cli, "_simulate", lambda *args, **kw: simulated.append(args))
+    code, _ = _run(tmp_path, "train-scalar", extra_cfg={**SCALAR, "model.d_y": d_y})
+    assert code == 2
+    assert _exit_record(capsys) == {
+        "error": "config",
+        "message": f"model.d_y: train-scalar fits a scalar output, got model.d_y={d_y}"}
+    assert simulated == []
+
+
+def test_cli_moments_csv_is_a_config_error(tmp_path, capsys, monkeypatch):
+    """csv would flatten the order-3 moment tensors to matrices, which
+    decompose cannot read back, so moments rejects it before simulating."""
+    monkeypatch.setattr(cli, "_simulate", None)
+    code, out = _run(tmp_path, "moments", ("--format", "csv"), {"estimation.n": "100"})
+    assert code == 2
+    assert _exit_record(capsys)["message"].startswith("output.format: moments writes "
+                                                      "order-3 tensors")
+    assert sorted(os.listdir(out)) == ["config.resolved"]
 
 
 @pytest.mark.parametrize("command", ["train", "moments", "sweep", "train-brnn"])
@@ -647,25 +673,117 @@ def test_cli_eval_without_estimate_exit_code(tmp_path):
     assert code == 4
 
 
+LINEAR = {"estimation.n": "30000", "model.u_scale": "0.4", "model.a1_scale": "0.5",
+          "model.l": "1"}
+
+
 def test_cli_train_linear(tmp_path):
-    cfg = {"estimation.n": "30000", "model.u_scale": "0.4",
-           "model.a1_scale": "0.5", "model.l": "1"}
-    code, out = _run(tmp_path, "train-linear", extra_cfg=cfg)
+    """train-linear writes the realization and the truth, and reports the
+    invariants of the similarity the blocks leave free: the Markov
+    parameters C_0..C_2 relative to ||C_0||, and eig(U) matched by
+    assignment (recomputed here from the written files)."""
+    code, out = _run(tmp_path, "train-linear", extra_cfg=LINEAR)
     assert code == 0
     report = json.loads(open(os.path.join(out, "report.json")).read())
-    assert report["a2_error"] < 1.0
+    assert sorted(report) == ["markov_error", "u_eig_error"]
+    assert report["markov_error"] < 0.05 and report["u_eig_error"] < 0.05
+    read = {name: spt1.read_tensor(os.path.join(out, name + ".spt1"))
+            for name in ("a1_hat", "a1_true", "a2_hat", "a2_true", "u_hat", "u_true")}
+    assert read["a1_hat"].shape == (2, 4) and read["a2_hat"].shape == (2, 3)
+
+    def markov(tag):
+        A1, A2, U = (read[f"{name}_{tag}"] for name in ("a1", "a2", "u"))
+        return [A2.T @ np.linalg.matrix_power(U, j) @ A1 for j in range(3)]
+
+    hat, true = markov("hat"), markov("true")
+    assert report["markov_error"] == pytest.approx(
+        max(np.linalg.norm(h - t) for h, t in zip(hat, true)) / np.linalg.norm(true[0]),
+        rel=1e-12)
+    lam, lam_true = (np.linalg.eigvals(read[name]) for name in ("u_hat", "u_true"))
+    cost = np.abs(lam_true[:, None] - lam[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    assert report["u_eig_error"] == pytest.approx(cost[rows, cols].max(), rel=1e-12)
+
+
+def test_cli_train_linear_reads_no_truth(tmp_path, monkeypatch):
+    """train-linear goes through the shared fit path and hands its estimator
+    the data, the input law, model.d_h and the burn-in: no true parameters
+    and no seed it would not use."""
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return recovery.train_linear(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "train_linear", recorded)
+    assert _run(tmp_path, "train-linear", extra_cfg=LINEAR)[0] == 0
+    [(args, kwargs)] = calls
+    assert not any(isinstance(a, RnnParams) for a in (*args, *kwargs.values()))
+    assert args[2:] == (2,) and kwargs == {"burn_in": 10}
+
+
+def test_cli_train_linear_narrow_output_is_a_config_error(tmp_path, capsys, monkeypatch):
+    """C0 = A2^T A1 has rank at most model.d_y, so fewer outputs than units
+    cannot be realized; it is rejected by its key before simulating."""
+    monkeypatch.setattr(cli, "_simulate", None)
+    code, out = _run(tmp_path, "train-linear", extra_cfg={**LINEAR, "model.d_y": "1"})
+    assert code == 2
+    assert _exit_record(capsys)["message"].startswith("model.d_y: train-linear realizes "
+                                                      "model.d_h = 2 units")
+    assert sorted(os.listdir(out)) == ["config.resolved"]
+
+
+def test_cli_train_linear_rank_deficient_blocks_exit_code(tmp_path, capsys):
+    """With a zero input map every output is zero, so C0 has rank 0 and the
+    realization fails loudly at its stage."""
+    code, out = _run(tmp_path, "train-linear", extra_cfg={**LINEAR, "model.a1_scale": "0"})
+    assert code == 3
+    assert _exit_record(capsys) == {"error": "numerical", "stage": "realization",
+                                    "message": "realization: C0 rank 0 of 2"}
+    assert sorted(os.listdir(out)) == ["config.resolved"]
 
 
 def test_cli_eval_after_train_linear_exit_code(tmp_path, capsys):
-    """train-linear writes no input rows, so eval exits 4 and says so."""
-    cfg = {"estimation.n": "3000", "model.l": "1"}
-    code, _ = _run(tmp_path, "train-linear", extra_cfg=cfg)
+    """A linear run is fixed only up to a similarity, so eval has no rows to
+    align: it exits 4 and points to the run's report.json."""
+    code, out = _run(tmp_path, "train-linear", extra_cfg={**LINEAR, "estimation.n": "3000"})
     assert code == 0
-    code2, _ = _run(tmp_path, "eval", extra_cfg=cfg)
+    code2, _ = _run(tmp_path, "eval", extra_cfg={"estimation.n": "3000"})
     assert code2 == 4
     record = _exit_record(capsys)
     assert record["error"] == "io"
-    assert "train-linear writes no input rows" in record["message"]
+    assert record["message"].endswith(f"its errors are in {os.path.join(out, 'report.json')}")
+
+
+def test_cli_eval_reads_the_degree_of_the_run(tmp_path):
+    """eval aligns in the sign group of the run's own model.l, from its
+    config.resolved: a train-scalar run evaluated under a config with
+    model.l = 2 still reads its report's errors."""
+    assert _run(tmp_path, "train-scalar", ("--seed", "3"), SCALAR)[0] == 0
+    out = tmp_path / "out"
+    report = json.loads((out / "report.json").read_text())
+    assert _run(tmp_path, "eval", ("--seed", "3"), {**SCALAR, "model.l": "2"})[0] == 0
+    ev = json.loads((out / "eval.json").read_text())
+    assert (ev["max_error"], ev["median_error"]) == (report["max_error"],
+                                                     report["median_error"])
+
+
+@pytest.mark.parametrize("damage", ["missing", "unknown key", "no value", "binary"])
+def test_cli_eval_without_a_readable_run_config_exit_code(tmp_path, capsys, damage):
+    """eval takes the degree from the run's config.resolved, so a missing or
+    malformed one is an I/O error, and eval writes no eval.json."""
+    assert _run(tmp_path, "train", extra_cfg={"estimation.n": "2000"})[0] == 0
+    path = tmp_path / "out" / "config.resolved"
+    if damage == "missing":
+        path.unlink()
+    else:
+        path.write_bytes({"unknown key": b"model.dx = 4\n", "no value": b"model.l\n",
+                          "binary": b"\xff\xfe"}[damage])
+    code, out = _run(tmp_path, "eval", extra_cfg={"estimation.n": "2000"})
+    assert code == 4
+    record = _exit_record(capsys)
+    assert record["error"] == "io" and str(path) in record["message"]
+    assert not os.path.exists(os.path.join(out, "eval.json"))
 
 
 def test_cli_score_check(tmp_path):
