@@ -68,19 +68,25 @@ class CpDecomposition:
 
 
 def _finalize(weights, mode1, factor, rank_tol=RANK_TOL, sig_tol=1e-8):
-    """Sign convention, rank detection, and sorting of nonnegative weights."""
+    """Sign convention, rank detection, and sorting of nonnegative weights.
+
+    A factor column is negated when its first entry above sig_tol of its
+    largest magnitude is negative; a column of zeros or with a NaN has no such
+    entry and keeps its sign.  There are k = d_h columns, so one pass over all
+    of them replaces a loop of small numpy calls per column; each column gets
+    the same comparisons and the same negation.
+    """
     if weights.size == 0 or np.max(weights) == 0.0:
         d1, d = mode1.shape[0], factor.shape[0]
         return np.zeros(0), np.zeros((d1, 0)), np.zeros((d, 0))
-    keep = weights >= rank_tol * np.max(weights)
-    weights, mode1, factor = weights[keep], mode1[:, keep], factor[:, keep]
-    for r in range(weights.shape[0]):
-        col = factor[:, r]
-        sig = np.nonzero(np.abs(col) > sig_tol * np.max(np.abs(col)))[0]
-        if sig.size and col[sig[0]] < 0:
-            factor[:, r] = -col
-    order = np.argsort(-weights, kind="stable")
-    return weights[order], mode1[:, order], factor[:, order]
+    keep = np.flatnonzero(weights >= rank_tol * np.max(weights))
+    order = keep[np.argsort(-weights[keep], kind="stable")]
+    weights, mode1, factor = weights[order], mode1[:, order], factor[:, order]
+    size = np.abs(factor)
+    sig = size > sig_tol * size.max(axis=0)
+    first = factor[np.argmax(sig, axis=0), np.arange(order.size)]
+    np.negative(factor, out=factor, where=sig.any(axis=0) & (first < 0))
+    return weights, mode1, factor
 
 
 def _fit_residuals(unfolded, weights, mode1, G):
@@ -124,8 +130,9 @@ def decompose(T: np.ndarray, k: int, seed: int = 0) -> CpDecomposition:
         return CpDecomposition(weights=np.zeros(0), mode1=np.zeros((d1, 0)),
                                factor=np.zeros((d, 0)))
     V = np.linalg.svd(T.transpose(1, 0, 2).reshape(d, -1), full_matrices=False)[0][:, :k]
-    core = np.tensordot(np.moveaxis(np.tensordot(T, V, axes=([1], [0])), -1, 1), V,
-                        axes=([2], [0]))  # T(., V, V)
+    # T(., V, V) as the two reshaped products np.tensordot forms, on its operands
+    TV = T.transpose(0, 2, 1).reshape(d1 * d, d) @ V
+    core = TV.reshape(d1, d, k).transpose(0, 2, 1).reshape(d1 * k, d) @ V
     theta = np.random.default_rng(seed).standard_normal((CANDIDATES, 2, 1, d1))
     M = (theta @ core.reshape(d1, k * k)).reshape(CANDIDATES, 2, k, k)
     M = 0.5 * (M + M.swapaxes(2, 3))

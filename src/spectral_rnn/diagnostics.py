@@ -38,30 +38,43 @@ def _assignment(cost: np.ndarray) -> np.ndarray:
 
     Shortest augmenting paths with dual potentials u, v (Jonker & Volgenant,
     Computing 1987), O(k^3): rows join in order, each by a Dijkstra search over
-    reduced costs that takes ties at the lowest column index.  Row and column 0
-    are virtual; match[j] is the row (1-based) on column j.
+    reduced costs that takes ties at the lowest column index.  Column 0 is
+    virtual; match[j] is the row (1-based) on column j.  The costs must be
+    finite.  k = d_h is small, so numpy's per-call cost would outweigh the
+    arithmetic: the search runs on Python floats, with the same operations in
+    the same order as the array form, so ties break the same way.
     """
-    k = cost.shape[0]
-    padded = np.pad(cost, ((1, 0), (1, 0)))
-    u, v, match = np.zeros(k + 1), np.zeros(k + 1), np.zeros(k + 1, dtype=int)
+    rows = np.asarray(cost, dtype=float).tolist()
+    k = len(rows)
+    u, v, match = [0.0] * (k + 1), [0.0] * (k + 1), [0] * (k + 1)
     for i in range(1, k + 1):
         match[0], j0 = i, 0
-        dist, way = np.full(k + 1, np.inf), np.zeros(k + 1, dtype=int)
-        used = np.zeros(k + 1, dtype=bool)
+        dist, way, used = [math.inf] * (k + 1), [0] * (k + 1), [False] * (k + 1)
         while match[j0]:
             used[j0] = True
-            reduced = padded[match[j0]] - u[match[j0]] - v
-            closer = ~used & (reduced < dist)
-            dist[closer], way[closer] = reduced[closer], j0
-            j0 = int(np.argmin(np.where(used, np.inf, dist)))
-            delta = dist[j0]
-            u[match[used]] += delta
-            v[used] -= delta
-            dist[~used] -= delta
+            row, u0 = rows[match[j0] - 1], u[match[j0]]
+            j1, least = 0, math.inf
+            for j in range(1, k + 1):
+                if not used[j]:
+                    reduced = row[j - 1] - u0 - v[j]
+                    if reduced < dist[j]:
+                        dist[j], way[j] = reduced, j0
+                    if dist[j] < least:
+                        j1, least = j, dist[j]
+            j0, delta = j1, dist[j1]
+            for j in range(k + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    dist[j] -= delta
         while j0:
             match[j0] = match[way[j0]]
             j0 = way[j0]
-    return np.argsort(match[1:])
+    perm = [0] * k
+    for j in range(1, k + 1):
+        perm[match[j] - 1] = j - 1
+    return np.array(perm, dtype=np.intp)
 
 
 def align(
@@ -107,12 +120,19 @@ def align(
     per_row = {"A1": np.linalg.norm(A1a - A1_true, axis=1)}
     if A2a is not None and A2_true is not None:
         per_row["A2"] = np.linalg.norm(A2a - A2_true, axis=1)
-    if Ua is not None and U_true is not None:
-        per_row["U"] = np.linalg.norm(np.abs(Ua) - np.abs(U_true), axis=1)
-    all_errs = np.concatenate(list(per_row.values()))
     u_error = None
     if Ua is not None and U_true is not None:
-        u_error = float(np.max(np.abs(np.abs(Ua) - np.abs(U_true))))
+        gap = np.abs(Ua) - np.abs(U_true)
+        per_row["U"] = np.linalg.norm(gap, axis=1)
+        u_error = float(np.max(np.abs(gap)))
+    all_errs = np.concatenate(list(per_row.values()))
+    # np.median's value on at most 3k errors without its per-call cost: the
+    # middle of the sorted errors, or the mean of the middle two; np.max
+    # propagates a NaN, where np.median returns NaN too
+    max_error = float(np.max(all_errs))
+    errs, mid = sorted(all_errs.tolist()), all_errs.size // 2
+    median_error = (max_error if math.isnan(max_error) else
+                    errs[mid] if all_errs.size % 2 else (errs[mid - 1] + errs[mid]) / 2)
     return RecoveryReport(
         permutation=perm,
         signs=signs,
@@ -120,8 +140,8 @@ def align(
         A2=A2a,
         U=Ua,
         per_row_errors=per_row,
-        max_error=float(np.max(all_errs)),
-        median_error=float(np.median(all_errs)),
+        max_error=max_error,
+        median_error=median_error,
         u_error=u_error,
     )
 

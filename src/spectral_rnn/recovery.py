@@ -41,6 +41,7 @@ determined up to matching row sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -116,24 +117,42 @@ def _design(rows: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (w * np.stack([a, b, s], axis=2)) @ np.stack([b, a, s], axis=1)
 
 
+@lru_cache(maxsize=None)
+def _pairs(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p, q, sym): np.triu_indices(k), the design's column pairs p <= q, and
+    the k x k array whose entry (i, j) is the position of the pair
+    (min(i, j), max(i, j)) among them.  Cached per k, like
+    moments._suffix_plan, so read-only."""
+    p, q = np.triu_indices(k)
+    sym = np.zeros((k, k), dtype=np.intp)
+    sym[p, q] = sym[q, p] = np.arange(p.size)
+    for a in (p, q, sym):
+        a.flags.writeable = False
+    return p, q, sym
+
+
 def _row_fit_plan(rows: np.ndarray):
     """The part of the recurrence fit that every row of one direction
-    shares, built once: (BB, p, q, solve).  B has orthonormal rows spanning
+    shares, built once: (BB, sym, solve).  B has orthonormal rows spanning
     the input rows' (m = min(k, d) of them), BB = B(x)B projects a d^2 x d^2
-    block to B's coordinates, (p, q) are the pairs p <= q of the design's
-    columns (_design, on the rows in B's coordinates), and solve is the
-    design's minimum-norm least-squares solve, from one SVD with lstsq's
-    rank rule (singular values at most eps * max(shape) of the largest are
-    dropped), so a rank-deficient design gets lstsq's answer."""
+    block to B's coordinates, solve is the minimum-norm least-squares solve
+    of the design (_design, on the rows in B's coordinates, one column per
+    pair p <= q), from one SVD with lstsq's rank rule (singular values at
+    most eps * max(shape) of the largest are dropped), so a rank-deficient
+    design gets lstsq's answer, and sym gathers the k x k symmetric matrix
+    from the solution, one entry per pair.  The pairs and sym come from a
+    per-k cache (_pairs): k = d_h is small, so np.triu_indices' per-call
+    cost would outweigh the work; they are the same pairs in the same
+    order."""
     B = np.linalg.qr(rows.T)[0].T
     m, d = B.shape
     BB = (B[:, None, :, None] * B[None, :, None, :]).reshape(m * m, d * d)
-    p, q = np.triu_indices(rows.shape[0])
+    p, q, sym = _pairs(rows.shape[0])
     G = _design(rows @ B.T, p, q).reshape(p.size, -1).T
     W, s, Vh = np.linalg.svd(G, full_matrices=False)
     keep = s > np.finfo(float).eps * max(G.shape) * s.max(initial=0.0)
     solve = (Vh[keep].T / s[keep]) @ W[:, keep].T
-    return BB, p, q, solve
+    return BB, sym, solve
 
 
 def fit_recurrence_row(Q_k: np.ndarray, A1: np.ndarray, plan=None) -> np.ndarray:
@@ -157,14 +176,12 @@ def fit_recurrence_row(Q_k: np.ndarray, A1: np.ndarray, plan=None) -> np.ndarray
     solve and a k x k eigh.  A non-finite projected block is an
     AssumptionError at stage "recurrence".
     """
-    BB, p, q, solve = _row_fit_plan(A1) if plan is None else plan
+    BB, sym, solve = _row_fit_plan(A1) if plan is None else plan
     with np.errstate(all="ignore"):  # a non-finite block is reported below
         block = (BB @ Q_k @ BB.T).ravel()
     if not np.isfinite(block).all():
         raise AssumptionError("recurrence: non-finite unit block", stage="recurrence")
-    X = np.zeros((A1.shape[0],) * 2)
-    X[p, q] = X[q, p] = solve @ block
-    vals, vecs = np.linalg.eigh(X)
+    vals, vecs = np.linalg.eigh((solve @ block)[sym])
     i = int(np.argmax(np.abs(vals)))
     return np.sqrt(abs(vals[i])) * vecs[:, i]
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import bookkeeping_reference
 from spectral_rnn import cp_decomp
 from spectral_rnn.cp_decomp import decompose
 from spectral_rnn.moments import cross_moment_s2, population_moment_oracle
@@ -327,7 +328,7 @@ def _sequential_decompose(T, k, seed):
         B = B.T
         weights = np.linalg.norm(B, axis=0)
         mode1 = np.divide(B, weights, out=np.zeros_like(B), where=weights > 0)
-        return cp_decomp.CpDecomposition(*cp_decomp._finalize(weights, mode1, factor))
+        return cp_decomp.CpDecomposition(*bookkeeping_reference.finalize(weights, mode1, factor))
 
     fits = []
     for _ in range(cp_decomp.CANDIDATES):
@@ -395,6 +396,49 @@ def test_stacked_solve_failure_is_a_stage1_error(monkeypatch):
     with pytest.raises(AssumptionError, match="did not converge") as info:
         decompose(T, 3, seed=1)
     assert info.value.stage == "stage1"
+
+
+def _sign_edge_columns(d, rng):
+    """Factor columns at the edges of _finalize's sign rule: zeros (of either
+    sign), a NaN inside or first, and a first entry of either sign just
+    below, at and just above sig_tol times the column's largest magnitude,
+    followed by an entry of the other sign."""
+    cols = [np.zeros(d), -np.zeros(d)]
+    for where in (0, d // 2):
+        col = -np.abs(rng.standard_normal(d))
+        col[where] = np.nan
+        cols.append(col)
+    for toward in (0.0, None, np.inf):
+        for sign in (-1.0, 1.0):
+            col = rng.uniform(-1.0, 1.0, d)
+            col[-1] = rng.choice([-1.0, 1.0]) * rng.uniform(2.0, 4.0)
+            cut = 1e-8 * np.max(np.abs(col))
+            col[0] = sign * (cut if toward is None else np.nextafter(cut, toward))
+            col[1] = -sign * rng.uniform(0.1, 1.0)
+            cols.append(col)
+    return cols
+
+
+@pytest.mark.parametrize("d", [3, 5, 8])
+def test_finalize_keeps_the_sign_rule_of_the_column_loop(d):
+    """The one-pass sign rule gives the column loop's bits, layout included,
+    on edge columns mixed with generic ones, with weights that tie, fall
+    under the rank cut or are all zero; the inputs are left as they were."""
+    rng = np.random.default_rng(d)
+    edges = _sign_edge_columns(d, rng)
+    for trial in range(40):
+        k = int(rng.integers(1, len(edges) + 3))
+        pool = edges + [rng.standard_normal(d) for _ in range(3)]
+        factor = np.stack([pool[i] for i in rng.permutation(len(pool))[:k]], axis=1)
+        mode1 = rng.standard_normal((d + 1, k))
+        weights = rng.choice([0.0, 1e-12, 0.5, 1.0, 2.0], k) if trial % 4 else np.zeros(k)
+        before = [a.copy() for a in (weights, mode1, factor)]
+        got = cp_decomp._finalize(weights, mode1, factor)
+        want = bookkeeping_reference.finalize(weights.copy(), mode1.copy(), factor.copy())
+        for g, w in zip(got, want):
+            assert (g.shape, g.strides, g.tobytes()) == (w.shape, w.strides, w.tobytes())
+        for a, b in zip((weights, mode1, factor), before):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_decompose_is_deterministic_given_its_seed():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
+import bookkeeping_reference
 from spectral_rnn.diagnostics import (SweepResult, _assignment, align,
                                       concentration_bound, lipschitz_bound,
                                       sample_sweep)
@@ -78,9 +79,16 @@ def test_align_odd_degree_flips_output_rows_and_recurrence_columns():
 
 _PROPERTY = settings(max_examples=60)
 
-# small integer costs make ties common, so the optimum is often not unique
-_costs = st.integers(1, 6).flatmap(
-    lambda k: arrays(np.float64, (k, k), elements=st.integers(-3, 3).map(float)))
+
+
+def _square_costs(max_k):
+    """k x k costs, 1 <= k <= max_k, of small integers: ties are common, so
+    the optimum is often not unique."""
+    return st.integers(1, max_k).flatmap(
+        lambda k: arrays(np.float64, (k, k), elements=st.integers(-3, 3).map(float)))
+
+
+_costs = _square_costs(6)
 
 
 @_PROPERTY
@@ -100,6 +108,58 @@ def test_assignment_matches_scipy(k):
         cost = rng.standard_normal((k, k))  # continuous: the optimum is unique
         rows, cols = linear_sum_assignment(cost)
         assert np.array_equal(_assignment(cost), cols[np.argsort(rows)])
+
+
+def _assert_reference_permutation(cost):
+    """The search on Python floats returns the array search's permutation,
+    the optimum its tie rule picks, not just some optimum."""
+    got, want = _assignment(cost), bookkeeping_reference.assignment(cost)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@settings(max_examples=300)
+@given(_square_costs(8))
+def test_assignment_breaks_ties_as_the_array_search(cost):
+    _assert_reference_permutation(cost)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("value", [-1.0, 0.0, 2.5])
+def test_assignment_on_equal_costs_is_the_array_search_identity(k, value):
+    cost = np.full((k, k), value)
+    _assert_reference_permutation(cost)
+    assert np.array_equal(_assignment(cost), np.arange(k))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_assignment_on_abs_cosines_matches_the_array_search(k):
+    """align's costs, -|cos| of unit rows: generic rows, rows equal up to
+    sign (a tied optimum per pair) and orthonormal rows against the
+    coordinate axes (cosines 0 and +-1, rounded)."""
+    rng = np.random.default_rng(36000 + k)
+    for _ in range(40):
+        est, true = _unit_rows(k, k + 2, rng.integers(2 ** 32)), _unit_rows(k, k + 2, rng.integers(2 ** 32))
+        _assert_reference_permutation(-np.abs(true @ est.T))
+        doubled = np.vstack([est[: (k + 1) // 2]] * 2)[:k] * rng.choice([-1.0, 1.0], (k, 1))
+        _assert_reference_permutation(-np.abs(true @ doubled.T))
+        basis = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        _assert_reference_permutation(-np.abs(np.eye(k) @ np.round(basis, 1).T))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_align_median_is_numpys(k):
+    """align's median_error has np.median's bits over its k, 2k or 3k row
+    errors, odd and even counts, and is NaN when an error is."""
+    rng = np.random.default_rng(k)
+    A1, A2, U = _unit_rows(k, 6, k), rng.standard_normal((k, 3)), rng.standard_normal((k, k))
+    est = [M + 0.1 * rng.standard_normal(M.shape) for M in (A1, A2, U)]
+    for args in [(est[0], A1), (est[0], A1, est[1], A2), (est[0], A1, est[1], A2, est[2], U),
+                 (A1, A1, A2, A2)]:
+        rep = align(*args)
+        errs = np.concatenate(list(rep.per_row_errors.values()))
+        assert rep.median_error == float(np.median(errs))
+    est[1][k // 2, 0] = np.nan
+    assert math.isnan(align(est[0], A1, est[1], A2).median_error)
 
 
 @_PROPERTY

@@ -227,6 +227,24 @@ def test_rank_one_design_matches_the_pairings(k, m, seed):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_design_pairs_are_cached_and_read_only(k):
+    """Every plan of one k shares np.triu_indices(k) and the symmetric
+    gather of its pairs, which fills the k x k matrix the pair-indexed
+    assignment X[p, q] = X[q, p] = x fills; no caller can write them."""
+    p, q, sym = recovery._pairs(k)
+    for got, want in zip((p, q), np.triu_indices(k)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    x = np.random.default_rng(k).standard_normal(p.size)
+    X = np.zeros((k, k))
+    X[p, q] = X[q, p] = x
+    assert x[sym].tobytes() == X.tobytes()
+    for a in (p, q, sym):
+        with pytest.raises(ValueError):
+            a[0] = 1
+    assert recovery._pairs(k)[0] is p
+
+
 def test_fit_recurrence_row_planted_non_orthogonal():
     """A noiseless block of non-orthogonal rows (d > k) gives back its row."""
     rng = np.random.default_rng(41)
