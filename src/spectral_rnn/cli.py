@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__, spt1
 from .config import ConfigError, ExperimentConfig, config_hash, from_items, parse_config, serialize
 from .diagnostics import _assignment, align, sample_sweep
-from .recovery import (BrnnEstimate, _stage1_factors, quadratic_moments,
+from .recovery import (BrnnEstimate, RnnEstimate, _stage1_factors, quadratic_moments,
                        train_brnn, train_linear, train_quadratic, train_scalar)
 from .score import QuadraticTest, stein_check
 from .sequence_models import (AssumptionError, BrnnParams, MarkovChainSpec,
@@ -126,51 +126,41 @@ def _child_seeds(master: int, n: int) -> list[int]:
 
 
 def _input_spec(config: ExperimentConfig, seed: int) -> MarkovChainSpec:
-    w_scale = config["input.w_scale"]
-    if config["input.sigma"] == "auto":
-        base = bounded_input_spec(config.d_x, w_scale, seed=seed)
-        return MarkovChainSpec(W=base.W, sigma=base.sigma, init=config["input.init"])
+    """bounded_input_spec's chain, W = input.w_scale * a rotation, with its
+    sigma, or with input.sigma in its place when that is a number."""
+    base = bounded_input_spec(config.d_x, config["input.w_scale"], seed=seed)
+    sigma = base.sigma if config["input.sigma"] == "auto" else float(config["input.sigma"])
+    return MarkovChainSpec(W=base.W, sigma=sigma, init=config["input.init"])
+
+
+def _make_model(config: ExperimentConfig, seed: int, family: str = "rnn"):
+    """The true model, a BRNN for "brnn", else an RNN: one set of orthonormal
+    input rows per direction (times model.a1_scale), then one rotation per
+    direction (times model.u_scale), then directions * d_h unit output rows."""
     rng = np.random.default_rng(seed)
-    Q = np.linalg.qr(rng.standard_normal((config.d_x, config.d_x)))[0]
-    return MarkovChainSpec(W=w_scale * Q, sigma=float(config["input.sigma"]),
-                           init=config["input.init"])
+    d_h, dirs = config.d_h, 2 if family == "brnn" else 1
 
+    def orthonormal(rows, key):
+        return [config[key] * np.linalg.qr(rng.standard_normal((rows, d_h)))[0]
+                for _ in range(dirs)]
 
-def _rotation(d: int, rng: np.random.Generator) -> np.ndarray:
-    return np.linalg.qr(rng.standard_normal((d, d)))[0]
-
-
-def _make_rnn(config: ExperimentConfig, seed: int) -> RnnParams:
-    rng = np.random.default_rng(seed)
-    d_x, d_h, d_y = config.d_x, config.d_h, config.d_y
-    rows = np.linalg.qr(rng.standard_normal((d_x, d_h)))[0].T  # orthonormal rows
-    A1 = config["model.a1_scale"] * rows
-    U = config["model.u_scale"] * _rotation(d_h, rng)
-    A2 = rng.standard_normal((d_h, d_y))
+    inputs = orthonormal(config.d_x, "model.a1_scale")
+    rotations = orthonormal(d_h, "model.u_scale")
+    A2 = rng.standard_normal((dirs * d_h, config.d_y))
     A2 /= np.maximum(np.linalg.norm(A2, axis=1, keepdims=True), 1e-300)
-    return RnnParams(A1=A1, U=U, A2=A2, l=config.l)
-
-
-def _make_brnn(config: ExperimentConfig, seed: int) -> BrnnParams:
-    rng = np.random.default_rng(seed)
-    d_x, d_h, d_y = config.d_x, config.d_h, config.d_y
-    A1 = np.linalg.qr(rng.standard_normal((d_x, d_h)))[0].T * config["model.a1_scale"]
-    B1 = np.linalg.qr(rng.standard_normal((d_x, d_h)))[0].T * config["model.a1_scale"]
-    scale = config["model.u_scale"]
-    U = scale * _rotation(d_h, rng)
-    V = scale * _rotation(d_h, rng)
-    A2 = rng.standard_normal((2 * d_h, d_y))
-    A2 /= np.maximum(np.linalg.norm(A2, axis=1, keepdims=True), 1e-300)
-    return BrnnParams(A1=A1, B1=B1, U=U, V=V, A2=A2, l=2)
+    if family == "brnn":
+        return BrnnParams(A1=inputs[0].T, B1=inputs[1].T, U=rotations[0], V=rotations[1],
+                          A2=A2, l=config.l)
+    return RnnParams(A1=inputs[0].T, U=rotations[0], A2=A2, l=config.l)
 
 
 def _simulate(config: ExperimentConfig, seed: int, family: str = "rnn"):
     """(input spec, true parameters, simulated data): a BRNN for "brnn", else an RNN."""
-    make, forward = (_make_brnn, brnn_forward) if family == "brnn" else (_make_rnn, rnn_forward)
     spec_seed, chain_seed, model_seed = _child_seeds(seed, 3)
     spec = _input_spec(config, spec_seed)
-    params = make(config, model_seed)
+    params = _make_model(config, model_seed, family)
     x = sample_markov_chain(spec, config["estimation.n"], chain_seed)
+    forward = brnn_forward if family == "brnn" else rnn_forward
     return spec, params, forward(params, x)
 
 
@@ -222,12 +212,12 @@ def _cmd_score_check(config, seed, art):
     a /= np.linalg.norm(a)
     err, absolute = stein_check(spec, QuadraticTest(a), m=2,
                                 n_samples=config["estimation.n"], seed=chain_seed)
+    if not np.isfinite(err):
+        raise AssumptionError("score check produced a non-finite error", stage="score-check")
     art.write_json("score_check.json",
                    {"relative_error": err, "absolute": absolute,
                     "n": config["estimation.n"], "order": 2})
     print(f"score check m=2: relative error {err:.4g}")
-    if not np.isfinite(err):
-        raise AssumptionError("score check produced a non-finite error", stage="score-check")
     return EXIT_OK
 
 
@@ -302,14 +292,16 @@ def _fit(config, seed, command, family="rnn"):
 
 def _report(est, truth, degree):
     """(pairs, report) of a fit: each written name's (estimate, truth), and
-    report.json's errors.  A bidirectional fit aligns the stacked
-    input rows [A1; B1] jointly, which cannot see a swapped forward/backward
-    split, and each direction with its output rows and recurrence, so a
-    large gap between the joint and the per-direction errors means the
-    split failed.  A linear fit, fixed only up to a similarity, is scored on
-    its invariants: the Markov parameters C_j = A2^T U^j A1, j < 3 (largest
-    error relative to ||C_0||, as C_j is 0 at U = 0), and eig(U) matched by
-    _assignment."""
+    report.json's errors, with the permutation and signs of the alignment.
+    The CLI's one scorer: train writes its report, eval re-scores a run's
+    written arrays with it, and a sweep cell reads its a1_row_errors.  A
+    bidirectional fit aligns the stacked input rows [A1; B1] jointly, which
+    cannot see a swapped forward/backward split, and each direction with its
+    output rows and recurrence, so a large gap between the joint and the
+    per-direction errors means the split failed.  A linear fit, fixed only
+    up to a similarity, is scored on its invariants: the Markov parameters
+    C_j = A2^T U^j A1, j < 3 (largest error relative to ||C_0||, as C_j is 0
+    at U = 0), and eig(U) matched by _assignment."""
     if isinstance(est, BrnnEstimate):
         d = est.A1.shape[0]
         pairs = {"c": (np.vstack([est.A1, est.B1]), np.vstack([truth.A1, truth.B1])),
@@ -318,6 +310,7 @@ def _report(est, truth, degree):
         forward = align(est.A1, truth.A1, est.A2[:d], truth.A2[:d], est.U, truth.U)
         backward = align(est.B1, truth.B1, est.A2[d:], truth.A2[d:], est.V, truth.V)
         return pairs, {"max_error": joint.max_error, "median_error": joint.median_error,
+                       "permutation": joint.permutation.tolist(), "signs": joint.signs.tolist(),
                        "forward_max_error": forward.max_error,
                        "backward_max_error": backward.max_error,
                        "u_error": forward.u_error, "v_error": backward.u_error}
@@ -330,13 +323,21 @@ def _report(est, truth, degree):
                        / np.linalg.norm(C_true[0]),
                        "u_eig_error": gap[np.arange(len(gap)), _assignment(gap)].max()}
     aligned = align(est.A1, truth.A1, est.A2, truth.A2, est.U, truth.U, degree=degree)
-    report = {"max_error": aligned.max_error, "median_error": aligned.median_error}
+    report = {"max_error": aligned.max_error, "median_error": aligned.median_error,
+              "permutation": aligned.permutation.tolist(), "signs": aligned.signs.tolist()}
     if est.U is None:
         del pairs["u"]
     else:
         report.update(a1_row_errors=aligned.per_row_errors["A1"].tolist(),
                       u_error=aligned.u_error)
     return pairs, report
+
+
+def _write_report(art, name, command, report):
+    """Writes a _report record as name and prints its headline error."""
+    art.write_json(name, report)
+    key = "max_error" if "max_error" in report else "markov_error"
+    print(f"{command}: {key} {report[key]:.4g}")
 
 
 def _cmd_fit(config, seed, art, command, family):
@@ -347,53 +348,54 @@ def _cmd_fit(config, seed, art, command, family):
     for name, (hat, true) in pairs.items():
         art.write_array(f"{name}_hat", hat)
         art.write_array(f"{name}_true", true)
-    art.write_json("report.json", report)
-    key = "markov_error" if config.l == 1 else "max_error"
-    print(f"{command}: {key} {report[key]:.4g}")
+    _write_report(art, "report.json", command, report)
     return EXIT_OK
 
 
-def _read_pair(art, name):
-    for ext, reader in ((".spt1", spt1.read_tensor),
-                        (".csv", lambda p: np.loadtxt(p, delimiter=",", ndmin=2))):
-        path = os.path.join(art.out_dir, name + ext)
-        if os.path.exists(path):
-            return reader(path)
-    return None
-
-
 def _cmd_eval(config, seed, art):
-    """Aligns a train run's estimates against the truth it wrote, which is
-    already in the unit-input-row convention, as the run's report.json
-    aligns them: A1, and A2 and U where written, or for a train-brnn run the
-    stacked input rows c_hat (its joint error), in the sign group of the
-    model.l in the run's config.resolved.  A linear run is fixed only up to
-    a similarity: no rows to align."""
+    """Re-scores a train run with _report, which wrote its report.json, so
+    eval.json equals it.  The run's own config.resolved gives the degree, the
+    format and the shapes of the <name>_hat and <name>_true arrays it wrote:
+    BrnnEstimates when it wrote c_hat (split at half its rows), else
+    RnnEstimates, with no U for a cubic (train-scalar) run.  A missing,
+    unparsable, misshapen or non-finite file is an I/O error naming it."""
     path = os.path.join(art.out_dir, "config.resolved")
     try:  # a missing file raises OSError itself
-        degree = parse_config(path).l
+        run = parse_config(path)
     except ValueError as exc:
         raise OSError(f"{path}: not a resolved config ({exc})") from exc
-    if degree == 1:
-        raise OSError(f"nothing to align in a linear run (model.l = 1); its errors are in "
-                      f"{os.path.join(art.out_dir, 'report.json')}")
-    if _read_pair(art, "c_hat") is not None:
-        names = ("c_hat", "c_true")
-    else:
-        names = ("a1_hat", "a1_true", "a2_hat", "a2_true", "u_hat", "u_true")
-    rows_hat, rows_true, *rest = (_read_pair(art, name) for name in names)
-    if rows_hat is None:
-        raise FileNotFoundError(f"no estimate found in {art.out_dir}; run a train subcommand first")
-    if rows_true is None:
-        raise ConfigError("ground truth required for alignment")
-    report = align(rows_hat, rows_true, *rest, degree=degree)
-    art.write_json("eval.json", {
-        "max_error": report.max_error,
-        "median_error": report.median_error,
-        "permutation": report.permutation.tolist(),
-        "signs": report.signs.tolist(),
-    })
-    print(f"eval: max aligned row error {report.max_error:.4g}")
+    fmt, d_h = run["output.format"], run.d_h
+
+    def read(name, shape):
+        path = os.path.join(art.out_dir, f"{name}.{fmt}")
+        if fmt == "csv":  # spt1.read_tensor raises OSError itself
+            try:
+                arr = np.loadtxt(path, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise OSError(f"{path}: not a csv array ({exc})") from exc
+        else:
+            arr = spt1.read_tensor(path)
+        if arr.shape != shape:
+            raise OSError(f"{path}: shape {arr.shape}, expected {shape}")
+        if not np.isfinite(arr).all():
+            raise OSError(f"{path}: non-finite entries")
+        return arr
+
+    brnn = os.path.exists(os.path.join(art.out_dir, f"c_hat.{fmt}"))
+    rows = 2 * d_h if brnn else d_h
+    shapes = {"c" if brnn else "a1": (rows, run.d_x), "a2": (rows, run.d_y), "u": (d_h, d_h)}
+    if brnn:
+        shapes["v"] = (d_h, d_h)
+    elif run.l == 3:
+        del shapes["u"]
+
+    def model(tag):
+        m = {name: read(f"{name}_{tag}", shape) for name, shape in shapes.items()}
+        if brnn:
+            return BrnnEstimate(A1=m["c"][:d_h], B1=m["c"][d_h:], A2=m["a2"], U=m["u"], V=m["v"])
+        return RnnEstimate(A1=m["a1"], A2=m["a2"], U=m.get("u"))
+
+    _write_report(art, "eval.json", "eval", _report(model("hat"), model("true"), run.l)[1])
     return EXIT_OK
 
 
@@ -402,21 +404,18 @@ def _cmd_sweep(config, seed, art, workers):
     cell_master = _child_seeds(seed, 1)[0]
 
     def run_cell(n, cell_seed):
-        sub = ExperimentConfig(values=dict(config.values))
-        sub.values["estimation.n"] = int(n)
+        sub = ExperimentConfig(values={**config.values, "estimation.n": int(n)})
         mixed = int(np.random.SeedSequence([cell_master, int(n), int(cell_seed)])
                     .generate_state(1)[0])
-        est, truth = _fit(sub, mixed, "sweep")
-        report = align(est.A1, truth.A1)
-        return [("A1", int(r), float(e))
-                for r, e in enumerate(report.per_row_errors["A1"])]
+        report = _report(*_fit(sub, mixed, "sweep"), config.l)[1]
+        return [("A1", r, e) for r, e in enumerate(report["a1_row_errors"])]
 
     result = sample_sweep(run_cell, config["estimation.n_grid"],
                           config["estimation.seeds"], workers=workers)
     art.write_text("sweep.csv", "\n".join(result.csv_lines()) + "\n")
-    art.write_json("sweep_summary.json", {
-        "slope": result.slope,
-        "intercept": result.intercept,
+    art.write_json("sweep_summary.json", {  # null: fewer than two n with errors fit no line
+        "slope": None if np.isnan(result.slope) else result.slope,
+        "intercept": None if np.isnan(result.intercept) else result.intercept,
         "config_hash": config_hash(config),
     })
     print(f"sweep: fitted log-log slope {result.slope:.3f}")

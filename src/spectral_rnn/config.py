@@ -92,6 +92,9 @@ def _validate(values: dict) -> None:
         raise ConfigError("model.seed: seeds must be nonnegative")
     if values["model.l"] < 1:
         raise ConfigError("model.l: unit degree must be >= 1")
+    for key in ("model.a1_scale", "model.u_scale"):
+        if not math.isfinite(values[key]):
+            raise ConfigError(f"{key}: expected a finite number, got {values[key]}")
     if values["model.norm_check"] not in ("strict", "off"):
         raise ConfigError("model.norm_check: expected 'strict' or 'off'")
     if values["model.l"] >= 2 and values["model.norm_check"] == "strict":

@@ -222,7 +222,7 @@ def test_cli_train_scalar_scores_output_rows(tmp_path, monkeypatch):
     code, out = _run(tmp_path, "train-scalar", ("--seed", "3"), SCALAR)
     assert code == 0
     report = json.loads(open(os.path.join(out, "report.json")).read())
-    assert sorted(report) == ["max_error", "median_error"]
+    assert sorted(report) == ["max_error", "median_error", "permutation", "signs"]
     assert report["max_error"] < 0.15
     # eval aligns the same rows, in the same sign group
     assert _run(tmp_path, "eval", ("--seed", "3"), SCALAR)[0] == 0
@@ -743,16 +743,122 @@ def test_cli_train_linear_rank_deficient_blocks_exit_code(tmp_path, capsys):
     assert sorted(os.listdir(out)) == ["config.resolved"]
 
 
-def test_cli_eval_after_train_linear_exit_code(tmp_path, capsys):
-    """A linear run is fixed only up to a similarity, so eval has no rows to
-    align: it exits 4 and points to the run's report.json."""
-    code, out = _run(tmp_path, "train-linear", extra_cfg={**LINEAR, "estimation.n": "3000"})
-    assert code == 0
-    code2, _ = _run(tmp_path, "eval", extra_cfg={"estimation.n": "3000"})
-    assert code2 == 4
+BRNN = {"model.d_h": "1", "model.u_scale": "0.3", "model.a1_scale": "0.7"}
+
+# (command, config) of one small run of every train family
+TRAIN_RUNS = {
+    "train": {"estimation.n": "5000"},
+    "train-brnn": {**BRNN, "estimation.n": "5000"},
+    "train-scalar": {**SCALAR, "estimation.n": "20000"},
+    "train-linear": {**LINEAR, "estimation.n": "3000"},
+}
+
+
+@pytest.mark.parametrize("fmt", ["spt1", "csv"])
+@pytest.mark.parametrize("command", TRAIN_RUNS)
+def test_cli_eval_reproduces_the_report(tmp_path, command, fmt):
+    """eval re-scores a run with the function that wrote its report.json, on
+    the arrays the run wrote, in the run's own degree, format and shapes: its
+    eval.json has report.json's bytes for every family, a linear run's
+    invariants included, under an eval config that differs from the run's."""
+    assert _run(tmp_path, command, ("--seed", "3", "--format", fmt), TRAIN_RUNS[command])[0] == 0
+    other = "csv" if fmt == "spt1" else "spt1"
+    assert _run(tmp_path, "eval", ("--seed", "4", "--format", other),
+                {"model.d_x": "5", "estimation.n": "100"})[0] == 0
+    out = tmp_path / "out"
+    report = (out / "report.json").read_bytes()
+    assert (out / "eval.json").read_bytes() == report
+    if command != "train-linear":  # the aligned families record their alignment
+        assert {"permutation", "signs"} <= json.loads(report).keys()
+
+
+# damage -> (file name, what replaces it: an array, raw bytes, or None to delete it)
+DAMAGED_RUNS = {
+    "wrong shape": ("a1_true", np.zeros((3, 4))),
+    "unparsable": ("a1_hat", b"1,2,x\n"),
+    "non-finite": ("a2_hat", np.array([[0.5, np.nan, 0.5], [1.0, 0.0, 0.0]])),
+    "missing truth": ("u_true", None),
+}
+
+
+@pytest.mark.parametrize("fmt", ["spt1", "csv"])
+@pytest.mark.parametrize("damage", DAMAGED_RUNS)
+def test_cli_eval_on_a_damaged_run_exit_code(tmp_path, capsys, damage, fmt):
+    """A run array that is missing, unparsable, misshapen or non-finite is an
+    I/O error naming its path, and eval writes no eval.json."""
+    assert _run(tmp_path, "train", ("--format", fmt), {"estimation.n": "2000"})[0] == 0
+    name, content = DAMAGED_RUNS[damage]
+    path = tmp_path / "out" / f"{name}.{fmt}"
+    if content is None:
+        path.unlink()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    elif fmt == "csv":
+        np.savetxt(path, content, delimiter=",")
+    else:
+        spt1.write_tensor(path, content)
+    code, out = _run(tmp_path, "eval", extra_cfg={"estimation.n": "2000"})
+    assert code == 4
     record = _exit_record(capsys)
-    assert record["error"] == "io"
-    assert record["message"].endswith(f"its errors are in {os.path.join(out, 'report.json')}")
+    assert record["error"] == "io" and str(path) in record["message"]
+    assert not os.path.exists(os.path.join(out, "eval.json"))
+
+
+@pytest.mark.parametrize("norm_check", ["strict", "off"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["model.a1_scale", "model.u_scale"])
+def test_cli_non_finite_model_scale_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                      key, value, norm_check):
+    """A non-finite model scale exits 2 naming its key before anything is
+    simulated, whether or not the norm check runs."""
+    monkeypatch.setattr(cli, "_simulate", None)
+    code, out = _run(tmp_path, "train", ("--set", f"{key}={value}"),
+                     {"model.norm_check": norm_check, "estimation.n": "100"})
+    assert code == 2
+    assert _exit_record(capsys)["message"].startswith(f"{key}: expected a finite number")
+    assert not os.path.exists(out)
+
+
+def _strict_json(path):
+    def reject(constant):
+        raise ValueError(f"{path.name}: {constant} is not JSON")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+@pytest.mark.parametrize("commands,cfg,written", [
+    pytest.param(("generate",), {"estimation.n": "100"}, set(), id="generate"),
+    pytest.param(("score-check",), {"estimation.n": "2000"}, {"score_check.json"},
+                 id="score-check"),
+    pytest.param(("moments", "decompose"), {"estimation.n": "2000"}, {"cp_report.json"},
+                 id="moments-decompose"),
+    *(pytest.param((command, "eval"), cfg, {"report.json", "eval.json"}, id=f"{command}-eval")
+      for command, cfg in TRAIN_RUNS.items()),
+    pytest.param(("sweep",), {"estimation.n_grid": "2000", "estimation.seeds": "0,1"},
+                 {"sweep_summary.json"}, id="sweep-one-n"),
+    pytest.param(("sweep",), {"estimation.n_grid": "2000,4000", "estimation.seeds": "0"},
+                 {"sweep_summary.json"}, id="sweep-two-n"),
+])
+def test_cli_json_artifacts_are_strict_json(tmp_path, commands, cfg, written):
+    """Every JSON artifact of every command parses without NaN or Infinity;
+    a sweep whose grid has one n fits no line, and writes a null slope and
+    intercept."""
+    for command in commands:
+        assert _run(tmp_path, command, ("--seed", "3"), cfg)[0] == 0, command
+    records = {path.name: _strict_json(path) for path in (tmp_path / "out").glob("*.json")}
+    assert records.keys() == written | {"manifest.json"}
+    if commands == ("sweep",):
+        fitted = "," in cfg["estimation.n_grid"]
+        summary = records["sweep_summary.json"]
+        assert [summary[key] is not None for key in ("slope", "intercept")] == [fitted] * 2
+
+
+def test_cli_score_check_non_finite_error_writes_no_record(tmp_path, capsys, monkeypatch):
+    """score-check checks its error before it writes score_check.json."""
+    monkeypatch.setattr(cli, "stein_check", lambda *args, **kwargs: (float("nan"), 0.0))
+    code, out = _run(tmp_path, "score-check", extra_cfg={"estimation.n": "100"})
+    assert code == 3
+    assert _exit_record(capsys)["stage"] == "score-check"
+    assert not os.path.exists(os.path.join(out, "score_check.json"))
 
 
 def test_cli_eval_reads_the_degree_of_the_run(tmp_path):
