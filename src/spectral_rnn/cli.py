@@ -5,9 +5,10 @@ train-scalar, train-linear, eval, sweep.  Every run writes its artifacts under
 the output directory together with a manifest listing content hashes, the
 config hash, the master seed, and library versions, so (config, seed)
 determines every artifact bit for bit.  eval and decompose read an earlier
-run's directory: they add their files to its manifest, with their own config
-hash, seed and versions under "reads", and write their resolved config as
-<command>.config.resolved, so the earlier run's record stays whole.
+run's directory (--out) and nothing else: its config.resolved is their config
+and its manifest's seed their seed, so they take no --config, --set, --format
+or --seed.  They add their files to its manifest, with their config hash,
+seed and versions under "reads", so the earlier run's record stays whole.
 
 Exit codes: 0 success, 2 config error, 3 numerical or assumption failure,
 4 I/O error.
@@ -25,7 +26,8 @@ import sys
 import numpy as np
 
 from . import __version__, spt1
-from .config import ConfigError, ExperimentConfig, config_hash, from_items, parse_config, serialize
+from .config import (_SCHEMA, ConfigError, ExperimentConfig, config_hash, from_items,
+                     parse_config, serialize)
 from .diagnostics import _assignment, align, sample_sweep
 from .recovery import (BrnnEstimate, RnnEstimate, _stage1_factors, quadratic_moments,
                        train_brnn, train_linear, train_quadratic, train_scalar)
@@ -48,7 +50,8 @@ _M_MMAP_THRESHOLD = -3
 
 
 class _Artifacts:
-    """Collects written files for the manifest."""
+    """Collects written files for the manifest, and reads a run's arrays
+    back: the one place that knows the spt1 and csv array formats."""
 
     def __init__(self, out_dir: str, fmt: str):
         self.out_dir = out_dir
@@ -61,16 +64,36 @@ class _Artifacts:
             digest = hashlib.sha256(fh.read()).hexdigest()
         self.files[os.path.relpath(path, self.out_dir)] = digest
 
+    def array_path(self, name: str) -> str:
+        return os.path.join(self.out_dir, f"{name}.{self.fmt}")
+
     def write_array(self, name: str, arr: np.ndarray) -> str:
         arr = np.asarray(arr, dtype=float)
+        path = self.array_path(name)
         if self.fmt == "csv":
-            path = os.path.join(self.out_dir, f"{name}.csv")
             np.savetxt(path, arr.reshape(arr.shape[0], -1), delimiter=",")
         else:
-            path = os.path.join(self.out_dir, f"{name}.spt1")
             spt1.write_tensor(path, arr)
         self._register(path)
         return path
+
+    def read_array(self, name: str, shape: tuple) -> np.ndarray:
+        """The array write_array wrote as name, which must have this shape and
+        finite entries: a missing, unparsable, misshapen or non-finite file
+        is an I/O error naming it."""
+        path = self.array_path(name)
+        if self.fmt == "csv":  # spt1.read_tensor raises OSError itself
+            try:
+                arr = np.loadtxt(path, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise OSError(f"{path}: not a csv array ({exc})") from exc
+        else:
+            arr = spt1.read_tensor(path)
+        if arr.shape != shape:
+            raise OSError(f"{path}: shape {arr.shape}, expected {shape}")
+        if not np.isfinite(arr).all():
+            raise OSError(f"{path}: non-finite entries")
+        return arr
 
     def write_text(self, name: str, text: str) -> str:
         path = os.path.join(self.out_dir, name)
@@ -81,21 +104,6 @@ class _Artifacts:
 
     def write_json(self, name: str, record: dict) -> str:
         return self.write_text(name, json.dumps(record, indent=2, sort_keys=True) + "\n")
-
-    def prior_record(self) -> dict | None:
-        """The directory's manifest, or None if it has none."""
-        path = os.path.join(self.out_dir, "manifest.json")
-        if not os.path.exists(path):
-            return None
-        with open(path, encoding="utf-8") as fh:
-            try:
-                record = json.load(fh)
-            except ValueError as exc:
-                raise OSError(f"{path}: not a manifest ({exc})") from exc
-        if not (isinstance(record, dict) and isinstance(record.get("files"), dict)
-                and isinstance(record.get("reads", {}), dict)):
-            raise OSError(f"{path}: not a manifest (no files, or reads not a mapping)")
-        return record
 
     def manifest(self, config: ExperimentConfig, seed: int, reader: str | None = None,
                  prior: dict | None = None) -> None:
@@ -239,21 +247,10 @@ def _cmd_moments(config, seed, art):
 
 
 def _cmd_decompose(config, seed, art):
-    """Stage 1 of train on a moments run's T2, with the same rank check; its
-    cp_report.json gives the kept candidate's residual against T2 and how
-    many candidates failed.  A t2 that is not d_y x d x d is a corrupt
-    artifact (an I/O error, as a malformed SPT1 file is), and model.d_h
-    above d a config error."""
-    path = os.path.join(art.out_dir, "t2.spt1")
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"expected moment tensor at {path}; run the moments subcommand first")
-    T2 = spt1.read_tensor(path)
-    if T2.ndim != 3 or T2.shape[1] != T2.shape[2]:
-        raise OSError(f"{path}: not a quadratic moment: shape {T2.shape}, expected "
-                      "order 3 with equal trailing modes")
-    if config.d_h > T2.shape[1]:
-        raise ConfigError(f"model.d_h: decompose fits {config.d_h} components, but {path} "
-                          f"has trailing modes of size {T2.shape[1]}")
+    """Stage 1 of train, at the run's seed, on a moments run's t2 (d_y x d_x
+    x d_x), with the same rank check; its cp_report.json gives the kept
+    candidate's residual against T2 and how many candidates failed."""
+    T2 = art.read_array("t2", (config.d_y, config.d_x, config.d_x))
     cp = _stage1_factors(T2, config.d_h, seed)[2]
     art.write_array("cp_weights", cp.weights.reshape(1, -1))
     art.write_array("cp_mode1", cp.mode1)
@@ -354,48 +351,27 @@ def _cmd_fit(config, seed, art, command, family):
 
 def _cmd_eval(config, seed, art):
     """Re-scores a train run with _report, which wrote its report.json, so
-    eval.json equals it.  The run's own config.resolved gives the degree, the
-    format and the shapes of the <name>_hat and <name>_true arrays it wrote:
-    BrnnEstimates when it wrote c_hat (split at half its rows), else
-    RnnEstimates, with no U for a cubic (train-scalar) run.  A missing,
-    unparsable, misshapen or non-finite file is an I/O error naming it."""
-    path = os.path.join(art.out_dir, "config.resolved")
-    try:  # a missing file raises OSError itself
-        run = parse_config(path)
-    except ValueError as exc:
-        raise OSError(f"{path}: not a resolved config ({exc})") from exc
-    fmt, d_h = run["output.format"], run.d_h
-
-    def read(name, shape):
-        path = os.path.join(art.out_dir, f"{name}.{fmt}")
-        if fmt == "csv":  # spt1.read_tensor raises OSError itself
-            try:
-                arr = np.loadtxt(path, delimiter=",", ndmin=2)
-            except ValueError as exc:
-                raise OSError(f"{path}: not a csv array ({exc})") from exc
-        else:
-            arr = spt1.read_tensor(path)
-        if arr.shape != shape:
-            raise OSError(f"{path}: shape {arr.shape}, expected {shape}")
-        if not np.isfinite(arr).all():
-            raise OSError(f"{path}: non-finite entries")
-        return arr
-
-    brnn = os.path.exists(os.path.join(art.out_dir, f"c_hat.{fmt}"))
+    eval.json equals it.  The run's config gives the degree and the shapes of
+    the <name>_hat and <name>_true arrays it wrote: BrnnEstimates when it
+    wrote c_hat (split at half its rows), else RnnEstimates, with no U for a
+    cubic (train-scalar) run."""
+    d_h = config.d_h
+    brnn = os.path.exists(art.array_path("c_hat"))
     rows = 2 * d_h if brnn else d_h
-    shapes = {"c" if brnn else "a1": (rows, run.d_x), "a2": (rows, run.d_y), "u": (d_h, d_h)}
+    shapes = {"c" if brnn else "a1": (rows, config.d_x), "a2": (rows, config.d_y),
+              "u": (d_h, d_h)}
     if brnn:
         shapes["v"] = (d_h, d_h)
-    elif run.l == 3:
+    elif config.l == 3:
         del shapes["u"]
 
     def model(tag):
-        m = {name: read(f"{name}_{tag}", shape) for name, shape in shapes.items()}
+        m = {name: art.read_array(f"{name}_{tag}", shape) for name, shape in shapes.items()}
         if brnn:
             return BrnnEstimate(A1=m["c"][:d_h], B1=m["c"][d_h:], A2=m["a2"], U=m["u"], V=m["v"])
         return RnnEstimate(A1=m["a1"], A2=m["a2"], U=m.get("u"))
 
-    _write_report(art, "eval.json", "eval", _report(model("hat"), model("true"), run.l)[1])
+    _write_report(art, "eval.json", "eval", _report(model("hat"), model("true"), config.l)[1])
     return EXIT_OK
 
 
@@ -440,8 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--set", metavar="K=V", action="append", default=[],
                         help="config override, repeatable")
     parser.add_argument("--workers", type=int, default=None,
-                        help="parallel workers (default: SPECTRAL_RNN_WORKERS, else the CPUs "
-                             "this process may run on)")
+                        help="parallel workers (default: the CPUs this process may run on)")
     parser.add_argument("--format", choices=["spt1", "csv"], default=None)
     return parser
 
@@ -465,25 +440,18 @@ def _keep_freed_heap() -> None:
 
 
 def _resolve_workers(args) -> int:
-    if args.workers is not None:
-        workers, name = args.workers, "--workers"
-    else:
-        env = os.environ.get("SPECTRAL_RNN_WORKERS")
-        if not env:
-            if hasattr(os, "sched_getaffinity"):  # an affinity mask may leave fewer than the host's
-                return len(os.sched_getaffinity(0))
-            return os.cpu_count() or 1
-        name = "SPECTRAL_RNN_WORKERS"
-        try:
-            workers = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{name}: cannot parse {env!r}") from exc
-    if workers < 1:
-        raise ConfigError(f"{name}: a run needs at least 1 worker, got {workers}")
-    return workers
+    if args.workers is None:
+        if hasattr(os, "sched_getaffinity"):  # an affinity mask may leave fewer than the host's
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    if args.workers < 1:
+        raise ConfigError(f"--workers: a run needs at least 1 worker, got {args.workers}")
+    return args.workers
 
 
-def _load_config(args) -> ExperimentConfig:
+def _new_run(args):
+    """(config, seed, artifacts, None) of a command that writes a run, whose
+    config.resolved it writes: --config with the overrides, --seed else model.seed."""
     overrides = {}
     for item in args.set:
         if "=" not in item:
@@ -498,22 +466,51 @@ def _load_config(args) -> ExperimentConfig:
         config.values["output.dir"] = args.out
     if args.format:
         config.values["output.format"] = args.format
-    return config
+    seed = args.seed if args.seed is not None else config["model.seed"]
+    if seed < 0:
+        raise ConfigError(f"--seed: seeds must be nonnegative, got {seed}")
+    art = _Artifacts(config["output.dir"], config["output.format"])
+    art.write_text("config.resolved", serialize(config))
+    return config, seed, art, None
+
+
+def _read_run(args):
+    """(config, seed, artifacts, manifest) of the run a reading command reads,
+    in --out (else output.dir's default): its config.resolved, unchanged, and
+    the seed of its manifest.json.  A config or seed flag is a config error,
+    raised before any file is read, and a missing or malformed file an I/O
+    error naming it."""
+    for flag, value in (("--config", args.config), ("--set", args.set or None),
+                        ("--format", args.format), ("--seed", args.seed)):
+        if value is not None:
+            raise ConfigError(f"{flag}: {args.command} takes the config and seed of its run")
+    out_dir = args.out or _SCHEMA["output.dir"][1]
+    path = os.path.join(out_dir, "manifest.json")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            record = json.load(fh)
+        except ValueError as exc:
+            raise OSError(f"{path}: not a manifest ({exc})") from exc
+    if not (isinstance(record, dict) and isinstance(record.get("files"), dict)
+            and isinstance(record.get("reads", {}), dict)):
+        raise OSError(f"{path}: not a manifest (no files, or reads not a mapping)")
+    seed = record.get("seed")
+    if type(seed) is not int or seed < 0:  # json's true is a bool, an int subclass
+        raise OSError(f"{path}: not a manifest (seed {seed!r}, expected an integer >= 0)")
+    path = os.path.join(out_dir, "config.resolved")
+    try:  # a missing file raises OSError itself
+        config = parse_config(path)
+    except ValueError as exc:
+        raise OSError(f"{path}: not a resolved config ({exc})") from exc
+    return config, seed, _Artifacts(out_dir, config["output.format"]), record
 
 
 def main(argv=None) -> int:
     _keep_freed_heap()
     args = _build_parser().parse_args(argv)
     try:
-        config = _load_config(args)
         workers = _resolve_workers(args)
-        seed = args.seed if args.seed is not None else config["model.seed"]
-        if seed < 0:
-            raise ConfigError(f"--seed: seeds must be nonnegative, got {seed}")
-        art = _Artifacts(config["output.dir"], config["output.format"])
-        prior = art.prior_record() if args.command in _READERS else None
-        art.write_text(f"{args.command}.config.resolved" if args.command in _READERS
-                       else "config.resolved", serialize(config))
+        config, seed, art, prior = (_read_run if args.command in _READERS else _new_run)(args)
         handlers = {
             "generate": _cmd_generate,
             "score-check": _cmd_score_check,

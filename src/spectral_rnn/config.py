@@ -113,8 +113,9 @@ def _validate(values: dict) -> None:
         raise ConfigError("output.format: expected 'spt1' or 'csv'")
     if values["estimation.burn_in"] < 0:
         raise ConfigError("estimation.burn_in: must be nonnegative")
-    if len(values["estimation.n_grid"]) < 1 or len(values["estimation.seeds"]) < 1:
-        raise ConfigError("estimation.n_grid/seeds: need at least one entry")
+    for key in ("estimation.n_grid", "estimation.seeds"):  # a repeat would refit a sweep cell
+        if not 0 < len(set(values[key])) == len(values[key]):
+            raise ConfigError(f"{key}: need distinct entries, at least one, got {values[key]}")
     if min(values["estimation.seeds"]) < 0:
         raise ConfigError("estimation.seeds: seeds must be nonnegative")
     shortest = values["estimation.burn_in"] + 4  # a moment at score shift +-1 needs one position

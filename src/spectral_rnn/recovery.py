@@ -46,6 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cp_decomp import CpDecomposition, decompose
+from .moments import DEFAULT_BURN_IN
 from .sequence_models import AssumptionError, SequenceData
 
 @dataclass
@@ -335,7 +336,7 @@ def _moments(data, spec, C, A2, shift, burn_in, scores):
     return basis, dict(zip(shifts, np.split(Q, len(shifts))))
 
 
-def quadratic_moments(data, spec, d_h, burn_in=10, seed=0):
+def quadratic_moments(data, spec, d_h, burn_in=DEFAULT_BURN_IN, seed=0):
     """(T2, est, basis, Q), the front half of train_quadratic: the quadratic
     moment T2, the stage-1 estimate est (recover_quadratic on T2 alone, U
     None), and the shift -1 unit-output moment Q of _moments, d_h x d_h^2 x
@@ -346,7 +347,7 @@ def quadratic_moments(data, spec, d_h, burn_in=10, seed=0):
     return T2, est, basis, Q[-1]
 
 
-def train_quadratic(data, spec, d_h, burn_in=10, seed=0) -> RnnEstimate:
+def train_quadratic(data, spec, d_h, burn_in=DEFAULT_BURN_IN, seed=0) -> RnnEstimate:
     """Quadratic pipeline from a sequence: quadratic_moments, then the
     recurrence rows fit on its unit blocks (_recurrence_rows)."""
     _, est, basis, Q = quadratic_moments(data, spec, d_h, burn_in, seed)
@@ -354,7 +355,7 @@ def train_quadratic(data, spec, d_h, burn_in=10, seed=0) -> RnnEstimate:
     return est
 
 
-def train_brnn(data, spec, d_h, burn_in=10, seed=0) -> BrnnEstimate:
+def train_brnn(data, spec, d_h, burn_in=DEFAULT_BURN_IN, seed=0) -> BrnnEstimate:
     """Bidirectional pipeline: stage 1 (recover_brnn on T2 alone, rows in
     weight order), then the unit blocks of both shifts from one _moments
     pass, split and fit by _split_brnn."""
@@ -365,7 +366,7 @@ def train_brnn(data, spec, d_h, burn_in=10, seed=0) -> BrnnEstimate:
     return _split_brnn(C, first.A2, Q[-1], Q[+1], basis)
 
 
-def train_scalar(data, spec, d_h, l=3, burn_in=10, seed=0) -> RnnEstimate:
+def train_scalar(data, spec, d_h, l=3, burn_in=DEFAULT_BURN_IN, seed=0) -> RnnEstimate:
     """Cubic units with scalar output: recover_scalar on the third-order
     moment cross_moment(..., 3).value[0]."""
     from .moments import cross_moment
@@ -378,7 +379,7 @@ def train_scalar(data, spec, d_h, l=3, burn_in=10, seed=0) -> RnnEstimate:
     return recover_scalar(T3, d_h, seed=seed)
 
 
-def train_linear(data, spec, d_h, burn_in=10) -> RnnEstimate:
+def train_linear(data, spec, d_h, burn_in=DEFAULT_BURN_IN) -> RnnEstimate:
     """Linear pipeline: recover_linear on the lagged blocks C_0 and C_1, the
     first-order moments at shifts 0 and -1 from one stacked cross_moment
     call."""

@@ -97,11 +97,15 @@ def test_input_sigma_must_be_positive_and_finite(sigma):
     ({"estimation.n": "100", "estimation.burn_in": "100"}, "estimation.n"),
     ({"estimation.n_grid": "1000,10"}, "estimation.n_grid"),
     ({"model.d_h": "5"}, "model.d_h"),
+    ({"estimation.n_grid": "2000,4000,2000"}, "estimation.n_grid"),
+    ({"estimation.seeds": "0,0"}, "estimation.seeds"),
+    ({"estimation.seeds": ""}, "estimation.seeds"),
 ])
 def test_values_no_run_can_use_are_rejected_by_key(items, key):
     """Negative seeds, sequences too short for a burn-in and a shifted score
-    on both sides, and more hidden units than input dimensions are config
-    errors naming their key, not tracebacks from the simulation."""
+    on both sides, more hidden units than input dimensions, and an empty
+    sweep grid or one that repeats an entry are config errors naming their
+    key, not tracebacks from the simulation."""
     with pytest.raises(ConfigError, match=f"^{key}:"):
         from_items({**BASE, **items})
 
@@ -138,10 +142,15 @@ def test_malformed_line_reports_location(tmp_path):
 
 
 def _run(tmp_path, command, extra_args=(), extra_cfg=None, out="out"):
-    cfg = _write_config(tmp_path, extra_cfg)
+    """Runs command with BASE and extra_cfg as its config file, or, for a
+    reading command, which takes its run's config, with none."""
     out_dir = str(tmp_path / out)
-    argv = [command, "--config", cfg, "--out", out_dir, *extra_args]
-    return main(argv), out_dir
+    if command in cli._READERS:
+        assert extra_cfg is None, "a reading command takes the config of its run"
+        config = ()
+    else:
+        config = ("--config", _write_config(tmp_path, extra_cfg))
+    return main([command, *config, "--out", out_dir, *extra_args]), out_dir
 
 
 def test_cli_generate_writes_artifacts(tmp_path):
@@ -225,7 +234,7 @@ def test_cli_train_scalar_scores_output_rows(tmp_path, monkeypatch):
     assert sorted(report) == ["max_error", "median_error", "permutation", "signs"]
     assert report["max_error"] < 0.15
     # eval aligns the same rows, in the same sign group
-    assert _run(tmp_path, "eval", ("--seed", "3"), SCALAR)[0] == 0
+    assert _run(tmp_path, "eval")[0] == 0
     ev = json.loads(open(os.path.join(out, "eval.json")).read())
     assert (ev["max_error"], ev["median_error"]) == (report["max_error"],
                                                      report["median_error"])
@@ -339,19 +348,31 @@ def test_cli_linalg_error_names_the_command(tmp_path, capsys, monkeypatch):
                                     "message": "Singular matrix"}
 
 
-def test_cli_missing_moment_file_exit_code(tmp_path):
-    code, _ = _run(tmp_path, "decompose", extra_cfg={"estimation.n": "100"})
+def _decompose_replaced_t2(tmp_path, t2, cfg=None):
+    """decompose on a moments run (BASE and cfg) whose t2.spt1 is replaced by
+    t2: an array, bytes cut from the run's own file, or None to delete it.
+    (exit code, path of t2.spt1); decompose must then write no cp_* file."""
+    assert _run(tmp_path, "moments", extra_cfg={"estimation.n": "2000", **(cfg or {})})[0] == 0
+    path = tmp_path / "out" / "t2.spt1"
+    if t2 is None:
+        path.unlink()
+    elif isinstance(t2, slice):
+        path.write_bytes(path.read_bytes()[t2])
+    else:
+        spt1.write_tensor(path, t2)
+    code, out = _run(tmp_path, "decompose")
+    assert not any(name.startswith("cp_") for name in os.listdir(out))
+    return code, path
+
+
+def test_cli_missing_moment_file_exit_code(tmp_path, capsys):
+    code, path = _decompose_replaced_t2(tmp_path, None)
     assert code == 4
+    assert str(path) in _exit_record(capsys)["message"]
 
 
 def test_cli_truncated_moment_file_exit_code(tmp_path):
-    out = tmp_path / "out"
-    out.mkdir()
-    spt1.write_tensor(out / "t2.spt1", np.ones((3, 4, 4)))
-    raw = (out / "t2.spt1").read_bytes()
-    (out / "t2.spt1").write_bytes(raw[:-8])
-    code, _ = _run(tmp_path, "decompose", extra_cfg={"estimation.n": "100"})
-    assert code == 4
+    assert _decompose_replaced_t2(tmp_path, slice(None, -8))[0] == 4
 
 
 def test_cli_decompose_rank_deficiency_exit_code(tmp_path, capsys):
@@ -362,55 +383,52 @@ def test_cli_decompose_rank_deficiency_exit_code(tmp_path, capsys):
     A2[1] = 0.0
     params = RnnParams(A1=np.linalg.qr(rng.standard_normal((6, 3)))[0].T,
                        U=np.zeros((3, 3)), A2=A2, l=2)
-    out = tmp_path / "out"
-    out.mkdir()
-    spt1.write_tensor(out / "t2.spt1", population_moment_oracle(params, "S2-order3"))
-    code, _ = _run(tmp_path, "decompose", extra_cfg={
-        "model.d_x": "6", "model.d_h": "3", "model.d_y": "4", "estimation.n": "100"})
+    code, _ = _decompose_replaced_t2(tmp_path, population_moment_oracle(params, "S2-order3"),
+                                     {"model.d_x": "6", "model.d_h": "3", "model.d_y": "4"})
     assert code == 3
     assert _exit_record(capsys) == {"error": "numerical", "stage": "stage1",
                                     "message": "stage 1: rank deficiency, kept 2 of 3 components"}
-    assert not (out / "cp_weights.spt1").exists()
-
-
-def test_cli_decompose_more_components_than_t2_has_is_a_config_error(tmp_path, capsys):
-    """A t2 with trailing modes of size 4 cannot give model.d_h = 6
-    components: a config error naming model.d_h, not a traceback."""
-    cfg = {"model.d_x": "4", "model.d_h": "2", "model.d_y": "3", "estimation.n": "20000"}
-    code, out = _run(tmp_path, "moments", extra_cfg=cfg)
-    assert code == 0
-    code, _ = _run(tmp_path, "decompose",
-                   extra_cfg={**cfg, "model.d_x": "8", "model.d_h": "6"})
-    assert code == 2
-    path = os.path.join(out, "t2.spt1")
-    assert _exit_record(capsys) == {
-        "error": "config",
-        "message": f"model.d_h: decompose fits 6 components, but {path} has trailing "
-                   "modes of size 4"}
-    assert not os.path.exists(os.path.join(out, "cp_weights.spt1"))
 
 
 @pytest.mark.parametrize("shape", [(3, 4, 5), (4, 4), (2, 3, 3, 3)])
 def test_cli_decompose_t2_of_the_wrong_shape_exit_code(tmp_path, capsys, shape):
-    """A well-formed SPT1 file that is not d_y x d x d is a corrupt
-    artifact: exit 4, as a malformed file is."""
-    out = tmp_path / "out"
-    out.mkdir()
-    spt1.write_tensor(out / "t2.spt1", np.ones(shape))
-    code, _ = _run(tmp_path, "decompose", extra_cfg={"estimation.n": "100"})
+    """A well-formed SPT1 file that is not d_y x d_x x d_x in the run's
+    config is a corrupt artifact: exit 4, as a malformed file is."""
+    code, path = _decompose_replaced_t2(tmp_path, np.ones(shape))
     assert code == 4
-    record = _exit_record(capsys)
-    assert record["error"] == "io"
-    assert record["message"].endswith(f"not a quadratic moment: shape {shape}, expected "
-                                      "order 3 with equal trailing modes")
-    assert not (out / "cp_weights.spt1").exists()
+    assert _exit_record(capsys) == {"error": "io",
+                                    "message": f"{path}: shape {shape}, expected (3, 4, 4)"}
+
+
+def test_cli_decompose_non_finite_t2_exit_code(tmp_path, capsys):
+    """A NaN in t2 is a corrupt artifact naming its path, read as eval reads
+    a run array, not an SVD failure at stage decompose."""
+    t2 = np.ones((3, 4, 4))
+    t2[1, 2, 3] = np.nan
+    code, path = _decompose_replaced_t2(tmp_path, t2)
+    assert code == 4
+    assert _exit_record(capsys) == {"error": "io", "message": f"{path}: non-finite entries"}
+
+
+@pytest.mark.parametrize("flag", [("--config", "run.cfg"), ("--set", "model.d_h=1"),
+                                  ("--format", "csv"), ("--seed", "3")],
+                         ids=lambda flag: flag[0])
+@pytest.mark.parametrize("reader", cli._READERS)
+def test_cli_reader_rejects_config_and_seed_flags(tmp_path, capsys, reader, flag):
+    """A reading command takes the config and seed of the run it reads, so a
+    flag that would set either exits 2 naming it, before any file is read:
+    the directory read does not exist, which would exit 4."""
+    code, out = _run(tmp_path, reader, flag, out="missing")
+    assert code == 2
+    assert _exit_record(capsys)["message"].startswith(f"{flag[0]}: {reader} takes")
+    assert not os.path.exists(out)
 
 
 def test_cli_moments_then_decompose(tmp_path):
     cfg = {"estimation.n": "20000", "model.d_h": "2", "model.d_y": "3"}
     code, out = _run(tmp_path, "moments", extra_cfg=cfg)
     assert code == 0
-    code2, _ = _run(tmp_path, "decompose", extra_cfg=cfg)
+    code2, _ = _run(tmp_path, "decompose")
     assert code2 == 0
     weights = spt1.read_tensor(os.path.join(out, "cp_weights.spt1"))
     assert weights.shape == (1, 2)
@@ -420,12 +438,13 @@ def test_cli_moments_then_decompose(tmp_path):
 def test_cli_moments_and_decompose_are_the_front_half_of_train(tmp_path):
     """train is moments, decompose and the recurrence row fits: at one seed,
     the rows fit on t4 in the basis t4_basis, given decompose's cp_factor,
-    are train's u_hat bit for bit, and cp_factor^T is its a1_hat.  At this
-    seed a row-major t2 decomposes to a cp_factor an ulp off a1_hat, so this
-    also pins the layout decompose reads t2 in."""
+    are train's u_hat bit for bit, and cp_factor^T is its a1_hat.  decompose
+    takes the seed from the moments run.  At this seed a row-major t2
+    decomposes to a cp_factor an ulp off a1_hat, so this also pins the
+    layout decompose reads t2 in."""
     cfg = {"estimation.n": "20000", "model.d_h": "2", "model.d_y": "3"}
-    for command in ("moments", "decompose"):
-        assert _run(tmp_path, command, ("--seed", "7"), cfg, out="moments")[0] == 0
+    assert _run(tmp_path, "moments", ("--seed", "7"), cfg, out="moments")[0] == 0
+    assert _run(tmp_path, "decompose", out="moments")[0] == 0
     assert _run(tmp_path, "train", ("--seed", "7"), cfg, out="train")[0] == 0
 
     def read(out, name):
@@ -445,7 +464,7 @@ def test_cli_decompose_reports_its_stage1(tmp_path):
     and how many of the candidates failed."""
     cfg = {"estimation.n": "20000", "model.d_h": "2", "model.d_y": "3"}
     assert _run(tmp_path, "moments", extra_cfg=cfg)[0] == 0
-    code, out = _run(tmp_path, "decompose", extra_cfg=cfg)
+    code, out = _run(tmp_path, "decompose")
     assert code == 0
     report = json.loads(open(os.path.join(out, "cp_report.json")).read())
     assert sorted(report) == ["candidates_failed", "rank", "residual"]
@@ -468,7 +487,7 @@ def test_cli_train_and_eval(tmp_path):
     assert code == 0
     report = json.loads(open(os.path.join(out, "report.json")).read())
     assert report["max_error"] < 0.5
-    code2, _ = _run(tmp_path, "eval", ("--seed", "3"), cfg)
+    code2, _ = _run(tmp_path, "eval")
     assert code2 == 0
     ev = json.loads(open(os.path.join(out, "eval.json")).read())
     assert ev["max_error"] < 0.5
@@ -493,8 +512,8 @@ def _sha256(path):
 def test_cli_reading_commands_add_to_the_run_record(tmp_path, writer, reader, outputs):
     """eval and decompose keep the record of the run they read: every
     earlier artifact keeps its manifest entry and hash, config.resolved keeps
-    its bytes, and the reader adds its files and, under reads, its own
-    config hash (of <reader>.config.resolved), seed and versions."""
+    its bytes, and the reader adds its files and, under reads, its config
+    hash and seed, which are the run's, and versions."""
     cfg = {"estimation.n": "20000"}
     assert _run(tmp_path, writer, ("--seed", "3"), cfg)[0] == 0
     out = tmp_path / "out"
@@ -506,30 +525,30 @@ def test_cli_reading_commands_add_to_the_run_record(tmp_path, writer, reader, ou
     resolved = (out / "config.resolved").read_bytes()
     assert before["config_hash"] == hashlib.sha256(resolved).hexdigest()
 
-    assert _run(tmp_path, reader, ("--seed", "4"), cfg)[0] == 0
+    assert _run(tmp_path, reader)[0] == 0
     after = json.loads((out / "manifest.json").read_text())
-    assert {k: after[k] for k in ("config_hash", "seed", "versions")} == {
-        k: before[k] for k in ("config_hash", "seed", "versions")}
+    header = {k: before[k] for k in ("config_hash", "seed", "versions")}
+    assert {k: after[k] for k in header} == header
     assert after["files"].items() >= before["files"].items()
-    assert after["files"].keys() - before["files"].keys() == outputs | {
-        f"{reader}.config.resolved"}
+    assert after["files"].keys() - before["files"].keys() == outputs
     for name, digest in after["files"].items():
         assert _sha256(out / name) == digest, name
     assert (out / "config.resolved").read_bytes() == resolved
     assert parse_config(str(out / "config.resolved"))["estimation.n"] == 20000
-    assert after["reads"] == {reader: {
-        "config_hash": _sha256(out / f"{reader}.config.resolved"), "seed": 4,
-        "versions": before["versions"]}}
+    assert after["reads"] == {reader: header} and header["seed"] == 3
 
 
 @pytest.mark.parametrize("text", ["{not json", "[]", '{"files": []}',
-                                  '{"files": {}, "reads": []}'])
+                                  '{"files": {}, "reads": []}', '{"files": {}}',
+                                  '{"files": {}, "seed": -1}', '{"files": {}, "seed": "3"}',
+                                  '{"files": {}, "seed": 3.0}', '{"files": {}, "seed": true}'])
 def test_cli_reading_command_rejects_a_broken_record(tmp_path, capsys, text):
-    """A manifest that is not one exits 4 rather than being replaced."""
+    """A manifest that is not one, or whose seed is not an integer >= 0,
+    exits 4 rather than being replaced."""
     out = tmp_path / "out"
     out.mkdir()
     (out / "manifest.json").write_text(text)
-    code, _ = _run(tmp_path, "eval", extra_cfg={"estimation.n": "100"})
+    code, _ = _run(tmp_path, "eval")
     assert code == 4
     assert "not a manifest" in _exit_record(capsys)["message"]
     assert (out / "manifest.json").read_text() == text
@@ -543,7 +562,7 @@ def test_cli_train_and_eval_non_unit_input_rows(tmp_path):
     assert code == 0
     report = json.loads(open(os.path.join(out, "report.json")).read())
     assert report["max_error"] < 0.5
-    code2, _ = _run(tmp_path, "eval", ("--seed", "3"), cfg)
+    code2, _ = _run(tmp_path, "eval")
     assert code2 == 0
     ev = json.loads(open(os.path.join(out, "eval.json")).read())
     assert ev["max_error"] < 0.5
@@ -583,7 +602,7 @@ def test_cli_eval_after_train_brnn_gives_the_joint_error(tmp_path):
     code, out = _run(tmp_path, "train-brnn", ("--seed", "2"), cfg)
     assert code == 0
     report = json.loads(open(os.path.join(out, "report.json")).read())
-    code2, _ = _run(tmp_path, "eval", ("--seed", "2"), cfg)
+    code2, _ = _run(tmp_path, "eval")
     assert code2 == 0
     ev = json.loads(open(os.path.join(out, "eval.json")).read())
     assert (ev["max_error"], ev["median_error"]) == (report["max_error"],
@@ -669,7 +688,7 @@ def test_cli_estimates_do_not_read_model_truth(tmp_path, monkeypatch):
 
 
 def test_cli_eval_without_estimate_exit_code(tmp_path):
-    code, _ = _run(tmp_path, "eval", extra_cfg={"estimation.n": "100"})
+    code, _ = _run(tmp_path, "eval")
     assert code == 4
 
 
@@ -757,14 +776,12 @@ TRAIN_RUNS = {
 @pytest.mark.parametrize("fmt", ["spt1", "csv"])
 @pytest.mark.parametrize("command", TRAIN_RUNS)
 def test_cli_eval_reproduces_the_report(tmp_path, command, fmt):
-    """eval re-scores a run with the function that wrote its report.json, on
-    the arrays the run wrote, in the run's own degree, format and shapes: its
-    eval.json has report.json's bytes for every family, a linear run's
-    invariants included, under an eval config that differs from the run's."""
+    """eval --out DIR, with no other flag, re-scores a run with the function
+    that wrote its report.json, on the arrays the run wrote, in the run's own
+    degree, format and shapes: its eval.json has report.json's bytes for
+    every family, a linear run's invariants included."""
     assert _run(tmp_path, command, ("--seed", "3", "--format", fmt), TRAIN_RUNS[command])[0] == 0
-    other = "csv" if fmt == "spt1" else "spt1"
-    assert _run(tmp_path, "eval", ("--seed", "4", "--format", other),
-                {"model.d_x": "5", "estimation.n": "100"})[0] == 0
+    assert main(["eval", "--out", str(tmp_path / "out")]) == 0
     out = tmp_path / "out"
     report = (out / "report.json").read_bytes()
     assert (out / "eval.json").read_bytes() == report
@@ -797,7 +814,7 @@ def test_cli_eval_on_a_damaged_run_exit_code(tmp_path, capsys, damage, fmt):
         np.savetxt(path, content, delimiter=",")
     else:
         spt1.write_tensor(path, content)
-    code, out = _run(tmp_path, "eval", extra_cfg={"estimation.n": "2000"})
+    code, out = _run(tmp_path, "eval")
     assert code == 4
     record = _exit_record(capsys)
     assert record["error"] == "io" and str(path) in record["message"]
@@ -843,7 +860,10 @@ def test_cli_json_artifacts_are_strict_json(tmp_path, commands, cfg, written):
     a sweep whose grid has one n fits no line, and writes a null slope and
     intercept."""
     for command in commands:
-        assert _run(tmp_path, command, ("--seed", "3"), cfg)[0] == 0, command
+        if command in cli._READERS:
+            assert _run(tmp_path, command)[0] == 0, command
+        else:
+            assert _run(tmp_path, command, ("--seed", "3"), cfg)[0] == 0, command
     records = {path.name: _strict_json(path) for path in (tmp_path / "out").glob("*.json")}
     assert records.keys() == written | {"manifest.json"}
     if commands == ("sweep",):
@@ -861,19 +881,6 @@ def test_cli_score_check_non_finite_error_writes_no_record(tmp_path, capsys, mon
     assert not os.path.exists(os.path.join(out, "score_check.json"))
 
 
-def test_cli_eval_reads_the_degree_of_the_run(tmp_path):
-    """eval aligns in the sign group of the run's own model.l, from its
-    config.resolved: a train-scalar run evaluated under a config with
-    model.l = 2 still reads its report's errors."""
-    assert _run(tmp_path, "train-scalar", ("--seed", "3"), SCALAR)[0] == 0
-    out = tmp_path / "out"
-    report = json.loads((out / "report.json").read_text())
-    assert _run(tmp_path, "eval", ("--seed", "3"), {**SCALAR, "model.l": "2"})[0] == 0
-    ev = json.loads((out / "eval.json").read_text())
-    assert (ev["max_error"], ev["median_error"]) == (report["max_error"],
-                                                     report["median_error"])
-
-
 @pytest.mark.parametrize("damage", ["missing", "unknown key", "no value", "binary"])
 def test_cli_eval_without_a_readable_run_config_exit_code(tmp_path, capsys, damage):
     """eval takes the degree from the run's config.resolved, so a missing or
@@ -885,11 +892,28 @@ def test_cli_eval_without_a_readable_run_config_exit_code(tmp_path, capsys, dama
     else:
         path.write_bytes({"unknown key": b"model.dx = 4\n", "no value": b"model.l\n",
                           "binary": b"\xff\xfe"}[damage])
-    code, out = _run(tmp_path, "eval", extra_cfg={"estimation.n": "2000"})
+    code, out = _run(tmp_path, "eval")
     assert code == 4
     record = _exit_record(capsys)
     assert record["error"] == "io" and str(path) in record["message"]
     assert not os.path.exists(os.path.join(out, "eval.json"))
+
+
+@pytest.mark.parametrize("name", ["config.resolved", "manifest.json"])
+@pytest.mark.parametrize("writer,reader,output", [("train", "eval", "eval.json"),
+                                                  ("moments", "decompose", "cp_report.json")])
+def test_cli_reader_without_its_run_record_exit_code(tmp_path, capsys, writer, reader, output,
+                                                      name):
+    """A reading command's config and seed are the run's config.resolved and
+    manifest.json, so a run directory without either exits 4 naming it."""
+    assert _run(tmp_path, writer, extra_cfg={"estimation.n": "2000"})[0] == 0
+    path = tmp_path / "out" / name
+    path.unlink()
+    code, out = _run(tmp_path, reader)
+    assert code == 4
+    record = _exit_record(capsys)
+    assert record["error"] == "io" and str(path) in record["message"]
+    assert not os.path.exists(os.path.join(out, output))
 
 
 def test_cli_score_check(tmp_path):
@@ -937,14 +961,21 @@ def test_cli_sweep_deterministic_across_workers(tmp_path):
     assert one["sweep.csv"].decode().splitlines()[0] == "n,seed,matrix,row,error"
 
 
-def test_cli_workers_env_var(tmp_path, capsys, monkeypatch):
-    """A variable that does not parse, or names fewer than one worker,
-    exits 2 by name."""
-    for value in ("nope", "0", "-3"):
-        monkeypatch.setenv("SPECTRAL_RNN_WORKERS", value)
-        code, _ = _run(tmp_path, "generate", extra_cfg={"estimation.n": "50"})
-        assert code == 2, value
-        assert _exit_record(capsys)["message"].startswith("SPECTRAL_RNN_WORKERS:"), value
+def test_cli_sweep_repeated_grid_entry_is_a_config_error(tmp_path, capsys, monkeypatch):
+    """A repeated n or seed would fit one sweep cell twice and write its rows
+    twice, so it exits 2 naming the key before anything is simulated."""
+    monkeypatch.setattr(cli, "_simulate", None)
+    code, out = _run(tmp_path, "sweep", ("--set", "estimation.n_grid=2000,2000",
+                                         "--set", "estimation.seeds=0,0"))
+    assert code == 2
+    assert _exit_record(capsys)["message"].startswith("estimation.n_grid: need distinct")
+    assert not os.path.exists(out)
+
+
+def test_cli_generate_ignores_a_workers_variable(tmp_path, monkeypatch):
+    """--workers is the only worker setting: the environment sets none."""
+    monkeypatch.setenv("SPECTRAL_RNN_WORKERS", "nope")
+    assert _run(tmp_path, "generate", extra_cfg={"estimation.n": "50"})[0] == 0
 
 
 @pytest.mark.parametrize("command", ["generate", "sweep"])
@@ -952,8 +983,7 @@ def test_cli_workers_env_var(tmp_path, capsys, monkeypatch):
 def test_cli_workers_below_one_is_a_config_error(tmp_path, capsys, monkeypatch,
                                                   command, workers):
     """No run can use fewer than one worker, so the flag exits 2 by name,
-    before anything is simulated, and wins over a valid variable."""
-    monkeypatch.setenv("SPECTRAL_RNN_WORKERS", "2")
+    before anything is simulated."""
     monkeypatch.setattr(cli, "_simulate", None)
     code, _ = _run(tmp_path, command, ("--workers", workers), {"estimation.n": "100"})
     assert code == 2
@@ -1014,7 +1044,6 @@ def test_cli_heap_policy_failure_changes_nothing(tmp_path, monkeypatch, cdll):
 def test_cli_default_workers_follow_the_affinity_mask(monkeypatch):
     # a process pinned to fewer CPUs than the host has gets one worker per
     # usable CPU; without sched_getaffinity the host's count stands
-    monkeypatch.delenv("SPECTRAL_RNN_WORKERS", raising=False)
     args = cli._build_parser().parse_args(["generate"])
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
