@@ -44,6 +44,9 @@ EXIT_IO = 4
 # Commands that read an earlier run's artifacts and add to its record.
 _READERS = ("eval", "decompose")
 
+# Bytes per read when hashing an artifact, so no file is held whole.
+_HASH_CHUNK = 1 << 20
+
 # mallopt(3) parameter numbers, from glibc's malloc.h.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
@@ -60,9 +63,11 @@ class _Artifacts:
         os.makedirs(out_dir, exist_ok=True)
 
     def _register(self, path: str) -> None:
+        digest = hashlib.sha256()
         with open(path, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
-        self.files[os.path.relpath(path, self.out_dir)] = digest
+            while chunk := fh.read(_HASH_CHUNK):
+                digest.update(chunk)
+        self.files[os.path.relpath(path, self.out_dir)] = digest.hexdigest()
 
     def array_path(self, name: str) -> str:
         return os.path.join(self.out_dir, f"{name}.{self.fmt}")

@@ -312,6 +312,24 @@ def _second_moment(data, spec, burn_in):
     return s, cross_moment_s2(spec, data, burn_in=burn_in, scores=s).value
 
 
+_Z_BLOCK, _Z_TAIL = 4096, 64  # columns per block of (C x)^2, and the shortest last block
+
+
+def _unit_outputs(data, C, A2):
+    """Z = M y - (C x)^2 with M = _output_map(A2), (C x)^2 block by block
+    (see _moments)."""
+    Z = _output_map(A2) @ data.y
+    k, n = Z.shape
+    edges = [0, *range(_Z_BLOCK, n - _Z_TAIL + 1, _Z_BLOCK), n]
+    scratch = np.empty(k * max(b - a for a, b in zip(edges, edges[1:])))
+    for a, b in zip(edges, edges[1:]):
+        sq = scratch[: k * (b - a)].reshape(k, b - a)
+        np.matmul(C, data.x[:, a:b], out=sq)
+        np.square(sq, out=sq)
+        Z[:, a:b] -= sq
+    return Z
+
+
 def _moments(data, spec, C, A2, shift, burn_in, scores):
     """(basis, {shift: Q}): the per-unit fourth-order blocks of the k stage-1
     units (input rows C, output rows A2), from one cross_moment_s4_reshaped
@@ -324,11 +342,16 @@ def _moments(data, spec, C, A2, shift, burn_in, scores):
     part of h_t that the recurrence adds.  (C x_t)^2 depends on the current
     input only, so its cross-moment with a shifted score is zero and
     subtracting it only reduces variance.
+
+    _unit_outputs forms Z: M y is one product, and (C x)^2 is formed and
+    subtracted on a fixed grid of _Z_BLOCK-column blocks through one
+    block-sized scratch array, so Z is the only k x n array.  A last block
+    shorter than _Z_TAIL columns joins the block before it, because a
+    product of a few columns takes another BLAS path, with other bits.
     """
     from .moments import cross_moment_s4_reshaped
 
-    Z = _output_map(A2) @ data.y
-    Z -= (C @ data.x) ** 2
+    Z = _unit_outputs(data, C, A2)
     basis = np.linalg.qr(C.T)[0].T
     Q = cross_moment_s4_reshaped(spec, SequenceData(x=data.x, y=Z), shift=shift,
                                  burn_in=burn_in, scores=scores, basis=basis).value

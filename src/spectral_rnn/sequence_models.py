@@ -192,6 +192,11 @@ def _linear_scan(levels: list, x: np.ndarray, eps: np.ndarray) -> None:
     block's start state then adds [W; W^2; ...; W^B] x_prev.  The start states
     are the same chain one level down, with transition W^B, so this scan fills
     them recursively with levels[1:].
+
+    eps may be the view x[:, 1:], so that the innovations are overwritten by
+    the states they drive: each chunk copies its innovations into E before
+    it writes x, and a scan of at most B steps reads eps[:, t] before it
+    writes x[:, t + 1].  Any other overlap of eps and x is not supported.
     """
     W, kernel, carry_in = levels[0]
     d, steps = eps.shape
@@ -220,7 +225,10 @@ def sample_markov_chain(spec: MarkovChainSpec, n: int, seed: int) -> np.ndarray:
     """Simulate the chain; deterministic given (spec, n, seed).  Returns d_x x n.
 
     The generator draws x_0 (stationary init) and then the d_x x (n - 1)
-    innovations, in that order.
+    innovations, in that order.  The innovations are drawn row by row
+    straight into x[:, 1:], which takes the generator's stream in the order
+    of one standard_normal((d_x, n - 1)) call, and _linear_scan overwrites
+    them in place with the states, so the only scratch is chunk-sized.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -234,9 +242,10 @@ def sample_markov_chain(spec: MarkovChainSpec, n: int, seed: int) -> np.ndarray:
         x[:, 0] = 0.0
     else:
         raise ValueError(f"unknown init {spec.init!r}")
-    eps = rng.standard_normal((d, n - 1))
-    eps *= spec.sigma
-    _linear_scan(_scan_levels(spec.W, n - 1), x, eps)
+    for row in x[:, 1:]:
+        rng.standard_normal(out=row)
+        row *= spec.sigma
+    _linear_scan(_scan_levels(spec.W, n - 1), x, x[:, 1:])
     return x
 
 

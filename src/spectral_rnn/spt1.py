@@ -21,17 +21,20 @@ class Spt1Error(OSError, ValueError):
 
 
 def write_tensor(path: str | Path, T: np.ndarray) -> None:
-    T = np.asarray(T, dtype="<f8")  # tobytes writes C order; a 0-d tensor keeps order 0
+    """Write T's C-order buffer itself, copying only a T that is not
+    C-contiguous little-endian f8; a 0-d tensor keeps order 0."""
+    T = np.asarray(T, dtype="<f8")
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", T.ndim))
         for d in T.shape:
             f.write(struct.pack("<Q", d))
-        f.write(T.tobytes(order="C"))
+        f.write(np.ascontiguousarray(T).reshape(-1).view(np.uint8))
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
-    """Read an SPT1 file, checking its header and its exact size before the payload."""
+    """Read an SPT1 file, checking its header and its exact size before the
+    payload, which is read into the returned array with no other copy."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         head = f.read(8)
@@ -46,5 +49,7 @@ def read_tensor(path: str | Path) -> np.ndarray:
         expected = 8 + 8 * order + 8 * math.prod(dims)
         if size != expected:
             raise Spt1Error(f"{path}: {size} bytes, expected {expected} for dims {dims}")
-        data = np.frombuffer(f.read(), dtype="<f8")
-    return data.reshape(dims).astype(float)
+        data = np.empty(dims, dtype="<f8")
+        if f.readinto(data.reshape(-1).view(np.uint8)) != data.nbytes:
+            raise Spt1Error(f"{path}: payload shorter than {data.nbytes} bytes")
+    return data.astype(float, copy=False)

@@ -1,9 +1,11 @@
 """Config parsing and command-line interface tests."""
 
 import hashlib
+import inspect
 import json
 import os
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -503,6 +505,32 @@ def test_cli_train_and_eval(tmp_path):
 
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_cli_artifact_write_holds_no_copy_of_the_file(tmp_path):
+    """write_array writes the array's own buffer and hashes the file in
+    chunks: neither holds a copy of the 9.6 MB payload, and the manifest
+    entry is the file's sha256."""
+    arts = cli._Artifacts(str(tmp_path), "spt1")
+    arr = np.random.default_rng(3).standard_normal((6, 200_000))
+    tracemalloc.start()
+    try:
+        path = arts.write_array("x", arr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < arr.nbytes // 4
+    assert arts.files == {"x.spt1": hashlib.sha256(open(path, "rb").read()).hexdigest()}
+
+
+def test_cli_and_library_share_one_burn_in_default():
+    """The config's estimation.burn_in default is the estimators' default.
+    config.py imports no numpy module, so the value is written in both
+    places and held equal here."""
+    assert cli._SCHEMA["estimation.burn_in"][1] == moments.DEFAULT_BURN_IN
+    for train in (recovery.train_quadratic, recovery.train_brnn, recovery.train_scalar,
+                  recovery.train_linear, recovery.quadratic_moments):
+        assert inspect.signature(train).parameters["burn_in"].default == moments.DEFAULT_BURN_IN
 
 
 @pytest.mark.parametrize("writer,reader,outputs", [

@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+import data_path_reference
 from spectral_rnn import cli, cp_decomp, moments, recovery
 from spectral_rnn.config import from_items
 from spectral_rnn.diagnostics import align
@@ -20,6 +22,7 @@ from spectral_rnn.recovery import (fit_recurrence_row, quadratic_moments,
                                    recover_quadratic, recover_scalar,
                                    train_brnn, train_linear, train_quadratic,
                                    train_scalar)
+from spectral_rnn.score import centered_scores
 from spectral_rnn.sequence_models import (AssumptionError, BrnnParams, RnnParams,
                                           SequenceData, bounded_input_spec, brnn_forward,
                                           rnn_forward, sample_markov_chain)
@@ -944,3 +947,68 @@ def test_brnn_split_unchanged_by_the_unit_output_moment():
         ref = _mixed_assembly(data, spec, 2, True, 10, chain_seed)
         assert np.array_equal(est.A1, ref.A1), chain_seed
         assert np.array_equal(est.B1, ref.B1), chain_seed
+
+
+def _unit_output_case(rng, k, d_x, n):
+    data = SequenceData(x=rng.standard_normal((d_x, n)), y=rng.standard_normal((k + 1, n)))
+    return data, rng.standard_normal((k, d_x)), rng.standard_normal((k, k + 1))
+
+
+# n on both sides of the block grid: whole blocks, a last block of 1-3, 7 and
+# 63 columns (folded into the block before it) and of 64 (a block of its own)
+_GRID_LENGTHS = [4096 * m + r for m in range(4) for r in (0, 1, 2, 3, 7, 63, 64) if 4096 * m + r >= 3]
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_unit_outputs_keep_the_one_product_bits(k):
+    """(C x)^2 formed on the block grid gives Z the bits of C x as one
+    product, for k <= 7 unit rows and d_x <= 12."""
+    rng = np.random.default_rng(k)
+    for d_x in range(1, 13):
+        for n in _GRID_LENGTHS:
+            data, C, A2 = _unit_output_case(rng, k, d_x, n)
+            want = data_path_reference.unit_outputs(data, C, A2)
+            assert recovery._unit_outputs(data, C, A2).tobytes() == want.tobytes(), (d_x, n)
+
+
+@pytest.mark.parametrize("k", [6, 8, 12, 16])
+def test_unit_outputs_differ_from_one_product_only_in_the_kernel_tail(k):
+    """At d_x = 16, and at k >= 12 from d_x = 4, a block's product can round
+    the last n mod 16 columns differently from one product over all n (the
+    BLAS kernel computes those in a tail of its 16-column tiles; k=8, d_x=16,
+    n=8193 is one such case on the 2-core AVX-512 host this was measured
+    on).  Every other column keeps its bits, and the tail agrees within the
+    rounding bound of a d_x-term dot product, squared, and a subtraction."""
+    rng = np.random.default_rng(50 + k)
+    for d_x in (4, 16):
+        for n in (8193, 8194, 12291, 12303, 40963):
+            data, C, A2 = _unit_output_case(rng, k, d_x, n)
+            got = recovery._unit_outputs(data, C, A2)
+            want = data_path_reference.unit_outputs(data, C, A2)
+            body = n - n % 16
+            assert got[:, :body].tobytes() == want[:, :body].tobytes(), (d_x, n)
+            eps, cx = np.finfo(float).eps, C @ data.x
+            bound = (2 * d_x * eps * np.abs(cx) * (np.abs(C) @ np.abs(data.x))
+                     + 2 * eps * np.abs(want))
+            assert np.all(np.abs(got - want) <= bound), (d_x, n)
+
+
+def test_unit_output_moment_holds_no_second_k_by_n_array():
+    """_moments holds Z and block-sized scratch, not C x or (C x)^2 as a
+    second k x n array: at n = 4e5 and k = 4 its peak stays below Z plus
+    4 MiB (the moment kernel's scratch is under 2 MiB)."""
+    n, d_x, k = 400_000, 6, 4
+    spec = bounded_input_spec(d_x, 0.5, seed=60)
+    x = sample_markov_chain(spec, n, seed=61)
+    rng = np.random.default_rng(62)
+    data = SequenceData(x=x, y=rng.standard_normal((k + 1, n)))
+    C = np.linalg.qr(rng.standard_normal((d_x, k)))[0].T
+    A2 = rng.standard_normal((k, k + 1))
+    scores = centered_scores(spec, x)
+    tracemalloc.start()
+    try:
+        recovery._moments(data, spec, C, A2, (-1, 1), 10, scores)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < k * n * 8 + (4 << 20)

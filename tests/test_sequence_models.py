@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from dataclasses import fields
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.linalg import solve_discrete_lyapunov
 
+import data_path_reference
 import spectral_rnn
 from spectral_rnn import sequence_models
 from spectral_rnn.diagnostics import sample_sweep
@@ -182,6 +184,42 @@ def test_recursive_scan_depth(monkeypatch):
     assert steps[0] == _DEEP - 1
     assert sum(s > _SCAN_BLOCK for s in steps) >= 3
     assert steps[-1] <= _SCAN_BLOCK
+
+
+# steps (n - 1) on both sides of one block and of one chunk of the scan,
+# and several chunks with a short last one
+_DRAW_LENGTHS = [1, 2, _SCAN_BLOCK, _SCAN_BLOCK + 1, _SCAN_BLOCK + 2, 2 * _SCAN_BLOCK + 1,
+                 _SPAN, _SPAN + 1, _SPAN + 2, 2 * _SPAN + 1, 2 * _SPAN + _SCAN_BLOCK + 4]
+
+
+@pytest.mark.parametrize("d_x", range(1, 13))
+def test_sample_markov_chain_keeps_the_draw_then_scan_bits(d_x):
+    """Innovations drawn row by row into x and scanned in place give the
+    bits of drawing them all into one array first and scanning from it."""
+    rng = np.random.default_rng(100 + d_x)
+    W = 0.9 * _rotation_of(d_x, rng)
+    for init in ("stationary", "zero"):
+        spec = MarkovChainSpec(W=W, sigma=0.3, init=init)
+        for n in _DRAW_LENGTHS:
+            want = data_path_reference.sample_markov_chain(spec, n, seed=n)
+            assert sample_markov_chain(spec, n, seed=n).tobytes() == want.tobytes(), (init, n)
+
+
+def test_sample_markov_chain_holds_its_output_and_chunk_scratch_only():
+    """At n = 1e5 the innovations are not a second d_x x n array: the peak
+    is x plus a few chunk-sized arrays of the scan (E, R and their
+    reordered copies), not x twice."""
+    d_x, n = 6, 100_000
+    spec = bounded_input_spec(d_x, 0.5, seed=1)
+    chunk = d_x * _SPAN * 8  # bytes of one chunk of innovations
+    sample_markov_chain(spec, 2 * _SPAN, seed=0)  # build any lazy state first
+    tracemalloc.start()
+    try:
+        x = sample_markov_chain(spec, n, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes + 6 * chunk
 
 
 def test_sample_markov_chain_deterministic_and_stationary():

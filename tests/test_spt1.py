@@ -1,5 +1,7 @@
 """The SPT1 tensor file format of the artifacts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,3 +80,35 @@ def test_spt1_error_is_an_io_error_and_a_value_error(tmp_path):
     with pytest.raises(Spt1Error, match="expected"):
         read_tensor(p)
     assert issubclass(Spt1Error, OSError) and issubclass(Spt1Error, ValueError)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_spt1_io_holds_at_most_one_payload(tmp_path):
+    """Writing a C-ordered f8 array copies nothing, and reading allocates
+    the returned array and no second payload (a bytes object, a cast)."""
+    T = np.random.default_rng(7).standard_normal((6, 200_000))  # 9.6 MB
+    p = tmp_path / "x.spt1"
+    _, peak = _traced_peak(lambda: write_tensor(p, T))
+    assert peak < T.nbytes // 8
+    back, peak = _traced_peak(lambda: read_tensor(p))
+    assert back.tobytes() == T.tobytes()
+    assert peak < T.nbytes + T.nbytes // 8
+
+
+def test_spt1_writes_the_c_order_bytes_of_any_layout(tmp_path):
+    """A Fortran-ordered, strided or big-endian array is written as its
+    C-order little-endian values, the bytes tobytes gave."""
+    T = np.arange(24.0).reshape(2, 3, 4)
+    for view in (np.asfortranarray(T), T[:, ::-1, ::2], T.astype(">f8")):
+        p = tmp_path / "t.spt1"
+        write_tensor(p, view)
+        assert p.read_bytes()[-view.size * 8:] == np.asarray(view, dtype="<f8").tobytes(order="C")
+        assert np.array_equal(read_tensor(p), view)
