@@ -1,14 +1,16 @@
 """Batch experiment front-end.
 
 Subcommands: generate, score-check, moments, decompose, train, train-brnn,
-train-scalar, train-linear, eval, sweep.  Every run writes its artifacts under
-the output directory together with a manifest listing content hashes, the
-config hash, the master seed, and library versions, so (config, seed)
-determines every artifact bit for bit.  eval and decompose read an earlier
-run's directory (--out) and nothing else: its config.resolved is their config
-and its manifest's seed their seed, so they take no --config, --set, --format
-or --seed.  They add their files to its manifest, with their config hash,
-seed and versions under "reads", so the earlier run's record stays whole.
+train-scalar, train-linear, eval, sweep.  Every run writes its artifacts,
+config.resolved and a manifest (content hashes, config hash, master seed,
+library versions) into --out, which no file names, so (config, seed) fixes
+every file bit for bit in any directory and at any worker count, for a fixed
+BLAS thread count (numpy sets OpenBLAS's at import, before main runs).  eval
+and decompose read an earlier run's directory (--out) and nothing else: its
+config.resolved is their config and its manifest's seed their seed, so they
+take no --config, --set or --seed.  They add their files to its manifest,
+with their config hash, seed and versions under "reads", so the earlier
+run's record stays whole.
 
 Exit codes: 0 success, 2 config error, 3 numerical or assumption failure,
 4 I/O error.
@@ -26,8 +28,8 @@ import sys
 import numpy as np
 
 from . import __version__, spt1
-from .config import (_SCHEMA, ConfigError, ExperimentConfig, config_hash, from_items,
-                     parse_config, serialize)
+from .config import (ConfigError, ExperimentConfig, config_hash, from_items, parse_config,
+                     serialize)
 from .diagnostics import _assignment, align, sample_sweep
 from .recovery import (BrnnEstimate, RnnEstimate, _stage1_factors, quadratic_moments,
                        train_brnn, train_linear, train_quadratic, train_scalar)
@@ -416,13 +418,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "generate", "score-check", "moments", "decompose", "train",
         "train-brnn", "train-scalar", "train-linear", "eval", "sweep"])
     parser.add_argument("--config", metavar="PATH", help="flat key=value config file")
-    parser.add_argument("--seed", type=int, default=None, help="master seed (overrides model.seed)")
-    parser.add_argument("--out", metavar="DIR", default=None, help="output directory")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="master seed (default 0); eval and decompose take their run's")
+    parser.add_argument("--out", metavar="DIR", default="out",
+                        help="run directory (default: out); no part of the config")
     parser.add_argument("--set", metavar="K=V", action="append", default=[],
                         help="config override, repeatable")
     parser.add_argument("--workers", type=int, default=None,
                         help="parallel workers (default: the CPUs this process may run on)")
-    parser.add_argument("--format", choices=["spt1", "csv"], default=None)
     return parser
 
 
@@ -455,42 +458,36 @@ def _resolve_workers(args) -> int:
 
 
 def _new_run(args):
-    """(config, seed, artifacts, None) of a command that writes a run, whose
-    config.resolved it writes: --config with the overrides, --seed else model.seed."""
+    """(config, seed, artifacts, None) of a command that writes a run into
+    --out: --config with the --set overrides, which it writes as
+    config.resolved, and --seed, 0 when not given."""
     overrides = {}
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
-    if args.config:
-        config = parse_config(args.config, overrides)
-    else:
-        config = from_items(overrides)
-    if args.out:
-        config.values["output.dir"] = args.out
-    if args.format:
-        config.values["output.format"] = args.format
-    seed = args.seed if args.seed is not None else config["model.seed"]
+    config = parse_config(args.config, overrides) if args.config else from_items(overrides)
+    seed = 0 if args.seed is None else args.seed
     if seed < 0:
         raise ConfigError(f"--seed: seeds must be nonnegative, got {seed}")
-    art = _Artifacts(config["output.dir"], config["output.format"])
+    art = _Artifacts(args.out, config["output.format"])
     art.write_text("config.resolved", serialize(config))
     return config, seed, art, None
 
 
 def _read_run(args):
     """(config, seed, artifacts, manifest) of the run a reading command reads,
-    in --out (else output.dir's default): its config.resolved, unchanged, and
-    the seed of its manifest.json.  A config or seed flag is a config error,
-    raised before any file is read, and a missing or malformed file an I/O
-    error naming it."""
+    in --out: its config.resolved, unchanged, and the seed of its
+    manifest.json.  A config or seed flag is a config error, raised before
+    any file is read, and a missing or malformed file an I/O error naming it,
+    a config.resolved with a key this version does not know (such as an
+    older version's output.dir) included."""
     for flag, value in (("--config", args.config), ("--set", args.set or None),
-                        ("--format", args.format), ("--seed", args.seed)):
+                        ("--seed", args.seed)):
         if value is not None:
             raise ConfigError(f"{flag}: {args.command} takes the config and seed of its run")
-    out_dir = args.out or _SCHEMA["output.dir"][1]
-    path = os.path.join(out_dir, "manifest.json")
+    path = os.path.join(args.out, "manifest.json")
     with open(path, encoding="utf-8") as fh:
         try:
             record = json.load(fh)
@@ -502,12 +499,12 @@ def _read_run(args):
     seed = record.get("seed")
     if type(seed) is not int or seed < 0:  # json's true is a bool, an int subclass
         raise OSError(f"{path}: not a manifest (seed {seed!r}, expected an integer >= 0)")
-    path = os.path.join(out_dir, "config.resolved")
+    path = os.path.join(args.out, "config.resolved")
     try:  # a missing file raises OSError itself
         config = parse_config(path)
     except ValueError as exc:
         raise OSError(f"{path}: not a resolved config ({exc})") from exc
-    return config, seed, _Artifacts(out_dir, config["output.format"]), record
+    return config, seed, _Artifacts(args.out, config["output.format"]), record
 
 
 def main(argv=None) -> int:
@@ -515,6 +512,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         workers = _resolve_workers(args)
+        if not args.out:  # os.path.join would read the working directory, makedirs fail
+            raise ConfigError("--out: a run needs a directory, got ''")
         config, seed, art, prior = (_read_run if args.command in _READERS else _new_run)(args)
         handlers = {
             "generate": _cmd_generate,

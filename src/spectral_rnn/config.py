@@ -2,7 +2,8 @@
 
 Config files are plain text lines `section.key = value` with `#` comments.
 Unknown keys are rejected with a close-match suggestion; defaults are filled
-in so a serialized config always lists every key.
+in so a serialized config always lists every key.  The master seed and the
+run directory are CLI flags, not keys, so a config names what a run computes.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ _SCHEMA: dict[str, tuple] = {
     "model.d_h": (int, None),
     "model.d_y": (int, None),
     "model.l": (int, 2),
-    "model.seed": (int, 0),
     "model.a1_scale": (float, 1.0),
     "model.u_scale": (float, 0.0),
     "model.norm_check": (str, "strict"),
@@ -45,7 +45,6 @@ _SCHEMA: dict[str, tuple] = {
     "estimation.n_grid": (_parse_int_list, [10000, 100000]),
     "estimation.seeds": (_parse_int_list, [0, 1, 2]),
     "estimation.burn_in": (int, 10),
-    "output.dir": (str, "out"),
     "output.format": (str, "spt1"),
 }
 
@@ -88,8 +87,6 @@ def _validate(values: dict) -> None:
     if values["model.d_h"] > values["model.d_x"]:
         raise ConfigError("model.d_h: need model.d_h <= model.d_x, got "
                           f"{values['model.d_h']} > {values['model.d_x']}")
-    if values["model.seed"] < 0:
-        raise ConfigError("model.seed: seeds must be nonnegative")
     if values["model.l"] < 1:
         raise ConfigError("model.l: unit degree must be >= 1")
     for key in ("model.a1_scale", "model.u_scale"):

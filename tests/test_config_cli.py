@@ -13,7 +13,7 @@ from scipy.optimize import linear_sum_assignment
 
 from spectral_rnn import cli, cp_decomp, moments, recovery, spt1
 from spectral_rnn.cli import main
-from spectral_rnn.config import (ConfigError, config_hash, from_items,
+from spectral_rnn.config import (_SCHEMA, ConfigError, config_hash, from_items,
                                  parse_config, serialize)
 from spectral_rnn.diagnostics import align
 from spectral_rnn.moments import population_moment_oracle
@@ -90,7 +90,7 @@ def test_input_sigma_must_be_positive_and_finite(sigma):
 
 
 @pytest.mark.parametrize("items,key", [
-    ({"model.seed": "-3"}, "model.seed"),
+    ({"model.l": "0"}, "model.l"),
     ({"estimation.seeds": "-1"}, "estimation.seeds"),
     ({"estimation.seeds": "0,-1"}, "estimation.seeds"),
     ({"estimation.n": "-5"}, "estimation.n"),
@@ -104,10 +104,11 @@ def test_input_sigma_must_be_positive_and_finite(sigma):
     ({"estimation.seeds": ""}, "estimation.seeds"),
 ])
 def test_values_no_run_can_use_are_rejected_by_key(items, key):
-    """Negative seeds, sequences too short for a burn-in and a shifted score
-    on both sides, more hidden units than input dimensions, and an empty
-    sweep grid or one that repeats an entry are config errors naming their
-    key, not tracebacks from the simulation."""
+    """A unit degree below 1, negative sweep seeds, sequences too short for a
+    burn-in and a shifted score on both sides, more hidden units than input
+    dimensions, and an empty sweep grid or one that repeats an entry are
+    config errors naming their key, not tracebacks from the simulation.  A
+    negative master seed is --seed's (test_cli_negative_seed_is_a_config_error)."""
     with pytest.raises(ConfigError, match=f"^{key}:"):
         from_items({**BASE, **items})
 
@@ -155,6 +156,15 @@ def _run(tmp_path, command, extra_args=(), extra_cfg=None, out="out"):
     return main([command, *config, "--out", out_dir, *extra_args]), out_dir
 
 
+def _artifact_bytes(out_dir):
+    """Every file of a run directory, by name: its bytes."""
+    files = {}
+    for name in os.listdir(out_dir):
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            files[name] = fh.read()
+    return files
+
+
 def test_cli_generate_writes_artifacts(tmp_path):
     code, out = _run(tmp_path, "generate",
                      extra_cfg={"estimation.n": "200"})
@@ -167,18 +177,20 @@ def test_cli_generate_writes_artifacts(tmp_path):
 
 
 def test_cli_generate_deterministic(tmp_path):
+    """One (config, seed) writes the same bytes into any directory: every
+    array, config.resolved and the manifest, since no file names --out."""
     _, out_a = _run(tmp_path, "generate", ("--seed", "7"),
                     {"estimation.n": "100"}, out="a")
     _, out_b = _run(tmp_path, "generate", ("--seed", "7"),
                     {"estimation.n": "100"}, out="b")
-    for name in ("x.spt1", "y.spt1", "a1_true.spt1"):
-        wa = open(os.path.join(out_a, name), "rb").read()
-        wb = open(os.path.join(out_b, name), "rb").read()
-        assert wa == wb, name
+    written = _artifact_bytes(out_a)
+    assert written.keys() >= {"x.spt1", "y.spt1", "a1_true.spt1", "config.resolved",
+                              "manifest.json"}
+    assert _artifact_bytes(out_b) == written
 
 
 def test_cli_csv_format(tmp_path):
-    code, out = _run(tmp_path, "generate", ("--format", "csv"),
+    code, out = _run(tmp_path, "generate", ("--set", "output.format=csv"),
                      {"estimation.n": "50"})
     assert code == 0
     x = np.loadtxt(os.path.join(out, "x.csv"), delimiter=",", ndmin=2)
@@ -196,6 +208,38 @@ def test_cli_config_error_exit_code(tmp_path):
     code, _ = _run(tmp_path, "generate",
                    extra_cfg={"model.dx_typo": "1"})
     assert code == 2
+
+
+@pytest.mark.parametrize("key", ["model.seed", "output.dir"])
+def test_cli_seed_and_directory_are_no_config_keys(tmp_path, capsys, monkeypatch, key):
+    """The master seed is --seed's and the run directory --out's, so a config
+    file that sets either names an unknown key: exit 2 with the close-match
+    hint, before anything is simulated."""
+    monkeypatch.setattr(cli, "_simulate", None)
+    code, _ = _run(tmp_path, "train", extra_cfg={key: "3", "estimation.n": "100"})
+    assert code == 2
+    assert _exit_record(capsys)["message"].startswith(f"unknown key {key!r} (did you mean ")
+
+
+def _readme_config():
+    """The example config of README's command-line section, as key -> value."""
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+                  encoding="utf-8").read()
+    block = readme.split("runs batch experiments from a flat", 1)[1].split("```")[1]
+    return dict((part.strip() for part in line.split("=", 1))
+                for line in block.strip().splitlines())
+
+
+def test_readme_example_config_runs(tmp_path):
+    """README's example config validates as written, and train runs on it
+    (at a shorter sequence) with exit 0."""
+    items = _readme_config()
+    assert {"model.d_x", "model.d_h", "model.d_y"} <= items.keys()
+    from_items(items)
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in items.items()))
+    assert main(["train", "--config", str(path), "--seed", "3", "--set", "estimation.n=20000",
+                 "--out", str(tmp_path / "results")]) == 0
 
 
 def test_cli_bad_set_exit_code(tmp_path):
@@ -270,7 +314,8 @@ def test_cli_moments_csv_is_a_config_error(tmp_path, capsys, monkeypatch):
     """csv would flatten the order-3 moment tensors to matrices, which
     decompose cannot read back, so moments rejects it before simulating."""
     monkeypatch.setattr(cli, "_simulate", None)
-    code, out = _run(tmp_path, "moments", ("--format", "csv"), {"estimation.n": "100"})
+    code, out = _run(tmp_path, "moments", ("--set", "output.format=csv"),
+                     {"estimation.n": "100"})
     assert code == 2
     assert _exit_record(capsys)["message"].startswith("output.format: moments writes "
                                                       "order-3 tensors")
@@ -413,7 +458,7 @@ def test_cli_decompose_non_finite_t2_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag", [("--config", "run.cfg"), ("--set", "model.d_h=1"),
-                                  ("--format", "csv"), ("--seed", "3")],
+                                  ("--seed", "3")],
                          ids=lambda flag: flag[0])
 @pytest.mark.parametrize("reader", cli._READERS)
 def test_cli_reader_rejects_config_and_seed_flags(tmp_path, capsys, reader, flag):
@@ -527,7 +572,7 @@ def test_cli_and_library_share_one_burn_in_default():
     """The config's estimation.burn_in default is the estimators' default.
     config.py imports no numpy module, so the value is written in both
     places and held equal here."""
-    assert cli._SCHEMA["estimation.burn_in"][1] == moments.DEFAULT_BURN_IN
+    assert _SCHEMA["estimation.burn_in"][1] == moments.DEFAULT_BURN_IN
     for train in (recovery.train_quadratic, recovery.train_brnn, recovery.train_scalar,
                   recovery.train_linear, recovery.quadratic_moments):
         assert inspect.signature(train).parameters["burn_in"].default == moments.DEFAULT_BURN_IN
@@ -808,7 +853,8 @@ def test_cli_eval_reproduces_the_report(tmp_path, command, fmt):
     that wrote its report.json, on the arrays the run wrote, in the run's own
     degree, format and shapes: its eval.json has report.json's bytes for
     every family, a linear run's invariants included."""
-    assert _run(tmp_path, command, ("--seed", "3", "--format", fmt), TRAIN_RUNS[command])[0] == 0
+    assert _run(tmp_path, command, ("--seed", "3", "--set", f"output.format={fmt}"),
+                TRAIN_RUNS[command])[0] == 0
     assert main(["eval", "--out", str(tmp_path / "out")]) == 0
     out = tmp_path / "out"
     report = (out / "report.json").read_bytes()
@@ -831,7 +877,8 @@ DAMAGED_RUNS = {
 def test_cli_eval_on_a_damaged_run_exit_code(tmp_path, capsys, damage, fmt):
     """A run array that is missing, unparsable, misshapen or non-finite is an
     I/O error naming its path, and eval writes no eval.json."""
-    assert _run(tmp_path, "train", ("--format", fmt), {"estimation.n": "2000"})[0] == 0
+    assert _run(tmp_path, "train", ("--set", f"output.format={fmt}"),
+                {"estimation.n": "2000"})[0] == 0
     name, content = DAMAGED_RUNS[damage]
     path = tmp_path / "out" / f"{name}.{fmt}"
     if content is None:
@@ -909,14 +956,22 @@ def test_cli_score_check_non_finite_error_writes_no_record(tmp_path, capsys, mon
     assert not os.path.exists(os.path.join(out, "score_check.json"))
 
 
-@pytest.mark.parametrize("damage", ["missing", "unknown key", "no value", "binary"])
+@pytest.mark.parametrize("damage", ["missing", "unknown key", "no value", "binary",
+                                    "pre-change"])
 def test_cli_eval_without_a_readable_run_config_exit_code(tmp_path, capsys, damage):
     """eval takes the degree from the run's config.resolved, so a missing or
-    malformed one is an I/O error, and eval writes no eval.json."""
+    malformed one is an I/O error, and eval writes no eval.json.  A run
+    whose config.resolved still names its directory and seed, as runs
+    written before --out and --seed became their only setters did, is such
+    a file: it is re-run, not read."""
     assert _run(tmp_path, "train", extra_cfg={"estimation.n": "2000"})[0] == 0
     path = tmp_path / "out" / "config.resolved"
     if damage == "missing":
         path.unlink()
+    elif damage == "pre-change":
+        path.write_text(path.read_text()
+                        .replace("model.a1_scale", "model.seed = 0\nmodel.a1_scale")
+                        .replace("output.format", "output.dir = out\noutput.format"))
     else:
         path.write_bytes({"unknown key": b"model.dx = 4\n", "no value": b"model.l\n",
                           "binary": b"\xff\xfe"}[damage])
@@ -959,34 +1014,35 @@ def test_cli_score_check(tmp_path):
     assert (rec["relative_error"], rec["absolute"]) == (err, absolute)
 
 
-def _artifact_bytes(out_dir):
-    """Every file of a run directory, by name: its bytes."""
-    files = {}
-    for name in os.listdir(out_dir):
-        with open(os.path.join(out_dir, name), "rb") as fh:
-            files[name] = fh.read()
-    return files
-
-
 def test_cli_sweep_deterministic_across_workers(tmp_path):
-    """sweep.csv, sweep_summary.json and the manifest's hashes are the same
-    bytes at any worker count.  Both runs write to one directory, because
-    the resolved config, and so its hash, names the output directory."""
+    """Every file of a sweep, config.resolved and manifest.json included, is
+    the same bytes at any worker count and in any directory."""
     cfg = {"estimation.n_grid": "2000,8000", "estimation.seeds": "0,1"}
     runs = {}
     for workers in ("1", "4"):
-        code, out = _run(tmp_path, "sweep", ("--workers", workers), cfg)
+        code, out = _run(tmp_path, "sweep", ("--workers", workers), cfg, out=f"w{workers}")
         assert code == 0, workers
         runs[workers] = _artifact_bytes(out)
-        shutil.rmtree(out)
     one, four = runs["1"], runs["4"]
-    assert one.keys() == four.keys() >= {"sweep.csv", "sweep_summary.json", "manifest.json"}
-    assert one["sweep.csv"] == four["sweep.csv"]
-    assert one["sweep_summary.json"] == four["sweep_summary.json"]
-    files = json.loads(one["manifest.json"])["files"]
-    assert files == json.loads(four["manifest.json"])["files"]
-    assert files.keys() == one.keys() - {"manifest.json"}
+    assert one == four
+    assert one.keys() == {"config.resolved", "sweep.csv", "sweep_summary.json",
+                          "manifest.json"}
+    assert json.loads(one["manifest.json"])["files"].keys() == one.keys() - {"manifest.json"}
     assert one["sweep.csv"].decode().splitlines()[0] == "n,seed,matrix,row,error"
+
+
+def test_cli_run_reproduces_from_its_own_record(tmp_path):
+    """A run's config.resolved, as --config, and its manifest's seed, as
+    --seed, write every file of the run again, byte for byte, into another
+    directory."""
+    assert _run(tmp_path, "train", ("--seed", "11"), {"estimation.n": "5000"},
+                out="first")[0] == 0
+    first = tmp_path / "first"
+    seed = json.loads((first / "manifest.json").read_text())["seed"]
+    again = tmp_path / "again"
+    assert main(["train", "--config", str(first / "config.resolved"), "--seed", str(seed),
+                 "--out", str(again)]) == 0
+    assert _artifact_bytes(again) == _artifact_bytes(first)
 
 
 def test_cli_sweep_repeated_grid_entry_is_a_config_error(tmp_path, capsys, monkeypatch):
@@ -1067,6 +1123,18 @@ def test_cli_heap_policy_failure_changes_nothing(tmp_path, monkeypatch, cdll):
     code, out = _run(tmp_path, "train", extra_cfg=cfg)
     assert code == 0
     assert _artifact_bytes(out) == expected
+
+
+@pytest.mark.parametrize("command", ["generate", "eval"])
+def test_cli_empty_out_is_a_config_error(tmp_path, capsys, monkeypatch, command):
+    """--out names the run's directory and has no fallback key, so an empty
+    one exits 2 by name, before anything is read, simulated or written."""
+    monkeypatch.setattr(cli, "_simulate", None)
+    monkeypatch.chdir(tmp_path)
+    config = () if command in cli._READERS else ("--config", _write_config(tmp_path))
+    assert main([command, *config, "--out", ""]) == 2
+    assert _exit_record(capsys)["message"].startswith("--out:")
+    assert sorted(os.listdir(tmp_path)) == ([] if command in cli._READERS else ["run.cfg"])
 
 
 def test_cli_default_workers_follow_the_affinity_mask(monkeypatch):
